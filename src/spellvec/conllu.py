@@ -147,11 +147,19 @@ class AttributeSchema:
     attrs: dict[str, list[str]]
     proportions: dict[str, float]
 
+    def __post_init__(self):
+        # label -> index of its first occurrence, as list.index gives
+        self._pos_lookup = {tag: i for i, tag in reversed(list(enumerate(self.pos)))}
+        self._value_lookup = {
+            attr: {v: i for i, v in reversed(list(enumerate(self.value_labels(attr))))}
+            for attr in self.attrs
+        }
+
     def pos_index(self, tag: str) -> int:
-        try:
-            return self.pos.index(tag)
-        except ValueError:
-            raise SchemaError(f"POS tag {tag!r} not in training inventory") from None
+        index = self._pos_lookup.get(tag)
+        if index is None:
+            raise SchemaError(f"POS tag {tag!r} not in training inventory")
+        return index
 
     def value_labels(self, attr: str) -> list[str]:
         """Head output labels for an attribute; NONE sits at index 0."""
@@ -162,11 +170,13 @@ class AttributeSchema:
     def value_index(self, attr: str, value: str | None) -> int:
         if value is None:
             return 0
-        labels = self.value_labels(attr)
-        try:
-            return labels.index(value)
-        except ValueError:
-            raise SchemaError(f"value {value!r} not in inventory of {attr!r}") from None
+        lookup = self._value_lookup.get(attr)
+        if lookup is None:
+            raise SchemaError(f"unknown attribute {attr!r}")
+        index = lookup.get(value)
+        if index is None:
+            raise SchemaError(f"value {value!r} not in inventory of {attr!r}")
+        return index
 
 
 def build_schema(train: list[Sentence], include_attributes: bool = True) -> AttributeSchema:

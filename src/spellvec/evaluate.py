@@ -72,20 +72,10 @@ RESTRICTIONS = ("all", "oov", "in-vocab")
 
 
 def pos_accuracy(pair: TaggedCorpusPair, restrict: str = "all") -> float:
-    if restrict not in RESTRICTIONS:
-        raise ValueError(f"unknown restriction {restrict!r}")
-    correct = total = 0
-    for gt, pt, oov in pair.token_pairs():
-        if restrict != "all":
-            if oov is None:
-                raise ValueError("OOV restriction requires a training vocabulary")
-            if (restrict == "oov") != oov:
-                continue
-        total += 1
-        correct += gt.upos == pt.upos
-    if total == 0:
+    correct = pos_correctness(pair, restrict)
+    if not correct:
         raise ValueError(f"restriction {restrict!r} selects no tokens")
-    return correct / total
+    return sum(correct) / len(correct)
 
 
 def pos_correctness(pair: TaggedCorpusPair, restrict: str = "all") -> list[bool]:

@@ -21,9 +21,9 @@ from .nn import (
     MomentumSgd,
     Tape,
     Tensor,
+    bilstm,
     embedding_init,
     glorot_uniform,
-    lstm_step,
 )
 
 UNK_CHAR_INDEX = 0
@@ -66,7 +66,42 @@ class MimickTrainConfig:
             raise ValueError(f"dev fraction must be in [0, 0.5), got {self.dev_fraction}")
 
 
-class MimickModel:
+class CharBiLstm:
+    """Character embedding read by forward and backward LSTMs; a word is
+    encoded as the concatenation of the two final states."""
+
+    def __init__(
+        self,
+        chars: CharVocabulary,
+        char_dim: int,
+        hidden: int,
+        rng: np.random.Generator | None = None,
+    ):
+        self.chars = chars
+        self.char_dim = char_dim
+        self.hidden = hidden
+        if rng is None:
+            self.char_emb = Tensor(np.zeros((chars.size, char_dim)))
+        else:
+            self.char_emb = Tensor(embedding_init(rng, chars.size, char_dim))
+        self.fwd = LstmCellParams(char_dim, hidden, rng)
+        self.bwd = LstmCellParams(char_dim, hidden, rng)
+
+    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        params = {f"{prefix}char_emb": self.char_emb}
+        params.update(self.fwd.parameters(f"{prefix}fwd."))
+        params.update(self.bwd.parameters(f"{prefix}bwd."))
+        return params
+
+    def encode(self, tape: Tape, indices: list[int]) -> Tensor:
+        if not indices:
+            raise ValueError("cannot embed an empty word")
+        xs = [tape.row(self.char_emb, i) for i in indices]
+        forward, backward = bilstm(tape, self.fwd, self.bwd, xs)
+        return tape.concat([forward[-1], backward[0]])
+
+
+class MimickModel(CharBiLstm):
     """Forward/backward char LSTMs feeding a two-layer tanh MLP of width
     `hidden`, with output dimension matching the embedding table."""
 
@@ -78,16 +113,8 @@ class MimickModel:
         hidden: int = 50,
         rng: np.random.Generator | None = None,
     ):
-        self.chars = chars
+        super().__init__(chars, char_dim, hidden, rng)
         self.dim = dim
-        self.char_dim = char_dim
-        self.hidden = hidden
-        if rng is None:
-            self.char_emb = Tensor(np.zeros((chars.size, char_dim)))
-        else:
-            self.char_emb = Tensor(embedding_init(rng, chars.size, char_dim))
-        self.fwd = LstmCellParams(char_dim, hidden, rng)
-        self.bwd = LstmCellParams(char_dim, hidden, rng)
         if rng is None:
             self.t_h = Tensor(np.zeros((hidden, 2 * hidden)))
             self.o_t = Tensor(np.zeros((dim, hidden)))
@@ -98,56 +125,40 @@ class MimickModel:
         self.b_t = Tensor(np.zeros(dim))
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {"char_emb": self.char_emb}
-        params.update(self.fwd.parameters("fwd."))
-        params.update(self.bwd.parameters("bwd."))
+        params = super().parameters()
         params.update({"t_h": self.t_h, "b_h": self.b_h, "o_t": self.o_t, "b_t": self.b_t})
         return params
 
     def forward_on_tape(self, tape: Tape, indices: list[int]) -> Tensor:
-        if not indices:
-            raise ValueError("cannot embed an empty word")
-        xs = [tape.row(self.char_emb, i) for i in indices]
-        h_f = self._sweep(tape, self.fwd, xs)
-        h_b = self._sweep(tape, self.bwd, list(reversed(xs)))
-        z = tape.concat([h_f, h_b])
+        z = self.encode(tape, indices)
         return tape.affine(self.o_t, tape.tanh(tape.affine(self.t_h, z, self.b_h)), self.b_t)
-
-    def _sweep(self, tape: Tape, cell: LstmCellParams, xs: list[Tensor]) -> Tensor:
-        h = Tensor(np.zeros(self.hidden))
-        c = Tensor(np.zeros(self.hidden))
-        for x in xs:
-            h, c = lstm_step(tape, cell, x, h, c)
-        return h
 
     def forward(self, word: str) -> np.ndarray:
         """Infer the embedding of a word; unseen characters collapse to UNK."""
         out = self.forward_on_tape(Tape(), self.chars.encode(word))
         return out.data.copy()
 
+    def meta(self) -> dict:
+        """What an archive needs, besides the tensors, to rebuild the model."""
+        return dict(
+            chars=self.chars.chars, char_dim=self.char_dim, hidden=self.hidden, dim=self.dim
+        )
+
+    @classmethod
+    def restore(cls, path: str, meta: dict, tensors: dict[str, np.ndarray]) -> "MimickModel":
+        """Rebuild a model from meta() and the tensors of parameters()."""
+        model = cls(CharVocabulary(meta["chars"]), meta["dim"], meta["char_dim"], meta["hidden"])
+        restore_parameters(path, model.parameters(), tensors)
+        return model
+
     def save(self, path: str, extra_meta: dict | None = None) -> None:
-        meta = {
-            "chars": self.chars.chars,
-            "char_dim": self.char_dim,
-            "hidden": self.hidden,
-            "dim": self.dim,
-        }
-        if extra_meta:
-            meta.update(extra_meta)
+        meta = {**self.meta(), **(extra_meta or {})}
         save_archive(path, "mimick", meta, {k: p.data for k, p in self.parameters().items()})
 
     @classmethod
     def load(cls, path: str) -> "MimickModel":
         manifest, tensors = load_archive(path, expect_kind="mimick")
-        meta = manifest["meta"]
-        model = cls(
-            CharVocabulary(meta["chars"]),
-            dim=meta["dim"],
-            char_dim=meta["char_dim"],
-            hidden=meta["hidden"],
-        )
-        restore_parameters(path, model.parameters(), tensors)
-        return model
+        return cls.restore(path, manifest["meta"], tensors)
 
 
 def restore_parameters(path: str, params: dict[str, Tensor], tensors: dict[str, np.ndarray]) -> None:
@@ -250,7 +261,10 @@ def nearest_neighbors(
     norms = np.linalg.norm(matrix, axis=1)
     sims = np.full(len(table), -np.inf)
     nonzero = norms > 0.0
-    sims[nonzero] = (matrix[nonzero] @ query) / (norms[nonzero] * qnorm)
+    # einsum, unlike BLAS, scores identical rows identically, so the stable
+    # sort keeps ties in table order
+    dots = np.einsum("ij,j->i", matrix, query)
+    sims[nonzero] = dots[nonzero] / (norms[nonzero] * qnorm)
     order = np.argsort(-sims, kind="stable")[:k]
     words = table.words()
     return [(words[i], float(sims[i])) for i in order]

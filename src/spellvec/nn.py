@@ -20,6 +20,7 @@ __all__ = [
     "Tape",
     "LstmCellParams",
     "lstm_step",
+    "bilstm",
     "MomentumSgd",
     "GradCheckReport",
     "gradient_check",
@@ -366,6 +367,23 @@ def lstm_step(
     c = tape.add(tape.mul(f, c_prev), tape.mul(i, cand))
     h = tape.mul(o, tape.tanh(c))
     return h, c
+
+
+def bilstm(
+    tape: Tape, fwd: LstmCellParams, bwd: LstmCellParams, xs: list[Tensor]
+) -> tuple[list[Tensor], list[Tensor]]:
+    """Forward and backward sweeps from zero state over xs; both lists of
+    hidden states are returned in input order."""
+    sweeps = []
+    for cell, seq in ((fwd, xs), (bwd, xs[::-1])):
+        h = Tensor(np.zeros(cell.hidden_size))
+        c = Tensor(np.zeros(cell.hidden_size))
+        states = []
+        for x in seq:
+            h, c = lstm_step(tape, cell, x, h, c)
+            states.append(h)
+        sweeps.append(states)
+    return sweeps[0], sweeps[1][::-1]
 
 
 # ----------------------------------------------------------------------

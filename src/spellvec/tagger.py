@@ -30,17 +30,16 @@ from .conllu import (
 )
 from .embeddings import MIMICK_DIRECT, UNK_LOWERCASE, EmbeddingTable, lookup
 from .evaluate import TaggedCorpusPair, micro_f1, pos_accuracy
-from .mimick import CharVocabulary, MimickModel, restore_parameters
+from .mimick import CharBiLstm, CharVocabulary, MimickModel, restore_parameters
 from .nn import (
     DimensionError,
     LstmCellParams,
     MomentumSgd,
     Tape,
     Tensor,
+    bilstm,
     dropout_mask,
-    embedding_init,
     glorot_uniform,
-    lstm_step,
 )
 
 VARIANTS = ("no-char", "mimick", "char2tag", "both")
@@ -135,46 +134,15 @@ class Head:
         }
 
 
-class CharToTag:
+class CharToTag(CharBiLstm):
     """Task-trained character BiLSTM appended to each word representation."""
-
-    def __init__(
-        self,
-        chars: CharVocabulary,
-        char_dim: int = 20,
-        hidden: int = 128,
-        rng: np.random.Generator | None = None,
-    ):
-        self.chars = chars
-        self.char_dim = char_dim
-        self.hidden = hidden
-        if rng is None:
-            self.char_emb = Tensor(np.zeros((chars.size, char_dim)))
-        else:
-            self.char_emb = Tensor(embedding_init(rng, chars.size, char_dim))
-        self.fwd = LstmCellParams(char_dim, hidden, rng)
-        self.bwd = LstmCellParams(char_dim, hidden, rng)
 
     @property
     def width(self) -> int:
         return 2 * self.hidden
 
     def forward_on_tape(self, tape: Tape, word: str) -> Tensor:
-        indices = self.chars.encode(word)
-        ends = []
-        for cell, seq in ((self.fwd, indices), (self.bwd, list(reversed(indices)))):
-            h = Tensor(np.zeros(self.hidden))
-            c = Tensor(np.zeros(self.hidden))
-            for idx in seq:
-                h, c = lstm_step(tape, cell, tape.row(self.char_emb, idx), h, c)
-            ends.append(h)
-        return tape.concat(ends)
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        params = {f"{prefix}char_emb": self.char_emb}
-        params.update(self.fwd.parameters(f"{prefix}fwd."))
-        params.update(self.bwd.parameters(f"{prefix}bwd."))
-        return params
+        return self.encode(tape, self.chars.encode(word))
 
 
 class TaggerModel:
@@ -207,11 +175,6 @@ class TaggerModel:
             for attr, values in schema.attrs.items()
         }
         self.rows: dict[str, Tensor] = {}
-        self._pos_index = {tag: i for i, tag in enumerate(schema.pos)}
-        self._value_index = {
-            attr: {value: i + 1 for i, value in enumerate(values)}
-            for attr, values in schema.attrs.items()
-        }
 
     # ------------------------------------------------------------------
     # word representations
@@ -256,18 +219,8 @@ class TaggerModel:
     def _bilstm(
         self, tape: Tape, fwd: LstmCellParams, bwd: LstmCellParams, xs: list[Tensor]
     ) -> list[Tensor]:
-        def sweep(cell, seq):
-            h = Tensor(np.zeros(self.hidden))
-            c = Tensor(np.zeros(self.hidden))
-            states = []
-            for x in seq:
-                h, c = lstm_step(tape, cell, x, h, c)
-                states.append(h)
-            return states
-
-        forward_states = sweep(fwd, xs)
-        backward_states = sweep(bwd, list(reversed(xs)))[::-1]
-        return [tape.concat([f, b]) for f, b in zip(forward_states, backward_states)]
+        forward, backward = bilstm(tape, fwd, bwd, xs)
+        return [tape.concat([f, b]) for f, b in zip(forward, backward)]
 
     # ------------------------------------------------------------------
     # loss
@@ -283,11 +236,10 @@ class TaggerModel:
         if mode not in ("sum", "weighted"):
             raise ValueError(f"loss mode must be 'sum' or 'weighted', got {mode!r}")
         states = self.states_on_tape(tape, sentence, dropout, rng)
-        parts = [self._head_nll(tape, self.pos_head, states, self._pos_targets(sentence))]
+        pos_targets = [self.schema.pos_index(t.upos) for t in sentence.tokens]
+        parts = [self._head_nll(tape, self.pos_head, states, pos_targets)]
         for attr, head in self.attr_heads.items():
-            targets = [
-                self._attr_target(attr, token.attrs.get(attr)) for token in sentence.tokens
-            ]
+            targets = [self.schema.value_index(attr, t.attrs.get(attr)) for t in sentence.tokens]
             attr_sum = self._head_nll(tape, head, states, targets)
             if mode == "weighted":
                 attr_sum = tape.scale(attr_sum, self.schema.proportions[attr])
@@ -300,22 +252,6 @@ class TaggerModel:
             for h, target in zip(states, targets)
         ]
         return losses[0] if len(losses) == 1 else tape.add_n(losses)
-
-    def _pos_targets(self, sentence: Sentence) -> list[int]:
-        targets = []
-        for token in sentence.tokens:
-            if token.upos not in self._pos_index:
-                raise SchemaError(f"POS tag {token.upos!r} not in training inventory")
-            targets.append(self._pos_index[token.upos])
-        return targets
-
-    def _attr_target(self, attr: str, value: str | None) -> int:
-        if value is None:
-            return 0
-        index = self._value_index[attr].get(value)
-        if index is None:
-            raise SchemaError(f"value {value!r} not in inventory of {attr!r}")
-        return index
 
     # ------------------------------------------------------------------
     # prediction
@@ -373,7 +309,7 @@ class TaggerModel:
             },
             "rows": list(self.rows),
             "base_words": rep.table.words(),
-            "mimick": _mimick_meta(rep.mimick) if rep.mimick else None,
+            "mimick": rep.mimick.meta() if rep.mimick else None,
         }
         if extra_meta:
             meta.update(extra_meta)
@@ -403,18 +339,8 @@ class TaggerModel:
         )
         mimick = None
         if meta["mimick"] is not None:
-            mimick = MimickModel(
-                CharVocabulary(meta["mimick"]["chars"]),
-                dim=meta["mimick"]["dim"],
-                char_dim=meta["mimick"]["char_dim"],
-                hidden=meta["mimick"]["hidden"],
-            )
-            sub = {
-                name[len("mimick.") :]: arr
-                for name, arr in tensors.items()
-                if name.startswith("mimick.")
-            }
-            restore_parameters(path, mimick.parameters(), sub)
+            sub = {k[len("mimick.") :]: a for k, a in tensors.items() if k.startswith("mimick.")}
+            mimick = MimickModel.restore(path, meta["mimick"], sub)
         schema = AttributeSchema(
             pos=list(meta["schema"]["pos"]),
             attrs={a: list(v) for a, v in meta["schema"]["attrs"].items()},
@@ -432,15 +358,6 @@ class TaggerModel:
         for word, vec in zip(meta["rows"], tensors["rows"]):
             model.rows[word] = Tensor(vec.copy())
         return model
-
-
-def _mimick_meta(model: MimickModel) -> dict:
-    return {
-        "chars": model.chars.chars,
-        "char_dim": model.char_dim,
-        "hidden": model.hidden,
-        "dim": model.dim,
-    }
 
 
 # ----------------------------------------------------------------------

@@ -233,3 +233,14 @@ class TestNearestNeighbors:
         table = EmbeddingTable(2, [("x", np.array([1.0, 0.0]))])
         with pytest.raises(ValueError):
             nearest_neighbors(table, np.array([1.0, 0.0]), k=2)
+
+    def test_duplicate_row_ties_in_table_order(self):
+        for dim in range(2, 80):
+            rows = np.random.default_rng(0).normal(size=(100, dim))
+            entries = [(f"w{i}", row) for i, row in enumerate(rows)] + [("copy", rows[0])]
+            table = EmbeddingTable(dim, entries)
+            ranked = nearest_neighbors(table, rows[0], k=len(table))
+            order = [word for word, _ in ranked]
+            scores = dict(ranked)
+            assert order.index("w0") < order.index("copy"), dim
+            assert scores["w0"] == scores["copy"], dim

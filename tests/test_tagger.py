@@ -265,6 +265,45 @@ class TestVariants:
         states = sentence_forward(model, sentence(("aa", "A", {})))
         assert states[0].shape == (4,)
 
+    def test_char2tag_representation_matches_straight_line_char_bilstm(self):
+        rng = np.random.default_rng(8)
+        table = tiny_table(rng, ["a", "aba"], dim=3)
+        model = TaggerModel(
+            AttributeSchema(["A"], {}, {}),
+            WordRepSpec("char2tag", table),
+            hidden=2,
+            char_dim=2,
+            char_hidden=3,
+            c2t_chars=CharVocabulary("ab"),
+            rng=rng,
+        )
+        c2t = model.c2t
+
+        def sweep(cell, xs):
+            h = c = np.zeros(cell.hidden_size)
+            states = []
+            for x in xs:
+                h, c = cell_step(cell, x, h, c)
+                states.append(h)
+            return states
+
+        def representation(form):
+            xs = [c2t.char_emb.data[i] for i in c2t.chars.encode(form)]
+            ends = [sweep(c2t.fwd, xs)[-1], sweep(c2t.bwd, xs[::-1])[-1]]
+            return np.concatenate([model.word_row(form).data, *ends])
+
+        s = sentence(("a", "A", {}), ("aba", "A", {}))
+        reps = [representation(t.form) for t in s.tokens]
+        tape = Tape()
+        for token, expected in zip(s.tokens, reps):
+            got = tape.concat([model.word_row(token.form), c2t.forward_on_tape(tape, token.form)])
+            assert np.allclose(got.data, expected, rtol=0.0, atol=1e-12), token.form
+        # the same representations feed the sentence BiLSTM
+        for fwd, bwd in ((model.l1f, model.l1b), (model.l2f, model.l2b)):
+            reps = [np.concatenate(p) for p in zip(sweep(fwd, reps), sweep(bwd, reps[::-1])[::-1])]
+        for got, expected in zip(sentence_forward(model, s), reps):
+            assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
     def test_variant_prerequisites_validated(self):
         rng = np.random.default_rng(4)
         no_unk = tiny_table(rng, ["aa"], with_unk=False)
