@@ -69,10 +69,12 @@ def load_archive(path: str, expect_kind: str | None = None) -> tuple[dict, dict[
     offset = header_end
     for spec in manifest["tensors"]:
         shape = tuple(spec["shape"])
+        if any(d < 0 for d in shape):
+            raise ArchiveError(f"{path}: tensor {spec['name']!r} has negative shape {list(shape)}")
         size = 8 * int(np.prod(shape, dtype=np.int64))
         if offset + size > len(raw):
             raise ArchiveError(f"{path}: truncated tensor {spec['name']!r}")
-        arr = np.frombuffer(raw[offset : offset + size], dtype="<f8").reshape(shape)
+        arr = np.frombuffer(raw, dtype="<f8", count=size // 8, offset=offset).reshape(shape)
         tensors[spec["name"]] = arr.astype(np.float64)
         offset += size
     if offset != len(raw):

@@ -96,9 +96,8 @@ class CharBiLstm:
     def encode(self, tape: Tape, indices: list[int]) -> Tensor:
         if not indices:
             raise ValueError("cannot embed an empty word")
-        xs = [tape.row(self.char_emb, i) for i in indices]
-        forward, backward = bilstm(tape, self.fwd, self.bwd, xs)
-        return tape.concat([forward[-1], backward[0]])
+        forward, backward = bilstm(tape, self.fwd, self.bwd, tape.row(self.char_emb, indices))
+        return tape.concat([tape.row(forward, -1), tape.row(backward, 0)])
 
 
 class MimickModel(CharBiLstm):

@@ -176,57 +176,177 @@ class Tape:
     # structural
 
     def affine(self, w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-        """W @ x + b for W (m, n), x (n,), b (m,)."""
+        """W @ x + b for W (m, n), x (n,), b (m,); for x (T, n), the (T, m)
+        matrix whose row t is W @ x[t] + b."""
         if w.data.ndim != 2:
             raise DimensionError(f"affine: W must be a matrix, got shape {w.data.shape}")
-        _require_vector("affine", x, b)
+        _require_vector("affine", b)
+        if x.data.ndim not in (1, 2):
+            raise DimensionError(f"affine: x must be a vector or a matrix, got shape {x.data.shape}")
         m, n = w.data.shape
-        if x.data.shape[0] != n or b.data.shape[0] != m:
+        if x.data.shape[-1] != n or b.data.shape[0] != m:
             raise DimensionError(
                 f"affine: W {w.data.shape} does not conform with "
                 f"x {x.data.shape} and b {b.data.shape}"
             )
-        out = Tensor(w.data @ x.data + b.data)
+        if x.data.ndim == 1:
+            out = Tensor(w.data @ x.data + b.data)
 
-        def backward(g):
-            w.grad += np.outer(g, x.data)
-            x.grad += w.data.T @ g
-            b.grad += g
+            def backward(g):
+                w.grad += np.outer(g, x.data)
+                x.grad += w.data.T @ g
+                b.grad += g
+
+        else:
+            out = Tensor(x.data @ w.data.T + b.data)
+
+            def backward(g):
+                w.grad += g.T @ x.data
+                x.grad += g @ w.data
+                b.grad += g.sum(axis=0)
 
         return self._emit(out, backward)
 
     def concat(self, parts: list[Tensor]) -> Tensor:
+        """Join vectors, or matrices with equal row counts, on the last axis."""
         if not parts:
             raise DimensionError("concat: empty input")
-        _require_vector("concat", *parts)
-        sizes = [p.data.shape[0] for p in parts]
-        out = Tensor(np.concatenate([p.data for p in parts]))
+        shapes = [p.data.shape for p in parts]
+        if any(len(s) == 0 or s[:-1] != shapes[0][:-1] for s in shapes):
+            raise DimensionError(f"concat: shapes {shapes} do not join on the last axis")
+        sizes = [s[-1] for s in shapes]
+        out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
 
         def backward(g):
             offset = 0
             for p, size in zip(parts, sizes):
-                p.grad += g[offset : offset + size]
+                p.grad += g[..., offset : offset + size]
                 offset += size
 
         return self._emit(out, backward)
 
-    def row(self, m: Tensor, index: int) -> Tensor:
-        """Select row `index` of a matrix parameter (embedding lookup)."""
-        if m.data.ndim != 2:
-            raise DimensionError(f"row: expected matrix, got shape {m.data.shape}")
-        out = Tensor(m.data[index].copy())
+    def stack(self, parts: list[Tensor]) -> Tensor:
+        """The (len(parts), n) matrix whose rows are the vectors in parts."""
+        if not parts:
+            raise DimensionError("stack: empty input")
+        _require_vector("stack", *parts)
+        for p in parts[1:]:
+            _require_same_shape("stack", parts[0], p)
+        out = Tensor(np.stack([p.data for p in parts]))
 
         def backward(g):
-            m.grad[index] += g
+            for p, g_row in zip(parts, g):
+                p.grad += g_row
 
         return self._emit(out, backward)
 
-    def pick(self, a: Tensor, index: int) -> Tensor:
-        _require_vector("pick", a)
-        out = Tensor(a.data[index])
+    def row(self, m: Tensor, index: int | list[int]) -> Tensor:
+        """Select row `index` of a matrix (embedding lookup); a list of
+        indices selects those rows, repeats allowed, as a matrix."""
+        if m.data.ndim != 2:
+            raise DimensionError(f"row: expected matrix, got shape {m.data.shape}")
+        if isinstance(index, (int, np.integer)):
+            out = Tensor(m.data[index].copy())
+
+            def backward(g):
+                m.grad[index] += g
+
+        else:
+            rows = np.asarray(index, dtype=np.intp)
+            out = Tensor(m.data[rows])
+
+            def backward(g):
+                np.add.at(m.grad, rows, g)
+
+        return self._emit(out, backward)
+
+    def pick(self, a: Tensor, index: int | list[int]) -> Tensor:
+        """Element `index` of a vector; for a matrix and one index per row,
+        the vector of the picked element of each row."""
+        if a.data.ndim == 1:
+            out = Tensor(a.data[index])
+
+            def backward(g):
+                a.grad[index] += g
+
+        elif a.data.ndim == 2 and np.ndim(index) == 1 and len(index) == a.data.shape[0]:
+            rows = np.arange(a.data.shape[0])
+            cols = np.asarray(index, dtype=np.intp)
+            out = Tensor(a.data[rows, cols])
+
+            def backward(g):
+                a.grad[rows, cols] += g
+
+        else:
+            raise DimensionError(f"pick: cannot pick {index!r} from shape {a.data.shape}")
+        return self._emit(out, backward)
+
+    # ------------------------------------------------------------------
+    # recurrence
+
+    def lstm(self, cell: LstmCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
+        """One LSTM sequence from zero state: the rows of xs (T, input) are
+        read first to last (last to first if reverse) and the (T, hidden)
+        states are returned in input order, as one record.
+
+        The input projection of all steps is one GEMM; the backward pass is
+        hand-written backpropagation through time whose weight gradient is
+        one GEMM over [inputs | previous states].
+        """
+        n, h = cell.input_size, cell.hidden_size
+        if xs.data.ndim != 2 or xs.data.shape[0] == 0 or xs.data.shape[1] != n:
+            raise DimensionError(f"lstm: input shape {xs.data.shape} != (T, {n}) with T >= 1")
+        w = cell.w.data
+        w_h = w[:, n:]
+        x = xs.data[::-1] if reverse else xs.data
+        steps = x.shape[0]
+        pre = x @ w[:, :n].T + cell.b.data
+        # per step: sigmoid(i, f, o) and tanh(candidate), in gate order
+        acts = np.empty((steps, 4, h))
+        # row 0 of hs and cs is the zero start state
+        hs = np.zeros((steps + 1, h))
+        cs = np.zeros((steps + 1, h))
+        tanh_cs = np.empty((steps, h))
+        for t in range(steps):
+            a = (pre[t] + w_h @ hs[t]).reshape(4, h)
+            act = acts[t]
+            # exp(-logaddexp(0, -x)) never overflows
+            act[:3] = np.exp(-np.logaddexp(0.0, -a[:3]))
+            act[3] = np.tanh(a[3])
+            cs[t + 1] = act[1] * cs[t] + act[0] * act[3]
+            tanh_cs[t] = np.tanh(cs[t + 1])
+            hs[t + 1] = act[2] * tanh_cs[t]
+        states = hs[1:]
+        out = Tensor(states[::-1] if reverse else states)
 
         def backward(g):
-            a.grad[index] += g
+            g = g[::-1] if reverse else g
+            i, f, o, cand = acts[:, 0], acts[:, 1], acts[:, 2], acts[:, 3]
+            # d(pre-activation)/dc for the i, f and candidate rows; /dh for o
+            coef = np.stack(
+                [cand * i * (1.0 - i), cs[:-1] * f * (1.0 - f), tanh_cs * o * (1.0 - o),
+                 i * (1.0 - cand * cand)],
+                axis=1,
+            )
+            dc_dh = o * (1.0 - tanh_cs * tanh_cs)
+            w_h_t = w_h.T
+            da = np.empty((steps, 4, h))
+            dh_next = np.zeros(h)
+            dc = np.zeros(h)
+            f_next = np.zeros(h)
+            for t in range(steps - 1, -1, -1):
+                dh = g[t] + dh_next
+                dc = dc * f_next + dh * dc_dh[t]
+                d = da[t]
+                np.multiply(dc, coef[t], out=d)
+                d[2] = dh * coef[t, 2]
+                dh_next = w_h_t @ d.ravel()
+                f_next = f[t]
+            da = da.reshape(steps, 4 * h)
+            cell.w.grad += da.T @ np.concatenate([x, hs[:-1]], axis=1)
+            cell.b.grad += da.sum(axis=0)
+            dx = da @ w[:, :n]
+            xs.grad += dx[::-1] if reverse else dx
 
         return self._emit(out, backward)
 
@@ -266,14 +386,16 @@ class Tape:
         return self._emit(out, backward)
 
     def log_softmax(self, a: Tensor) -> Tensor:
-        _require_vector("log_softmax", a)
-        if a.data.shape[0] == 0:
+        """Log-probabilities over the last axis of a vector or matrix."""
+        if a.data.ndim not in (1, 2):
+            raise DimensionError(f"log_softmax: expected vector or matrix, got shape {a.data.shape}")
+        if a.data.shape[-1] == 0:
             raise DimensionError("log_softmax: empty input")
-        shifted = a.data - a.data.max()
-        out = Tensor(shifted - np.log(np.exp(shifted).sum()))
+        shifted = a.data - a.data.max(axis=-1, keepdims=True)
+        out = Tensor(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
 
         def backward(g):
-            a.grad += g - np.exp(out.data) * g.sum()
+            a.grad += g - np.exp(out.data) * g.sum(axis=-1, keepdims=True)
 
         return self._emit(out, backward)
 
@@ -315,8 +437,13 @@ def embedding_init(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
 class LstmCellParams:
     """Input, forget, output and candidate gate weights over [input; hidden].
 
+    The gates are stacked, in that order, into one (4 * hidden, input +
+    hidden) weight `w` and one (4 * hidden,) bias `b`. The per-gate tensors
+    w_i ... b_c are the named parameters; their data and grad are views of
+    row blocks of w and b, so an update through either is seen by both.
+
     With rng=None all parameters are zero; otherwise weights are Glorot
-    uniform and the forget-gate bias starts at 1.0.
+    uniform, drawn gate by gate, and the forget-gate bias starts at 1.0.
     """
 
     GATES = ("i", "f", "o", "c")
@@ -326,17 +453,17 @@ class LstmCellParams:
             raise DimensionError("lstm: input_size and hidden_size must be positive")
         self.input_size = input_size
         self.hidden_size = hidden_size
-        z = input_size + hidden_size
-        for gate in self.GATES:
-            if rng is None:
-                w = np.zeros((hidden_size, z))
-            else:
-                w = glorot_uniform(rng, hidden_size, z)
-            b = np.zeros(hidden_size)
-            if gate == "f" and rng is not None:
-                b[:] = 1.0
-            setattr(self, f"w_{gate}", Tensor(w))
-            setattr(self, f"b_{gate}", Tensor(b))
+        h = hidden_size
+        self.w = Tensor(np.zeros((4 * h, input_size + h)))
+        self.b = Tensor(np.zeros(4 * h))
+        for k, gate in enumerate(self.GATES):
+            rows = slice(k * h, (k + 1) * h)
+            if rng is not None:
+                self.w.data[rows] = glorot_uniform(rng, h, input_size + h)
+                if gate == "f":
+                    self.b.data[rows] = 1.0
+            setattr(self, f"w_{gate}", _row_block(self.w, rows))
+            setattr(self, f"b_{gate}", _row_block(self.b, rows))
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = {}
@@ -344,6 +471,13 @@ class LstmCellParams:
             out[f"{prefix}w_{gate}"] = getattr(self, f"w_{gate}")
             out[f"{prefix}b_{gate}"] = getattr(self, f"b_{gate}")
         return out
+
+
+def _row_block(t: Tensor, rows: slice) -> Tensor:
+    """A Tensor whose data and grad are views of rows of t's."""
+    block = Tensor(t.data[rows])
+    block.grad = t.grad[rows]
+    return block
 
 
 def lstm_step(
@@ -370,20 +504,11 @@ def lstm_step(
 
 
 def bilstm(
-    tape: Tape, fwd: LstmCellParams, bwd: LstmCellParams, xs: list[Tensor]
-) -> tuple[list[Tensor], list[Tensor]]:
-    """Forward and backward sweeps from zero state over xs; both lists of
-    hidden states are returned in input order."""
-    sweeps = []
-    for cell, seq in ((fwd, xs), (bwd, xs[::-1])):
-        h = Tensor(np.zeros(cell.hidden_size))
-        c = Tensor(np.zeros(cell.hidden_size))
-        states = []
-        for x in seq:
-            h, c = lstm_step(tape, cell, x, h, c)
-            states.append(h)
-        sweeps.append(states)
-    return sweeps[0], sweeps[1][::-1]
+    tape: Tape, fwd: LstmCellParams, bwd: LstmCellParams, xs: Tensor
+) -> tuple[Tensor, Tensor]:
+    """Forward and backward sweeps from zero state over the rows of xs; both
+    (T, hidden) state matrices are returned in input order."""
+    return tape.lstm(fwd, xs), tape.lstm(bwd, xs, reverse=True)
 
 
 # ----------------------------------------------------------------------

@@ -110,7 +110,8 @@ class TaggerTrainConfig:
 
 class Head:
     """Per-attribute projection: O @ tanh(W @ h + b) + b_out, both layers
-    as wide as the attribute's value inventory."""
+    as wide as the attribute's value inventory. Given a (T, width) matrix of
+    states, each layer is one GEMM and the logits are (T, values)."""
 
     def __init__(self, in_width: int, n_values: int, rng: np.random.Generator | None):
         if rng is None:
@@ -198,29 +199,29 @@ class TaggerModel:
         sentence: Sentence,
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
-    ) -> list[Tensor]:
+    ) -> Tensor:
+        """The (T, 2 * hidden) sentence-BiLSTM states, one row per token."""
         if not sentence.tokens:
             raise ValueError("cannot run the tagger on an empty sentence")
-        reps = []
-        for token in sentence.tokens:
-            rep = self.word_row(token.form)
-            if self.c2t is not None:
-                rep = tape.concat([rep, self.c2t.forward_on_tape(tape, token.form)])
-            if dropout > 0.0:
-                rep = tape.mul_const(rep, dropout_mask(self.width, dropout, rng))
-            reps.append(rep)
+        forms = [token.form for token in sentence.tokens]
+
+        def masks(width: int) -> np.ndarray:
+            # one draw per token, in token order: the seeded rng stream depends on it
+            return np.stack([dropout_mask(width, dropout, rng) for _ in forms])
+
+        reps = tape.stack([self.word_row(form) for form in forms])
+        if self.c2t is not None:
+            chars = tape.stack([self.c2t.forward_on_tape(tape, form) for form in forms])
+            reps = tape.concat([reps, chars])
+        if dropout > 0.0:
+            reps = tape.mul_const(reps, masks(self.width))
         layer1 = self._bilstm(tape, self.l1f, self.l1b, reps)
         if dropout > 0.0:
-            layer1 = [
-                tape.mul_const(h, dropout_mask(2 * self.hidden, dropout, rng)) for h in layer1
-            ]
+            layer1 = tape.mul_const(layer1, masks(2 * self.hidden))
         return self._bilstm(tape, self.l2f, self.l2b, layer1)
 
-    def _bilstm(
-        self, tape: Tape, fwd: LstmCellParams, bwd: LstmCellParams, xs: list[Tensor]
-    ) -> list[Tensor]:
-        forward, backward = bilstm(tape, fwd, bwd, xs)
-        return [tape.concat([f, b]) for f, b in zip(forward, backward)]
+    def _bilstm(self, tape: Tape, fwd: LstmCellParams, bwd: LstmCellParams, xs: Tensor) -> Tensor:
+        return tape.concat(list(bilstm(tape, fwd, bwd, xs)))
 
     # ------------------------------------------------------------------
     # loss
@@ -246,12 +247,9 @@ class TaggerModel:
             parts.append(attr_sum)
         return parts[0] if len(parts) == 1 else tape.add_n(parts)
 
-    def _head_nll(self, tape: Tape, head: Head, states: list[Tensor], targets: list[int]) -> Tensor:
-        losses = [
-            tape.scale(tape.pick(tape.log_softmax(head.logits(tape, h)), target), -1.0)
-            for h, target in zip(states, targets)
-        ]
-        return losses[0] if len(losses) == 1 else tape.add_n(losses)
+    def _head_nll(self, tape: Tape, head: Head, states: Tensor, targets: list[int]) -> Tensor:
+        log_probs = tape.log_softmax(head.logits(tape, states))
+        return tape.scale(tape.sum(tape.pick(log_probs, targets)), -1.0)
 
     # ------------------------------------------------------------------
     # prediction
@@ -261,15 +259,18 @@ class TaggerModel:
         attribute absence. Argmax ties resolve to the lowest inventory index."""
         tape = Tape()
         states = self.states_on_tape(tape, sentence)
+        pos = np.argmax(self.pos_head.logits(tape, states).data, axis=1)
+        choices = {
+            attr: np.argmax(head.logits(tape, states).data, axis=1)
+            for attr, head in self.attr_heads.items()
+        }
         out = []
-        for h in states:
-            pos = self.schema.pos[int(np.argmax(self.pos_head.logits(tape, h).data))]
+        for t in range(len(sentence.tokens)):
             attrs = {}
-            for attr, head in self.attr_heads.items():
-                index = int(np.argmax(head.logits(tape, h).data))
-                if index != 0:
-                    attrs[attr] = self.schema.attrs[attr][index - 1]
-            out.append((pos, attrs))
+            for attr, index in choices.items():
+                if index[t] != 0:
+                    attrs[attr] = self.schema.attrs[attr][index[t] - 1]
+            out.append((self.schema.pos[pos[t]], attrs))
         return out
 
     # ------------------------------------------------------------------
@@ -396,7 +397,7 @@ def sentence_forward(
     states = model.states_on_tape(
         tape, sentence, dropout if mode == "train" else 0.0, rng
     )
-    return [s.data.copy() for s in states]
+    return [row.copy() for row in states.data]
 
 
 def joint_loss(model: TaggerModel, sentence: Sentence, mode: str = "sum") -> float:

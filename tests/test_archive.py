@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,26 @@ def test_trailing_bytes_rejected(tmp_path, tensors):
     (tmp_path / "pad.svm").write_bytes(data + b"\x00" * 8)
     with pytest.raises(ArchiveError, match="trailing"):
         load_archive(str(tmp_path / "pad.svm"))
+
+
+def test_negative_shape_rejected(tmp_path):
+    # a negative dimension would make the read count -1, "the rest of the file"
+    path = str(tmp_path / "neg.svm")
+    save_archive(path, "mimick", {}, {"a": np.zeros((2, 3)), "b": np.ones(1)})
+    data = (tmp_path / "neg.svm").read_bytes()
+    (size,) = struct.unpack_from("<Q", data, 8)
+    manifest = data[16 : 16 + size].replace(b'"shape":[1]', b'"shape":[-1]')
+    payload = data[16 + size :]
+    (tmp_path / "neg.svm").write_bytes(data[:8] + struct.pack("<Q", len(manifest)) + manifest + payload)
+    with pytest.raises(ArchiveError, match="negative shape"):
+        load_archive(path)
+
+
+def test_empty_tensor_at_the_end_loads(tmp_path):
+    path = str(tmp_path / "m.svm")
+    tensors = {"w": np.arange(6.0).reshape(2, 3), "rows": np.zeros((0, 3))}
+    save_archive(path, "tagger", {}, tensors)
+    _, loaded = load_archive(path)
+    assert np.array_equal(loaded["w"], tensors["w"])
+    assert loaded["rows"].shape == (0, 3)
+    loaded["w"][0, 0] = 7.0  # a private, writable copy

@@ -340,3 +340,208 @@ def test_debug_checks_flag_non_finite():
             t.scale(Tensor([np.inf]), 1.0)
     finally:
         nn.set_debug_checks(False)
+
+
+def lstm_step_chain(cell, x, reverse, weights):
+    """Reference for Tape.lstm: the rows of x run through lstm_step one at a
+    time; returns the states in input order, the per-row input gradients and
+    the gate gradients of the loss sum(weights * states)."""
+    for p in cell.parameters().values():
+        p.zero_grad()
+    rows = [Tensor(r) for r in x]
+    tape = Tape()
+    h = Tensor(np.zeros(cell.hidden_size))
+    c = Tensor(np.zeros(cell.hidden_size))
+    states = [None] * len(rows)
+    order = range(len(rows) - 1, -1, -1) if reverse else range(len(rows))
+    for t in order:
+        h, c = lstm_step(tape, cell, rows[t], h, c)
+        states[t] = h
+    loss = tape.add_n([tape.sum(tape.mul_const(s, w)) for s, w in zip(states, weights)])
+    tape.backward(loss)
+    grads = {k: p.grad.copy() for k, p in cell.parameters().items()}
+    return np.stack([s.data for s in states]), np.stack([r.grad for r in rows]), grads
+
+
+def lstm_kernel(cell, x, reverse, weights):
+    for p in cell.parameters().values():
+        p.zero_grad()
+    xs = Tensor(x)
+    tape = Tape()
+    states = tape.lstm(cell, xs, reverse)
+    tape.backward(tape.sum(tape.mul_const(states, weights)))
+    grads = {k: p.grad.copy() for k, p in cell.parameters().items()}
+    return states.data.copy(), xs.grad.copy(), grads
+
+
+class TestLstmKernel:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    def test_matches_lstm_step_chain(self, steps, reverse):
+        rng = np.random.default_rng(10 * steps + reverse)
+        cell = LstmCellParams(3, 5, rng)
+        cell.b_o.data[...] = rng.normal(size=5)
+        x = rng.normal(size=(steps, 3))
+        weights = rng.normal(size=(steps, 5))
+        got = lstm_kernel(cell, x, reverse, weights)
+        expected = lstm_step_chain(cell, x, reverse, weights)
+        assert np.allclose(got[0], expected[0], rtol=0.0, atol=1e-12)
+        assert np.allclose(got[1], expected[1], rtol=0.0, atol=1e-12)
+        assert list(got[2]) == list(expected[2])
+        for name in expected[2]:
+            # from the zero state, one step gives the forget gate no gradient
+            assert np.any(expected[2][name] != 0.0) or (steps, name[-1]) == (1, "f"), name
+            assert np.allclose(got[2][name], expected[2][name], rtol=0.0, atol=1e-12), name
+
+    def test_reverse_reads_rows_last_to_first(self):
+        rng = np.random.default_rng(3)
+        cell = LstmCellParams(2, 3, rng)
+        x = rng.normal(size=(4, 2))
+        backward = Tape().lstm(cell, Tensor(x), reverse=True).data
+        flipped = Tape().lstm(cell, Tensor(x[::-1].copy())).data
+        assert np.array_equal(backward, flipped[::-1])
+
+    def test_gradient_check_including_length_one(self):
+        rng = np.random.default_rng(17)
+        for steps in (1, 1, 2, 3, 5):
+            for reverse in (False, True):
+                cell = LstmCellParams(3, 2, rng)
+                params = cell.parameters()
+                params["xs"] = Tensor(rng.normal(size=(steps, 3)))
+
+                def forward():
+                    t = Tape()
+                    return t, t.sum_squares(t.lstm(cell, params["xs"], reverse))
+
+                report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
+                assert report.passed, (steps, reverse, report)
+
+    def test_one_record_per_sequence(self):
+        cell = LstmCellParams(3, 2, np.random.default_rng(0))
+        tape = Tape()
+        tape.lstm(cell, Tensor(np.ones((6, 3))))
+        assert len(tape) == 1
+
+    def test_input_width_mismatch(self):
+        cell = LstmCellParams(3, 2)
+        with pytest.raises(DimensionError):
+            Tape().lstm(cell, Tensor(np.zeros((4, 2))))
+        with pytest.raises(DimensionError):
+            Tape().lstm(cell, Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            Tape().lstm(cell, Tensor(np.zeros((0, 3))))
+
+
+class TestStackedGateStorage:
+    def test_parameters_keep_names_shapes_and_draw_order(self):
+        cell = LstmCellParams(3, 2, np.random.default_rng(4))
+        params = cell.parameters("l1f.")
+        names = [f"l1f.{kind}_{gate}" for gate in "ifoc" for kind in "wb"]
+        assert list(params) == names
+        reference = np.random.default_rng(4)
+        for gate in "ifoc":
+            assert params[f"l1f.w_{gate}"].shape == (2, 5)
+            assert params[f"l1f.b_{gate}"].shape == (2,)
+            assert np.array_equal(params[f"l1f.w_{gate}"].data, nn.glorot_uniform(reference, 2, 5))
+            expected_bias = np.ones(2) if gate == "f" else np.zeros(2)
+            assert np.array_equal(params[f"l1f.b_{gate}"].data, expected_bias)
+        assert np.array_equal(cell.w.data, np.concatenate([params[n].data for n in names[0::2]]))
+
+    def test_in_place_gate_edit_is_seen_by_kernel(self):
+        rng = np.random.default_rng(5)
+        cell = LstmCellParams(3, 4)
+        x = rng.normal(size=(3, 3))
+        before = Tape().lstm(cell, Tensor(x)).data
+        cell.w_f.data[...] = rng.normal(size=(4, 7))
+        cell.w_c.data[...] = rng.normal(size=(4, 7))
+        cell.b_i.data[1] = 2.0
+        after = Tape().lstm(cell, Tensor(x)).data
+        assert not np.array_equal(before, after)
+        assert np.array_equal(cell.w.data[4:8], cell.w_f.data)
+        expected, _, _ = lstm_step_chain(cell, x, False, np.ones((3, 4)))
+        assert np.allclose(after, expected, rtol=0.0, atol=1e-12)
+
+    def test_optimizer_step_updates_the_stacked_weights(self):
+        rng = np.random.default_rng(6)
+        cell = LstmCellParams(2, 3, rng)
+        opt = MomentumSgd(cell.parameters(), lr=0.1)
+        x = Tensor(rng.normal(size=(4, 2)))
+        start = cell.w.data.copy()
+        opt.zero_grad()
+        tape = Tape()
+        tape.backward(tape.sum_squares(tape.lstm(cell, x)))
+        assert np.array_equal(cell.w_o.grad, cell.w.grad[6:9])
+        grad = cell.w.grad.copy()
+        opt.step()
+        assert np.allclose(cell.w.data, start - 0.1 * grad, rtol=0.0, atol=1e-15)
+        expected, _, _ = lstm_step_chain(cell, x.data, False, np.ones((4, 3)))
+        assert np.allclose(Tape().lstm(cell, x).data, expected, rtol=0.0, atol=1e-12)
+
+    def test_restore_parameters_is_seen_by_kernel(self):
+        from spellvec.mimick import restore_parameters
+
+        rng = np.random.default_rng(7)
+        cell = LstmCellParams(2, 3)
+        tensors = {k: rng.normal(size=p.shape) for k, p in cell.parameters().items()}
+        restore_parameters("cell.svm", cell.parameters(), tensors)
+        assert np.array_equal(
+            cell.w.data, np.concatenate([tensors[f"w_{g}"] for g in LstmCellParams.GATES])
+        )
+        assert np.array_equal(
+            cell.b.data, np.concatenate([tensors[f"b_{g}"] for g in LstmCellParams.GATES])
+        )
+        x = rng.normal(size=(3, 2))
+        expected, _, _ = lstm_step_chain(cell, x, True, np.ones((3, 3)))
+        assert np.allclose(Tape().lstm(cell, Tensor(x), reverse=True).data, expected,
+                           rtol=0.0, atol=1e-12)
+
+
+MATRIX_OP_CASES = {
+    "affine": lambda t, ps: t.sum_squares(t.affine(ps["w"], ps["m"], ps["bias"])),
+    "concat": lambda t, ps: t.sum_squares(t.concat([ps["m"], ps["n"]])),
+    "stack": lambda t, ps: t.sum_squares(t.stack([ps["a"], ps["b"], ps["a"]])),
+    "row": lambda t, ps: t.sum_squares(t.row(ps["m"], [2, 0, 2, 1])),
+    "log_softmax": lambda t, ps: t.sum_squares(t.log_softmax(ps["m"])),
+    "pick": lambda t, ps: t.sum_squares(t.pick(ps["m"], [3, 0, 3])),
+}
+
+
+@pytest.mark.parametrize("op", list(MATRIX_OP_CASES))
+def test_matrix_op_gradients_match_finite_differences(op):
+    """The row-wise forms of the ops, 20 random instances each."""
+    build = MATRIX_OP_CASES[op]
+    rng = np.random.default_rng(sum(map(ord, op)))
+    for _ in range(20):
+        params = {
+            "a": Tensor(rng.normal(size=4)),
+            "b": Tensor(rng.normal(size=4)),
+            "m": Tensor(rng.normal(size=(3, 4))),
+            "n": Tensor(rng.normal(size=(3, 2))),
+            "w": Tensor(rng.normal(size=(5, 4))),
+            "bias": Tensor(rng.normal(size=5)),
+        }
+
+        def forward():
+            t = Tape()
+            return t, build(t, params)
+
+        report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
+        assert report.passed, f"{op}: {report}"
+
+
+def test_matrix_ops_match_their_vector_forms_row_by_row():
+    rng = np.random.default_rng(8)
+    w, b = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=5))
+    m, n = rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
+    t = Tape()
+    affine = t.affine(w, Tensor(m), b).data
+    log_probs = t.log_softmax(Tensor(m)).data
+    picked = t.pick(Tensor(m), [3, 0, 1]).data
+    joined = t.concat([Tensor(m), Tensor(n)]).data
+    rows = t.row(Tensor(m), [2, 2, 0]).data
+    for r in range(3):
+        assert np.allclose(affine[r], t.affine(w, Tensor(m[r]), b).data, rtol=0.0, atol=1e-14)
+        assert np.array_equal(log_probs[r], t.log_softmax(Tensor(m[r])).data)
+        assert picked[r] == m[r, [3, 0, 1][r]]
+        assert np.array_equal(joined[r], np.concatenate([m[r], n[r]]))
+    assert np.array_equal(rows, m[[2, 2, 0]])

@@ -13,7 +13,7 @@ from spellvec.conllu import (
 )
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import CharVocabulary, MimickModel
-from spellvec.nn import Tape, gradient_check
+from spellvec.nn import Tape, dropout_mask, gradient_check
 from spellvec.tagger import (
     POS_HEAD,
     TaggerModel,
@@ -147,6 +147,34 @@ class TestSentenceForward:
         expected_rev = straight_line_states(model, reversed_sentence)
         for a, b in zip(got_rev, expected_rev):
             assert np.allclose(a, b, atol=1e-12)
+
+
+def test_train_mode_dropout_matches_straight_line_oracle_with_per_token_masks():
+    """Masks come from the rng one token at a time: the input width for every
+    token, then 2 * hidden for every token, so a seed keeps its stream."""
+    model = tiny_model(seed=4)
+    s = sentence(("aa", "A", {}), ("bb", "B", {}), ("aa", "A", {}), ("cc", "B", {}))
+    got = sentence_forward(model, s, "train", 0.5, np.random.default_rng(7))
+
+    def sweep(cell, xs):
+        h = c = np.zeros(cell.hidden_size)
+        out = []
+        for x in xs:
+            h, c = cell_step(cell, x, h, c)
+            out.append(h)
+        return out
+
+    def bilstm(fwd, bwd, xs):
+        return [np.concatenate(p) for p in zip(sweep(fwd, xs), sweep(bwd, xs[::-1])[::-1])]
+
+    rng = np.random.default_rng(7)
+    reps = [model.word_row(t.form).data * dropout_mask(model.width, 0.5, rng) for t in s.tokens]
+    layer1 = [h * dropout_mask(2 * model.hidden, 0.5, rng) for h in bilstm(model.l1f, model.l1b, reps)]
+    expected = bilstm(model.l2f, model.l2b, layer1)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+    assert not np.allclose(got, sentence_forward(model, s), rtol=0.0, atol=1e-6)
 
 
 class TestJointLoss:
