@@ -16,7 +16,9 @@ identical models serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -56,8 +58,10 @@ def load_archive(path: str, expect_kind: str | None = None) -> tuple[dict, dict[
         raise ArchiveError(f"{path}: truncated manifest")
     try:
         manifest = json.loads(raw[len(MAGIC) + 8 : header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, over-long ints, deep nesting
         raise ArchiveError(f"{path}: unreadable manifest: {err}") from None
+    if not isinstance(manifest, dict):
+        raise ArchiveError(f"{path}: manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise ArchiveError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
@@ -65,18 +69,49 @@ def load_archive(path: str, expect_kind: str | None = None) -> tuple[dict, dict[
     if expect_kind is not None and kind != expect_kind:
         raise ArchiveError(f"{path}: archive kind {kind!r}, expected {expect_kind!r}")
 
+    if not isinstance(manifest.get("meta"), dict):
+        raise ArchiveError(f"{path}: manifest meta is not a JSON object")
+    specs = manifest.get("tensors")
+    if not isinstance(specs, list):
+        raise ArchiveError(f"{path}: manifest has no tensor list")
+
     tensors: dict[str, np.ndarray] = {}
     offset = header_end
-    for spec in manifest["tensors"]:
+    for spec in specs:
+        if not (
+            isinstance(spec, dict)
+            and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("shape"), list)
+            and all(type(d) is int for d in spec["shape"])
+        ):
+            raise ArchiveError(f"{path}: tensor entry {spec!r} is not {{name: str, shape: [int]}}")
         shape = tuple(spec["shape"])
         if any(d < 0 for d in shape):
             raise ArchiveError(f"{path}: tensor {spec['name']!r} has negative shape {list(shape)}")
-        size = 8 * int(np.prod(shape, dtype=np.int64))
+        size = 8 * math.prod(shape)
         if offset + size > len(raw):
             raise ArchiveError(f"{path}: truncated tensor {spec['name']!r}")
-        arr = np.frombuffer(raw, dtype="<f8", count=size // 8, offset=offset).reshape(shape)
+        try:  # numpy refuses a zero-size shape with a dimension past its index range
+            arr = np.frombuffer(raw, dtype="<f8", count=size // 8, offset=offset).reshape(shape)
+        except ValueError as err:
+            raise ArchiveError(f"{path}: tensor {spec['name']!r}: {err}") from None
         tensors[spec["name"]] = arr.astype(np.float64)
         offset += size
     if offset != len(raw):
         raise ArchiveError(f"{path}: {len(raw) - offset} trailing bytes past declared tensors")
     return manifest, tensors
+
+
+
+@contextmanager
+def reading_meta(path: str):
+    """While a model is rebuilt from an archive's meta, report a missing key or
+    a value the model cannot be built from as an ArchiveError naming the file."""
+    try:
+        yield
+    except ArchiveError:
+        raise
+    except KeyError as err:
+        raise ArchiveError(f"{path}: meta has no key {err.args[0]!r}") from None
+    except (TypeError, ValueError) as err:
+        raise ArchiveError(f"{path}: meta does not describe a model: {err}") from None

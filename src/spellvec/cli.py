@@ -1,9 +1,9 @@
 """Command-line surface: train models, infer vectors, tag and evaluate.
 
-Every command takes its tunable settings from built-in defaults, overridden
-by an optional JSON --config file, overridden by explicit flags. The fully
-resolved configuration is logged to stderr and stored in output manifests,
-and all randomness flows from the single --seed value. Output files are
+The two training commands take their settings from the defaults of their
+config dataclass, overridden by an optional JSON --config file, overridden by
+explicit flags. The fully resolved configuration is logged to stderr and stored
+in output manifests, and all randomness flows from the single --seed value. Output files are
 written atomically; a failing command leaves no partial outputs.
 """
 
@@ -13,6 +13,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import fields
 
 from .archive import ArchiveError
 from .conllu import ConlluParseError, CorpusSplit, parse_conllu, serialize_conllu, subsample
@@ -27,6 +28,7 @@ from .fileio import atomic_write_text
 from .mimick import MimickModel, MimickTrainConfig, infer_oov, nearest_neighbors, train_mimick
 from .nn import DimensionError
 from .tagger import (
+    LOSS_MODES,
     TaggerModel,
     TaggerTrainConfig,
     VARIANTS,
@@ -35,29 +37,16 @@ from .tagger import (
     train_tagger,
 )
 
-MIMICK_DEFAULTS = {
-    "seed": 0,
-    "epochs": 60,
-    "lr": 0.01,
-    "momentum": 0.9,
-    "char_dim": 20,
-    "hidden": 50,
-    "dev_fraction": 0.01,
+# config-file key (and flag name) -> config field; unk_char_rate stays library-only
+MIMICK_FIELDS = {f.name: f.name for f in fields(MimickTrainConfig) if f.name != "unk_char_rate"}
+TAGGER_FIELDS = {
+    "loss" if f.name == "loss_mode" else f.name: f.name for f in fields(TaggerTrainConfig)
 }
-
+MIMICK_DEFAULTS = {k: getattr(MimickTrainConfig, f) for k, f in MIMICK_FIELDS.items()}
 TAGGER_DEFAULTS = {
-    "seed": 0,
-    "epochs": 40,
-    "lr": 0.01,
-    "momentum": 0.9,
-    "dropout": 0.5,
-    "hidden": 128,
-    "char_dim": 20,
-    "char_hidden": 128,
+    **{k: getattr(TaggerTrainConfig, f) for k, f in TAGGER_FIELDS.items()},
     "variant": "no-char",
-    "loss": "sum",
     "token_limit": None,
-    "pos_only": False,
 }
 
 
@@ -78,6 +67,8 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = sorted(set(overrides) - set(defaults))
         if unknown:
             raise CliError(f"config {args.config}: unknown keys {unknown}")
+        for key, value in overrides.items():
+            _check_type(args.config, key, value, defaults[key])
         resolved.update(overrides)
     for key in defaults:  # explicit flags win over the config file
         value = getattr(args, key, None)
@@ -88,6 +79,18 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         file=sys.stderr,
     )
     return resolved
+
+
+def _check_type(path: str, key: str, value, default) -> None:
+    """A config-file value must have its default's type (token_limit, whose
+    default is null, takes an int); ints pass as floats, bools never as numbers."""
+    if value is None and default is None:
+        return
+    expected = int if default is None else type(default)
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        got = "null" if value is None else type(value).__name__
+        raise CliError(f"config {path}: key {key!r} must be {expected.__name__}, got {got}")
 
 
 def _read_table(path: str):
@@ -107,15 +110,7 @@ def _read_corpus(path: str):
 def cmd_train_mimick(args) -> int:
     resolved = _resolve_config(args, MIMICK_DEFAULTS)
     table = _read_table(args.embeddings)
-    cfg = MimickTrainConfig(
-        char_dim=resolved["char_dim"],
-        hidden=resolved["hidden"],
-        epochs=resolved["epochs"],
-        dev_fraction=resolved["dev_fraction"],
-        lr=resolved["lr"],
-        momentum=resolved["momentum"],
-        seed=resolved["seed"],
-    )
+    cfg = MimickTrainConfig(**{f: resolved[k] for k, f in MIMICK_FIELDS.items()})
     model, trace = train_mimick(table, cfg)
     model.save(args.out, extra_meta={"config": resolved})
     rows = ["epoch\ttrain_loss\tdev_loss\n"]
@@ -162,18 +157,7 @@ def cmd_train_tagger(args) -> int:
             raise CliError(f"variant {resolved['variant']!r} requires --mimick MODEL")
         mimick = MimickModel.load(args.mimick)
     rep = WordRepSpec(resolved["variant"], table, mimick)
-    cfg = TaggerTrainConfig(
-        loss_mode=resolved["loss"],
-        epochs=resolved["epochs"],
-        dropout=resolved["dropout"],
-        lr=resolved["lr"],
-        momentum=resolved["momentum"],
-        seed=resolved["seed"],
-        hidden=resolved["hidden"],
-        char_dim=resolved["char_dim"],
-        char_hidden=resolved["char_hidden"],
-        pos_only=bool(resolved["pos_only"]),
-    )
+    cfg = TaggerTrainConfig(**{f: resolved[k] for k, f in TAGGER_FIELDS.items()})
     model, trace = train_tagger(CorpusSplit(train, dev, []), rep, cfg)
     model.save(args.out, extra_meta={"config": resolved})
     rows = ["epoch\ttrain_loss\tdev_pos_accuracy\tdev_micro_f1\n"]
@@ -259,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file of setting overrides")
     p.add_argument("--trace", help="per-epoch metric file (default: OUT.trace.tsv)")
     p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--loss", choices=("sum", "weighted"))
+    p.add_argument("--loss", choices=LOSS_MODES)
     p.add_argument("--token-limit", type=int, dest="token_limit")
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)

@@ -15,6 +15,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .fileio import text_lines
+
 _ID_WORD = re.compile(r"\d+")
 _ID_RANGE = re.compile(r"\d+-\d+")
 _ID_EMPTY = re.compile(r"\d+\.\d+")
@@ -50,7 +52,7 @@ class Sentence:
 
 
 def parse_conllu(source: IO[str] | str) -> list[Sentence]:
-    lines = source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
+    lines = text_lines(source)
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     sent_id: str | None = None

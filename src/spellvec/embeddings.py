@@ -13,6 +13,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .fileio import text_lines
+
 UNK_TOKEN = "<UNK>"
 
 # lookup policies for out-of-vocabulary words
@@ -87,7 +89,7 @@ class EmbeddingTable:
 
 
 def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
-    lines = source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
+    lines = text_lines(source)
     if not lines:
         raise EmbeddingParseError(1, "missing header")
     header = lines[0].split(" ")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .conllu import Sentence
 from .embeddings import EmbeddingTable, OovLookupError, lookup
+from .fileio import text_lines
 
 
 class AlignmentError(ValueError):
@@ -145,7 +146,7 @@ def micro_f1(pair: TaggedCorpusPair, breakdown: bool = True) -> MicroF1Report:
 
 def read_similarity_dataset(source: IO[str] | str) -> list[tuple[str, str, float]]:
     """Tab-separated "word1 word2 score" lines; pairs must be unique."""
-    lines = source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
+    lines = text_lines(source)
     dataset = []
     seen = set()
     for line_no, line in enumerate(lines, start=1):

@@ -1,7 +1,14 @@
-"""Atomic file writes: outputs appear fully written or not at all."""
+"""Atomic file writes (outputs appear fully written or not at all) and the
+text-line reading shared by the parsers."""
 
 import os
 import tempfile
+from typing import IO
+
+
+def text_lines(source: IO[str] | str) -> list[str]:
+    """The lines of a string or a text file, without their line endings."""
+    return source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

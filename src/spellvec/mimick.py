@@ -8,12 +8,13 @@ queries over a table support qualitative inspection of inferred vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .archive import ArchiveError, load_archive, save_archive
+from .archive import ArchiveError, load_archive, reading_meta, save_archive
 from .embeddings import EmbeddingTable
 from .nn import (
     DimensionError,
@@ -108,8 +109,8 @@ class MimickModel(CharBiLstm):
         self,
         chars: CharVocabulary,
         dim: int,
-        char_dim: int = 20,
-        hidden: int = 50,
+        char_dim: int = MimickTrainConfig.char_dim,
+        hidden: int = MimickTrainConfig.hidden,
         rng: np.random.Generator | None = None,
     ):
         super().__init__(chars, char_dim, hidden, rng)
@@ -146,7 +147,9 @@ class MimickModel(CharBiLstm):
     @classmethod
     def restore(cls, path: str, meta: dict, tensors: dict[str, np.ndarray]) -> "MimickModel":
         """Rebuild a model from meta() and the tensors of parameters()."""
-        model = cls(CharVocabulary(meta["chars"]), meta["dim"], meta["char_dim"], meta["hidden"])
+        with reading_meta(path):
+            chars = CharVocabulary(meta["chars"])
+            model = cls(chars, meta["dim"], meta["char_dim"], meta["hidden"])
         restore_parameters(path, model.parameters(), tensors)
         return model
 
@@ -223,10 +226,13 @@ def train_mimick(
             tape = Tape()
             out = model.forward_on_tape(tape, indices)
             loss = tape.sum_squares(tape.sub(out, Tensor(table.vector(word))))
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise ValueError(f"epoch {epoch}: loss {value} on word {word!r}; training diverged")
             optimizer.zero_grad()
             tape.backward(loss)
             optimizer.step()
-            total += float(loss.data)
+            total += value
         dev_loss = (
             float(np.mean([mimick_loss(model, w, table.vector(w)) for w in dev_words]))
             if dev_words

@@ -47,12 +47,11 @@ def set_debug_checks(enabled: bool) -> None:
 class Tensor:
     """A float64 array paired with a gradient accumulator of the same shape."""
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, name: str | None = None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,8 +61,7 @@ class Tensor:
         self.grad[...] = 0.0
 
     def __repr__(self) -> str:
-        label = f" {self.name!r}" if self.name else ""
-        return f"<Tensor{label} shape={self.data.shape}>"
+        return f"<Tensor shape={self.data.shape}>"
 
 
 def _require_vector(op: str, *tensors: Tensor) -> None:

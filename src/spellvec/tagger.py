@@ -14,11 +14,12 @@ both variants additionally append a task-trained character BiLSTM output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import load_archive, save_archive
+from .archive import ArchiveError, load_archive, reading_meta, save_archive
 from .conllu import (
     AttributeSchema,
     CorpusSplit,
@@ -43,6 +44,7 @@ from .nn import (
 )
 
 VARIANTS = ("no-char", "mimick", "char2tag", "both")
+LOSS_MODES = ("sum", "weighted")
 _VARIANT_POLICY = {
     "no-char": UNK_LOWERCASE,
     "char2tag": UNK_LOWERCASE,
@@ -88,7 +90,7 @@ class WordRepSpec:
 
 @dataclass
 class TaggerTrainConfig:
-    loss_mode: str = "sum"  # or "weighted"
+    loss_mode: str = "sum"  # one of LOSS_MODES
     epochs: int = 40
     dropout: float = 0.5
     lr: float = 0.01
@@ -100,7 +102,7 @@ class TaggerTrainConfig:
     pos_only: bool = False
 
     def __post_init__(self):
-        if self.loss_mode not in ("sum", "weighted"):
+        if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss mode must be 'sum' or 'weighted', got {self.loss_mode!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
@@ -151,9 +153,9 @@ class TaggerModel:
         self,
         schema: AttributeSchema,
         rep: WordRepSpec,
-        hidden: int = 128,
-        char_dim: int = 20,
-        char_hidden: int = 128,
+        hidden: int = TaggerTrainConfig.hidden,
+        char_dim: int = TaggerTrainConfig.char_dim,
+        char_hidden: int = TaggerTrainConfig.char_hidden,
         c2t_chars: CharVocabulary | None = None,
         rng: np.random.Generator | None = None,
     ):
@@ -230,11 +232,11 @@ class TaggerModel:
         self,
         tape: Tape,
         sentence: Sentence,
-        mode: str = "sum",
+        mode: str = TaggerTrainConfig.loss_mode,
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        if mode not in ("sum", "weighted"):
+        if mode not in LOSS_MODES:
             raise ValueError(f"loss mode must be 'sum' or 'weighted', got {mode!r}")
         states = self.states_on_tape(tape, sentence, dropout, rng)
         pos_targets = [self.schema.pos_index(t.upos) for t in sentence.tokens]
@@ -333,31 +335,38 @@ class TaggerModel:
     def load(cls, path: str) -> "TaggerModel":
         manifest, tensors = load_archive(path, expect_kind="tagger")
         meta = manifest["meta"]
-        table = EmbeddingTable(
-            meta["dim"],
-            zip(meta["base_words"], tensors["base"]),
-            unk=tensors.get("base_unk"),
-        )
-        mimick = None
-        if meta["mimick"] is not None:
-            sub = {k[len("mimick.") :]: a for k, a in tensors.items() if k.startswith("mimick.")}
-            mimick = MimickModel.restore(path, meta["mimick"], sub)
-        schema = AttributeSchema(
-            pos=list(meta["schema"]["pos"]),
-            attrs={a: list(v) for a, v in meta["schema"]["attrs"].items()},
-            proportions=dict(meta["schema"]["proportions"]),
-        )
-        model = cls(
-            schema,
-            WordRepSpec(meta["variant"], table, mimick),
-            hidden=meta["hidden"],
-            char_dim=meta["char_dim"] or 20,
-            char_hidden=meta["char_hidden"] or 128,
-            c2t_chars=CharVocabulary(meta["c2t_chars"]) if meta["c2t_chars"] is not None else None,
-        )
-        restore_parameters(path, model.network_parameters(), tensors)
-        for word, vec in zip(meta["rows"], tensors["rows"]):
-            model.rows[word] = Tensor(vec.copy())
+        for name in ("base", "rows"):
+            if name not in tensors:
+                raise ArchiveError(f"{path}: missing tensor {name!r}")
+        with reading_meta(path):
+            table = EmbeddingTable(
+                meta["dim"],
+                zip(meta["base_words"], tensors["base"]),
+                unk=tensors.get("base_unk"),
+            )
+            mimick = None
+            if meta["mimick"] is not None:
+                sub = {
+                    k[len("mimick.") :]: a for k, a in tensors.items() if k.startswith("mimick.")
+                }
+                mimick = MimickModel.restore(path, meta["mimick"], sub)
+            schema = AttributeSchema(
+                pos=list(meta["schema"]["pos"]),
+                attrs={a: list(v) for a, v in meta["schema"]["attrs"].items()},
+                proportions=dict(meta["schema"]["proportions"]),
+            )
+            c2t_chars = meta["c2t_chars"]
+            model = cls(
+                schema,
+                WordRepSpec(meta["variant"], table, mimick),
+                hidden=meta["hidden"],
+                char_dim=meta["char_dim"],
+                char_hidden=meta["char_hidden"],
+                c2t_chars=CharVocabulary(c2t_chars) if c2t_chars is not None else None,
+            )
+            restore_parameters(path, model.network_parameters(), tensors)
+            for word, vec in zip(meta["rows"], tensors["rows"]):
+                model.rows[word] = Tensor(vec.copy())
         return model
 
 
@@ -385,7 +394,7 @@ def sentence_forward(
     model: TaggerModel,
     sentence: Sentence,
     mode: str = "eval",
-    dropout: float = 0.5,
+    dropout: float = TaggerTrainConfig.dropout,
     rng: np.random.Generator | None = None,
 ) -> list[np.ndarray]:
     """Per-token hidden states; dropout applies in train mode only."""
@@ -400,7 +409,9 @@ def sentence_forward(
     return [row.copy() for row in states.data]
 
 
-def joint_loss(model: TaggerModel, sentence: Sentence, mode: str = "sum") -> float:
+def joint_loss(
+    model: TaggerModel, sentence: Sentence, mode: str = TaggerTrainConfig.loss_mode
+) -> float:
     """Evaluation-mode joint negative log likelihood of the gold tags."""
     return float(model.loss_on_tape(Tape(), sentence, mode).data)
 
@@ -467,10 +478,16 @@ def train_tagger(
         for i in rng.permutation(len(train)):
             tape = Tape()
             loss = model.loss_on_tape(tape, train[i], cfg.loss_mode, cfg.dropout, rng)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"epoch {epoch}: loss {value} on training sentence {i} "
+                    f"(sent_id {train[i].sent_id!r}); training diverged"
+                )
             optimizer.zero_grad()
             tape.backward(loss)
             optimizer.step()
-            total += float(loss.data)
+            total += value
         if split.dev:
             pair = TaggedCorpusPair(split.dev, tag_corpus(model, split.dev))
             dev_acc = pos_accuracy(pair)

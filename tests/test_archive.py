@@ -1,9 +1,14 @@
+import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spellvec.archive import ArchiveError, load_archive, save_archive
+from spellvec.archive import MAGIC, ArchiveError, load_archive, save_archive
+from spellvec.mimick import CharVocabulary, MimickModel
 
 
 @pytest.fixture
@@ -87,3 +92,116 @@ def test_empty_tensor_at_the_end_loads(tmp_path):
     assert np.array_equal(loaded["w"], tensors["w"])
     assert loaded["rows"].shape == (0, 3)
     loaded["w"][0, 0] = 7.0  # a private, writable copy
+
+
+def write_raw_archive(path, manifest, payload=b""):
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
+    return str(path)
+
+
+def manifest_with(**fields):
+    return {"format_version": 1, "kind": "mimick", "meta": {}, "tensors": [], **fields}
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ({"format_version": 1, "kind": "mimick", "meta": {}}, "no tensor list"),
+        ([1, "mimick"], "not a JSON object"),
+        (manifest_with(meta=[]), "meta is not a JSON object"),
+        (manifest_with(tensors=[{"name": "w", "shape": "ab"}]), "tensor entry"),
+        (manifest_with(tensors=[7]), "tensor entry"),
+        (manifest_with(tensors=[{"name": "w", "shape": [True]}]), "tensor entry"),
+        (manifest_with(tensors=[{"shape": [1]}]), "tensor entry"),
+        (manifest_with(tensors=[{"name": "w", "shape": [0, 2**70]}]), "tensor 'w'"),
+    ],
+    ids=["no-tensors", "list-manifest", "list-meta", "string-shape", "int-spec",
+         "bool-dimension", "no-name", "zero-size-huge-dimension"],
+)
+def test_malformed_manifest_raises_archive_error(tmp_path, manifest, message):
+    path = write_raw_archive(tmp_path / "bad.svm", manifest)
+    with pytest.raises(ArchiveError, match=message):
+        load_archive(path)
+
+
+def tiny_mimick():
+    return MimickModel(CharVocabulary("ab"), dim=2, char_dim=2, hidden=2,
+                       rng=np.random.default_rng(0))
+
+
+def test_mimick_meta_without_a_key_names_file_and_key(tmp_path):
+    path = tmp_path / "m.svm"
+    tiny_mimick().save(str(path))
+    manifest, tensors = load_archive(str(path))
+    del manifest["meta"]["chars"]
+    payload = b"".join(a.astype("<f8").tobytes() for a in tensors.values())
+    write_raw_archive(path, manifest, payload)
+    with pytest.raises(ArchiveError, match=re.escape(f"{path}: meta has no key 'chars'")):
+        MimickModel.load(str(path))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "a.svm"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+def test_any_byte_string_loads_or_raises_archive_error(fuzz_path, data):
+    # the raw bytes, and the same bytes as a manifest behind a valid header
+    for blob in (data, MAGIC + struct.pack("<Q", len(data)) + data):
+        fuzz_path.write_bytes(blob)
+        try:
+            load_archive(str(fuzz_path))
+        except ArchiveError:
+            pass
+
+
+json_scalars = st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner),
+    max_leaves=8,
+)
+tensor_spec = st.fixed_dictionaries(
+    {"name": st.text(max_size=2), "shape": st.lists(st.integers(-1, 3), max_size=2)}
+)
+tensor_specs = st.lists(tensor_spec | json_values, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fixed_dictionaries({
+        "format_version": st.just(1),
+        "kind": st.just("mimick"),
+        "meta": st.dictionaries(st.text(max_size=5), json_values, max_size=3) | json_values,
+        "tensors": tensor_specs | json_values,
+    }),
+    st.binary(max_size=64),
+)
+def test_any_json_manifest_loads_or_raises_archive_error(fuzz_path, manifest, payload):
+    try:
+        load_archive(write_raw_archive(fuzz_path, manifest, payload))
+    except ArchiveError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def mimick_archive_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("valid") / "m.svm"
+    tiny_mimick().save(str(path), extra_meta={"config": {"seed": 0}})
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_byte_corruption_loads_or_raises_archive_error(fuzz_path, mimick_archive_bytes, data):
+    raw = bytearray(mimick_archive_bytes)
+    where = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    raw[where] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[where]), label="byte")
+    fuzz_path.write_bytes(bytes(raw))
+    try:
+        MimickModel.load(str(fuzz_path))
+    except ArchiveError:
+        pass

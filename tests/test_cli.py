@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from synthetic import make_stems, suffix_sentences, suffix_table
+from spellvec.archive import load_archive
 from spellvec.cli import main
 from spellvec.conllu import parse_conllu, serialize_conllu
 from spellvec.embeddings import EmbeddingTable, read_embeddings, write_embeddings
@@ -281,3 +282,70 @@ class TestTagAndEval:
         assert main(["eval", str(dev), str(dev), "--out", str(report)]) == 0
         assert report.exists()
         assert "pos_accuracy" in report.read_text(encoding="utf-8")
+
+
+MISTYPED_CONFIGS = [
+    ("train-mimick", {"epochs": "3"}, "key 'epochs' must be int, got str"),
+    ("train-mimick", {"hidden": 2.5}, "key 'hidden' must be int, got float"),
+    ("train-mimick", {"char_dim": True}, "key 'char_dim' must be int, got bool"),
+    ("train-mimick", {"epochs": 1, "lr": "0.1"}, "key 'lr' must be float, got str"),
+    ("train-tagger", {"pos_only": "no"}, "key 'pos_only' must be bool, got str"),
+]
+
+
+class TestConfigValues:
+    def command(self, tmp_path, emb_path, name, out):
+        if name == "train-mimick":
+            return ["train-mimick", str(emb_path), str(out)]
+        emb, train, _ = build_tagger_corpus(tmp_path)
+        return ["train-tagger", "--train", str(train), "--embeddings", str(emb), "--out", str(out)]
+
+    @pytest.mark.parametrize(
+        "name, settings, message",
+        MISTYPED_CONFIGS,
+        ids=["str-epochs", "float-hidden", "bool-char-dim", "str-lr", "str-pos-only"],
+    )
+    def test_mistyped_value_fails_with_one_line(self, tmp_path, emb_path, capsys, name,
+                                                settings, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        out = tmp_path / "m.svm"
+        argv = self.command(tmp_path, emb_path, name, out)
+        assert main([*argv, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: config {config}: {message}"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_well_typed_values_pass_and_are_stored_as_written(self, tmp_path, capsys):
+        # passes without the type check too: it guards the check against rejecting
+        # an int where a float is expected, a null token_limit or a bool pos_only
+        settings = {"loss": "weighted", "pos_only": True, "token_limit": None, "momentum": 0}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        out = tmp_path / "t.svm"
+        assert main([*self.command(tmp_path, None, "train-tagger", out),
+                     "--config", str(config), *TAGGER_FLAGS]) == 0
+        err = capsys.readouterr().err
+        assert "loss=weighted" in err and "momentum=0 " in err and "token_limit=None" in err
+        stored = load_archive(str(out))[0]["meta"]["config"]
+        assert {k: stored[k] for k in settings} == settings
+        assert type(stored["momentum"]) is int
+        assert TaggerModel.load(str(out)).attr_heads == {}
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_diverging_mimick_run_fails_with_one_line_and_writes_nothing(tmp_path, capsys):
+    base = small_table()
+    table = EmbeddingTable(4, [*((w, base.vector(w)) for w in base.words()),
+                               ("huge", np.full(4, 1e200))])
+    emb = tmp_path / "emb.txt"
+    write_table(emb, table)
+    out = tmp_path / "m.svm"
+    assert main(["train-mimick", str(emb), str(out), *MIMICK_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "error: epoch 1: loss inf on word 'huge'; training diverged"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]

@@ -158,6 +158,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_mimick(table, MimickTrainConfig(epochs=1))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_loss_stops_training_naming_epoch_and_word(self):
+        rows = [("ab", np.ones(3)), ("cd", np.full(3, 1e200)), ("ef", np.zeros(3))]
+        cfg = MimickTrainConfig(char_dim=2, hidden=3, epochs=2, dev_fraction=0.0, seed=0)
+        with pytest.raises(ValueError, match="^epoch 1: loss inf on word 'cd'; training diverged$"):
+            train_mimick(EmbeddingTable(3, rows), cfg)
+
     def test_archive_round_trip_bit_exact(self, tmp_path):
         model = small_model(seed=13)
         path = str(tmp_path / "m.svm")

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from synthetic import make_stems, suffix_sentences, suffix_table
+from spellvec.archive import ArchiveError, load_archive, save_archive
 from spellvec.conllu import (
     AttributeSchema,
     CorpusSplit,
@@ -426,6 +428,38 @@ class TestTraining:
         table = EmbeddingTable(2, [("x", np.zeros(2))], unk=np.zeros(2))
         with pytest.raises(ValueError):
             train_tagger(CorpusSplit([], [], []), WordRepSpec("no-char", table), TaggerTrainConfig())
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_loss_stops_training_naming_epoch_and_sentence(self):
+        rng = np.random.default_rng(1)
+        split, stems = small_split(rng, n_train=6, n_dev=0)
+        table = suffix_table(rng, stems, n_suffixes=3, dim=6)
+        # the first update overflows the heads, so a later sentence's loss is not
+        # finite; at lr 1e300 the saturated units keep this loss finite (~5e301)
+        cfg = TaggerTrainConfig(epochs=1, hidden=4, lr=1e307, seed=9)
+        with pytest.raises(ValueError) as caught:
+            train_tagger(split, WordRepSpec("no-char", table), cfg)
+        match = re.fullmatch(
+            r"epoch 1: loss (?:inf|nan) on training sentence (\d) \(sent_id '(\w+)'\); "
+            r"training diverged",
+            str(caught.value),
+        )
+        assert match, str(caught.value)
+        assert split.train[int(match[1])].sent_id == match[2]
+
+    def test_archive_meta_without_a_key_names_file_and_key(self, tmp_path):
+        rng = np.random.default_rng(3)
+        split, stems = small_split(rng, n_train=3, n_dev=0, n_suffixes=3)
+        table = suffix_table(rng, stems, n_suffixes=3, dim=6)
+        model, _ = train_tagger(split, WordRepSpec("no-char", table),
+                                TaggerTrainConfig(epochs=1, hidden=3, seed=4))
+        path = tmp_path / "tagger.svm"
+        model.save(str(path))
+        manifest, tensors = load_archive(str(path))
+        del manifest["meta"]["variant"]
+        save_archive(str(path), "tagger", manifest["meta"], tensors)
+        with pytest.raises(ArchiveError, match=re.escape(f"{path}: meta has no key 'variant'")):
+            TaggerModel.load(str(path))
 
     def test_pos_only_mode_drops_attribute_heads(self):
         rng = np.random.default_rng(2)
