@@ -4,7 +4,7 @@ File format: a header line "V d", then V lines of "word v1 ... vd" with
 single-space separators, UTF-8, LF line endings. A row for the reserved
 token <UNK> is captured as the table's UNK vector instead of a regular
 entry. Values are written with 17 significant digits, which round-trips
-float64 exactly.
+float64 exactly; a nan or infinite value is rejected when read.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
 
     entries: dict[str, np.ndarray] = {}
     unk = None
+    vectors = []  # in line order, for one finiteness check over the whole table
     for offset in range(count):
         line_no = 2 + offset
         if offset + 1 >= len(lines):
@@ -118,6 +119,7 @@ def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
             vec = np.array([float(v) for v in fields[1:]])
         except ValueError:
             raise EmbeddingParseError(line_no, "unparseable number") from None
+        vectors.append(vec)
         if word == UNK_TOKEN:
             if unk is not None:
                 raise EmbeddingParseError(line_no, f"duplicate {UNK_TOKEN} row")
@@ -126,6 +128,10 @@ def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
             raise EmbeddingParseError(line_no, f"duplicate word {word!r}")
         else:
             entries[word] = vec
+    if vectors:
+        finite = np.isfinite(np.stack(vectors)).all(axis=1)
+        if not finite.all():
+            raise EmbeddingParseError(2 + int(np.argmin(finite)), "value is nan or infinite")
     for extra, line in enumerate(lines[count + 1 :]):
         if line.strip():
             raise EmbeddingParseError(count + 2 + extra, "content past the declared row count")

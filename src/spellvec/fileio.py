@@ -12,16 +12,25 @@ def text_lines(source: IO[str] | str) -> list[str]:
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write through a synced temp file renamed over path, then sync the
+    directory, so a crash leaves the old file or the new one, never a torn one."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -190,6 +190,8 @@ class EpochLoss:
     dev_loss: float
 
 
+# a diverging run ends at the finite-loss check, not in numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train_mimick(
     table: EmbeddingTable, cfg: MimickTrainConfig
 ) -> tuple[MimickModel, list[EpochLoss]]:

@@ -516,7 +516,7 @@ def bilstm(
 class MomentumSgd:
     """param <- param - v, after v <- momentum * v + lr * grad."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9):
+    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if not 0.0 <= momentum < 1.0:

@@ -6,10 +6,11 @@ state into a distribution over that attribute's training inventory, with an
 explicit NONE class at index 0 for non-POS attributes.
 
 Word representations start from a pre-trained table and differ only in how
-out-of-vocabulary forms are initialized (the four variants below). Every
-form's vector is materialized once per run into a trainable embedding row
-and is updated during training like any other parameter. The char2tag and
-both variants additionally append a task-trained character BiLSTM output.
+out-of-vocabulary forms are initialized (the four variants below). The
+training forms' vectors are the rows of one trainable matrix, the only rows
+an archive holds; any other form reads the variant's lookup, so tagging never
+changes the model. The char2tag and both variants additionally append a
+task-trained character BiLSTM output.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ class WordRepSpec:
         elif self.table.unk is None:
             raise ValueError(f"variant {self.variant!r} requires a table with an UNK vector")
 
-    @property
-    def policy(self) -> str:
-        return _VARIANT_POLICY[self.variant]
+    def vector(self, word: str) -> np.ndarray:
+        """The word's vector from the table under the variant's backoff policy."""
+        return lookup(self.table, _VARIANT_POLICY[self.variant], word, self.mimick)[0]
 
     @property
     def uses_char_lstm(self) -> bool:
@@ -177,20 +178,27 @@ class TaggerModel:
             attr: Head(2 * hidden, len(values) + 1, rng)
             for attr, values in schema.attrs.items()
         }
-        self.rows: dict[str, Tensor] = {}
+        self.rows: dict[str, int] = {}  # training form -> row of self.embeddings
+        self.embeddings = Tensor(np.zeros((0, rep.table.dim)))
+        self._lookups: dict[str, np.ndarray] = {}  # other forms; never saved
 
     # ------------------------------------------------------------------
     # word representations
 
-    def word_row(self, word: str) -> Tensor:
-        """The trainable embedding row for a form, materialized on first use
-        from the table under the variant's backoff policy."""
-        row = self.rows.get(word)
-        if row is None:
-            vec, _ = lookup(self.rep.table, self.rep.policy, word, self.rep.mimick)
-            row = Tensor(vec)
-            self.rows[word] = row
-        return row
+    def init_rows(self, forms: list[str]) -> None:
+        """One trainable row per distinct form, first appearance first, each
+        starting from the table under the variant's backoff policy."""
+        self.rows = {form: i for i, form in enumerate(dict.fromkeys(forms))}
+        vectors = [self.rep.vector(form) for form in self.rows]
+        self.embeddings = Tensor(np.array(vectors).reshape(-1, self.rep.table.dim))
+
+    def word_vector(self, form: str) -> np.ndarray:
+        """A form's trained row, else its lookup, memoised; not to be written to."""
+        if form in self.rows:
+            return self.embeddings.data[self.rows[form]]
+        if form not in self._lookups:
+            self._lookups[form] = self.rep.vector(form)
+        return self._lookups[form]
 
     # ------------------------------------------------------------------
     # forward
@@ -202,7 +210,9 @@ class TaggerModel:
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """The (T, 2 * hidden) sentence-BiLSTM states, one row per token."""
+        """The (T, 2 * hidden) sentence-BiLSTM states, one row per token. A
+        sentence with any form outside training reads its word vectors as one
+        constant matrix: only tagging reads such forms, and it needs no gradient."""
         if not sentence.tokens:
             raise ValueError("cannot run the tagger on an empty sentence")
         forms = [token.form for token in sentence.tokens]
@@ -211,19 +221,19 @@ class TaggerModel:
             # one draw per token, in token order: the seeded rng stream depends on it
             return np.stack([dropout_mask(width, dropout, rng) for _ in forms])
 
-        reps = tape.stack([self.word_row(form) for form in forms])
+        if all(form in self.rows for form in forms):
+            reps = tape.row(self.embeddings, [self.rows[form] for form in forms])
+        else:
+            reps = Tensor(np.stack([self.word_vector(form) for form in forms]))
         if self.c2t is not None:
             chars = tape.stack([self.c2t.forward_on_tape(tape, form) for form in forms])
             reps = tape.concat([reps, chars])
         if dropout > 0.0:
             reps = tape.mul_const(reps, masks(self.width))
-        layer1 = self._bilstm(tape, self.l1f, self.l1b, reps)
+        layer1 = tape.concat(list(bilstm(tape, self.l1f, self.l1b, reps)))
         if dropout > 0.0:
             layer1 = tape.mul_const(layer1, masks(2 * self.hidden))
-        return self._bilstm(tape, self.l2f, self.l2b, layer1)
-
-    def _bilstm(self, tape: Tape, fwd: LstmCellParams, bwd: LstmCellParams, xs: Tensor) -> Tensor:
-        return tape.concat(list(bilstm(tape, fwd, bwd, xs)))
+        return tape.concat(list(bilstm(tape, self.l2f, self.l2b, layer1)))
 
     # ------------------------------------------------------------------
     # loss
@@ -292,9 +302,7 @@ class TaggerModel:
         return params
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {f"row.{word}": row for word, row in self.rows.items()}
-        params.update(self.network_parameters())
-        return params
+        return {"rows": self.embeddings, **self.network_parameters()}
 
     def save(self, path: str, extra_meta: dict | None = None) -> None:
         rep = self.rep
@@ -316,18 +324,11 @@ class TaggerModel:
         }
         if extra_meta:
             meta.update(extra_meta)
-        tensors: dict[str, np.ndarray] = {
-            "rows": np.stack([r.data for r in self.rows.values()])
-            if self.rows
-            else np.zeros((0, rep.table.dim)),
-            "base": rep.table.matrix(),
-        }
+        tensors = {"rows": self.embeddings.data, "base": rep.table.matrix()}
         if rep.table.unk is not None:
             tensors["base_unk"] = rep.table.unk
         if rep.mimick is not None:
-            tensors.update(
-                {f"mimick.{k}": p.data for k, p in rep.mimick.parameters().items()}
-            )
+            tensors.update({f"mimick.{k}": p.data for k, p in rep.mimick.parameters().items()})
         tensors.update({k: p.data for k, p in self.network_parameters().items()})
         save_archive(path, "tagger", meta, tensors)
 
@@ -365,8 +366,13 @@ class TaggerModel:
                 c2t_chars=CharVocabulary(c2t_chars) if c2t_chars is not None else None,
             )
             restore_parameters(path, model.network_parameters(), tensors)
-            for word, vec in zip(meta["rows"], tensors["rows"]):
-                model.rows[word] = Tensor(vec.copy())
+            model.rows = {form: i for i, form in enumerate(meta["rows"])}
+            if tensors["rows"].shape != (len(model.rows), table.dim):
+                raise ArchiveError(
+                    f"{path}: tensor 'rows' has shape {tensors['rows'].shape}, expected "
+                    f"{table.dim} values for each of the {len(model.rows)} forms in meta 'rows'"
+                )
+            model.embeddings = Tensor(tensors["rows"])
         return model
 
 
@@ -445,6 +451,8 @@ def effective_epochs(epochs: int, train_tokens: int) -> int:
     return epochs * 2 if train_tokens <= LOW_RESOURCE_TOKENS else epochs
 
 
+# a diverging run ends at the finite-loss check, not in numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train_tagger(
     split: CorpusSplit, rep: WordRepSpec, cfg: TaggerTrainConfig
 ) -> tuple[TaggerModel, list[EpochMetrics]]:
@@ -466,10 +474,7 @@ def train_tagger(
     model = TaggerModel(
         schema, rep, cfg.hidden, cfg.char_dim, cfg.char_hidden, c2t_chars, rng
     )
-    # materialize the type-level embedding cache before the optimizer snapshot
-    for sentence in train:
-        for token in sentence.tokens:
-            model.word_row(token.form)
+    model.init_rows([t.form for s in train for t in s.tokens])
     optimizer = MomentumSgd(model.parameters(), cfg.lr, cfg.momentum)
 
     trace: list[EpochMetrics] = []

@@ -111,8 +111,7 @@ def test_1_gradient_fidelity():
             attrs = {"Case": ["Acc", "Nom"][rng.integers(0, 2)]} if rng.random() < 0.6 else {}
             tokens.append(Token(forms[rng.integers(0, 3)], pos_tags[rng.integers(0, 2)], attrs))
         sentence = Sentence(tokens)
-        for token in tokens:
-            model.word_row(token.form)
+        model.init_rows([token.form for token in tokens])
         params = model.parameters()
 
         def forward():

@@ -334,7 +334,7 @@ class TestConfigValues:
         assert TaggerModel.load(str(out)).attr_heads == {}
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error")
 def test_diverging_mimick_run_fails_with_one_line_and_writes_nothing(tmp_path, capsys):
     base = small_table()
     table = EmbeddingTable(4, [*((w, base.vector(w)) for w in base.words()),

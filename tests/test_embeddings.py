@@ -59,6 +59,13 @@ class TestReadEmbeddings:
         with pytest.raises(EmbeddingParseError, match="line 1"):
             read_embeddings("hello\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-Infinity"])
+    def test_non_finite_value_names_line(self, value):
+        with pytest.raises(EmbeddingParseError, match="^line 3: value is nan or infinite$"):
+            read_embeddings(f"3 2\ndog 1 2\ncat 1 {value}\n<UNK> 0 0\n")
+        with pytest.raises(EmbeddingParseError, match="^line 2: "):
+            read_embeddings(f"2 2\n<UNK> {value} 0\ndog 1 {value}\n")
+
     def test_accepts_stream(self):
         table = read_embeddings(io.StringIO("1 1\ndog 7\n"))
         assert np.array_equal(table.vector("dog"), [7])

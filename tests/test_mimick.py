@@ -158,7 +158,7 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_mimick(table, MimickTrainConfig(epochs=1))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_loss_stops_training_naming_epoch_and_word(self):
         rows = [("ab", np.ones(3)), ("cd", np.full(3, 1e200)), ("ef", np.zeros(3))]
         cfg = MimickTrainConfig(char_dim=2, hidden=3, epochs=2, dev_fraction=0.0, seed=0)

@@ -289,7 +289,7 @@ class TestMomentumSgd:
         def run():
             rng = np.random.default_rng(42)
             cell = LstmCellParams(3, 2, rng)
-            opt = MomentumSgd(cell.parameters(), lr=0.01)
+            opt = MomentumSgd(cell.parameters(), lr=0.01, momentum=0.9)
             x = Tensor(rng.normal(size=3))
             for _ in range(3):
                 opt.zero_grad()
@@ -306,7 +306,7 @@ class TestMomentumSgd:
     def test_invalid_hyperparameters(self):
         p = Tensor([0.0])
         with pytest.raises(ValueError):
-            MomentumSgd({"p": p}, lr=0.0)
+            MomentumSgd({"p": p}, lr=0.0, momentum=0.9)
         with pytest.raises(ValueError):
             MomentumSgd({"p": p}, lr=0.1, momentum=1.0)
 
@@ -464,7 +464,7 @@ class TestStackedGateStorage:
     def test_optimizer_step_updates_the_stacked_weights(self):
         rng = np.random.default_rng(6)
         cell = LstmCellParams(2, 3, rng)
-        opt = MomentumSgd(cell.parameters(), lr=0.1)
+        opt = MomentumSgd(cell.parameters(), lr=0.1, momentum=0.9)
         x = Tensor(rng.normal(size=(4, 2)))
         start = cell.w.data.copy()
         opt.zero_grad()

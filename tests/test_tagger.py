@@ -15,7 +15,7 @@ from spellvec.conllu import (
 )
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import CharVocabulary, MimickModel
-from spellvec.nn import Tape, dropout_mask, gradient_check
+from spellvec.nn import Tape, Tensor, dropout_mask, gradient_check
 from spellvec.tagger import (
     POS_HEAD,
     TaggerModel,
@@ -79,7 +79,7 @@ def straight_line_states(model, sentence):
         b = sweep(bwd, xs[::-1])[::-1]
         return [np.concatenate(p) for p in zip(f, b)]
 
-    reps = [model.word_row(t.form).data for t in sentence.tokens]
+    reps = [model.word_vector(t.form) for t in sentence.tokens]
     return bilstm(model.l2f, model.l2b, bilstm(model.l1f, model.l1b, reps))
 
 
@@ -170,7 +170,7 @@ def test_train_mode_dropout_matches_straight_line_oracle_with_per_token_masks():
         return [np.concatenate(p) for p in zip(sweep(fwd, xs), sweep(bwd, xs[::-1])[::-1])]
 
     rng = np.random.default_rng(7)
-    reps = [model.word_row(t.form).data * dropout_mask(model.width, 0.5, rng) for t in s.tokens]
+    reps = [model.word_vector(t.form) * dropout_mask(model.width, 0.5, rng) for t in s.tokens]
     layer1 = [h * dropout_mask(2 * model.hidden, 0.5, rng) for h in bilstm(model.l1f, model.l1b, reps)]
     expected = bilstm(model.l2f, model.l2b, layer1)
     assert len(got) == len(expected)
@@ -231,8 +231,7 @@ class TestJointLoss:
     def test_gradient_matches_finite_differences(self, mode):
         model = tiny_model(seed=9)
         s = sentence(("aa", "A", {"Case": "Nom"}), ("bb", "B", {}))
-        for token in s.tokens:
-            model.word_row(token.form)
+        model.init_rows([token.form for token in s.tokens])
         params = model.parameters()
 
         def forward():
@@ -250,9 +249,9 @@ class TestVariants:
         mimick = MimickModel(CharVocabulary("abz"), dim=3, char_dim=2, hidden=2, rng=rng)
         schema = AttributeSchema(["A"], {}, {})
         model = TaggerModel(schema, WordRepSpec("mimick", table, mimick), hidden=2, rng=rng)
-        row = model.word_row("zz")
-        assert np.array_equal(row.data, mimick.forward("zz"))
-        assert np.array_equal(model.word_row("aa").data, table.vector("aa"))
+        model.init_rows(["zz", "aa"])
+        assert np.array_equal(model.embeddings.data[model.rows["zz"]], mimick.forward("zz"))
+        assert np.array_equal(model.embeddings.data[model.rows["aa"]], table.vector("aa"))
 
     def test_mimick_not_invoked_without_oov_tokens(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -265,7 +264,7 @@ class TestVariants:
         model = TaggerModel(schema, WordRepSpec("mimick", table, mimick), hidden=2, rng=rng)
         tag(model, sentence(("aa", "A", {}), ("bb", "A", {})))
         assert calls == []
-        model.word_row("oops")
+        model.word_vector("oops")
         assert calls == ["oops"]
 
     def test_no_char_variant_backs_off_to_lowercase_then_unk(self):
@@ -275,8 +274,8 @@ class TestVariants:
         )
         schema = AttributeSchema(["A"], {}, {})
         model = TaggerModel(schema, WordRepSpec("no-char", table), hidden=2, rng=rng)
-        assert np.array_equal(model.word_row("Dog").data, [1.0, 0.0])
-        assert np.array_equal(model.word_row("cat").data, [0.25, 0.25])
+        assert np.array_equal(model.word_vector("Dog"), [1.0, 0.0])
+        assert np.array_equal(model.word_vector("cat"), [0.25, 0.25])
 
     def test_char2tag_widens_word_representation(self):
         rng = np.random.default_rng(3)
@@ -320,13 +319,14 @@ class TestVariants:
         def representation(form):
             xs = [c2t.char_emb.data[i] for i in c2t.chars.encode(form)]
             ends = [sweep(c2t.fwd, xs)[-1], sweep(c2t.bwd, xs[::-1])[-1]]
-            return np.concatenate([model.word_row(form).data, *ends])
+            return np.concatenate([model.word_vector(form), *ends])
 
         s = sentence(("a", "A", {}), ("aba", "A", {}))
         reps = [representation(t.form) for t in s.tokens]
         tape = Tape()
         for token, expected in zip(s.tokens, reps):
-            got = tape.concat([model.word_row(token.form), c2t.forward_on_tape(tape, token.form)])
+            word = Tensor(model.word_vector(token.form))
+            got = tape.concat([word, c2t.forward_on_tape(tape, token.form)])
             assert np.allclose(got.data, expected, rtol=0.0, atol=1e-12), token.form
         # the same representations feed the sentence BiLSTM
         for fwd, bwd in ((model.l1f, model.l1b), (model.l2f, model.l2b)):
@@ -429,7 +429,7 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_tagger(CorpusSplit([], [], []), WordRepSpec("no-char", table), TaggerTrainConfig())
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_loss_stops_training_naming_epoch_and_sentence(self):
         rng = np.random.default_rng(1)
         split, stems = small_split(rng, n_train=6, n_dev=0)
@@ -497,3 +497,103 @@ class TestTraining:
         loaded = TaggerModel.load(path)
         unseen = Sentence([Token(stems[0] + "zz", "NOUN")])
         assert tag(loaded, unseen) == tag(model, unseen)
+
+
+class TestTrainedRows:
+    """Only the training forms are trainable rows; other forms are read
+    through the variant's lookup and never change the model."""
+
+    def trained(self, variant, seed=5, n_dev=0):
+        rng = np.random.default_rng(seed)
+        split, stems = small_split(rng, n_train=4, n_dev=n_dev, n_suffixes=3)
+        table = suffix_table(rng, stems, n_suffixes=3, dim=6)
+        mimick = None
+        if variant == "both":
+            forms = [t.form for s in split.train for t in s.tokens]
+            mimick = MimickModel(CharVocabulary.from_words(forms), dim=6, char_dim=3, hidden=4,
+                                 rng=np.random.default_rng(seed))
+        # every dev sentence also appears with forms that training never sees
+        split.dev.extend(
+            [Sentence([Token(t.form + "zz", t.upos, t.attrs) for t in s.tokens]) for s in split.dev]
+        )
+        cfg = TaggerTrainConfig(epochs=1, hidden=4, char_dim=3, char_hidden=3, seed=seed)
+        model, _ = train_tagger(split, WordRepSpec(variant, table, mimick), cfg)
+        return model, split
+
+    @pytest.mark.parametrize("variant", ["no-char", "both"])
+    def test_tagging_unseen_forms_leaves_the_model_unchanged(self, tmp_path, variant):
+        model, split = self.trained(variant)
+        before = tmp_path / "before.svm"
+        model.save(str(before))
+        n_rows = len(model.rows)
+        params = {name: p.data.copy() for name, p in model.parameters().items()}
+        unseen = [
+            Sentence([Token(t.form + "zz", t.upos, t.attrs) for t in s.tokens] + s.tokens)
+            for s in split.train
+        ]
+        first = tag_corpus(model, unseen)
+        assert tag_corpus(model, unseen) == first
+        assert len(model.rows) == n_rows
+        assert model.parameters().keys() == params.keys()
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, params[name]), name
+        after = tmp_path / "after.svm"
+        model.save(str(after))
+        assert after.read_bytes() == before.read_bytes()
+
+    @pytest.mark.parametrize("variant", ["no-char", "both"])
+    def test_archive_holds_exactly_the_training_forms(self, tmp_path, variant):
+        model, split = self.trained(variant, seed=6, n_dev=2)
+        train_forms = list(dict.fromkeys(t.form for s in split.train for t in s.tokens))
+        dev_forms = {t.form for s in split.dev for t in s.tokens}
+        assert dev_forms - set(train_forms)
+        path = tmp_path / "tagger.svm"
+        model.save(str(path))
+        manifest, tensors = load_archive(str(path))
+        assert manifest["meta"]["rows"] == train_forms
+        assert tensors["rows"].shape == (len(train_forms), 6)
+        assert np.array_equal(tensors["rows"], model.embeddings.data)
+
+    def test_rows_meta_one_short_of_the_rows_tensor_names_the_file(self, tmp_path):
+        model, _ = self.trained("no-char")
+        path = tmp_path / "tagger.svm"
+        model.save(str(path))
+        manifest, tensors = load_archive(str(path))
+        meta = manifest["meta"]
+        meta["rows"] = meta["rows"][:-1]
+        save_archive(str(path), "tagger", meta, tensors)
+        with pytest.raises(ArchiveError, match=re.escape(f"{path}: tensor 'rows' has shape")):
+            TaggerModel.load(str(path))
+
+    def test_archive_with_untrained_rows_loads_and_tags_identically(self, tmp_path):
+        # archives written before the rows were limited to training forms also
+        # carry rows for dev forms, holding those forms' lookup vectors
+        model, split = self.trained("no-char", seed=7, n_dev=2)
+        path = tmp_path / "tagger.svm"
+        model.save(str(path))
+        manifest, tensors = load_archive(str(path))
+        extra = [f for f in dict.fromkeys(t.form for s in split.dev for t in s.tokens)
+                 if f not in model.rows]
+        assert extra
+        manifest["meta"]["rows"] += extra
+        tensors["rows"] = np.vstack([tensors["rows"], *(model.rep.vector(f) for f in extra)])
+        save_archive(str(path), "tagger", manifest["meta"], tensors)
+        loaded = TaggerModel.load(str(path))
+        assert len(loaded.rows) == len(model.rows) + len(extra)
+        assert tag_corpus(loaded, split.dev) == tag_corpus(model, split.dev)
+
+    def test_an_unseen_form_is_looked_up_once_per_model(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        table = tiny_table(rng, ["aa"], dim=3, with_unk=False)
+        mimick = MimickModel(CharVocabulary("az"), dim=3, char_dim=2, hidden=2, rng=rng)
+        calls = []
+        original = mimick.forward
+        monkeypatch.setattr(mimick, "forward", lambda w: (calls.append(w), original(w))[1])
+        model = TaggerModel(AttributeSchema(["A"], {}, {}), WordRepSpec("mimick", table, mimick),
+                            hidden=2, rng=rng)
+        model.init_rows(["aa"])
+        s = sentence(("zz", "A", {}), ("aa", "A", {}), ("zz", "A", {}))
+        assert tag(model, s) == tag(model, s)
+        assert calls == ["zz"]
+        assert np.array_equal(model.word_vector("zz"), original("zz"))
+        assert model.parameters()["rows"].data.shape == (1, 3)
