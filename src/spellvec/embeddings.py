@@ -53,6 +53,7 @@ class EmbeddingTable:
             self._entries[word] = self._check_vector(word, vec)
         self.unk = None if unk is None else self._check_vector(UNK_TOKEN, unk)
         self._matrix: np.ndarray | None = None
+        self._norms: np.ndarray | None = None
 
     def _check_vector(self, word: str, vec) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.float64)
@@ -87,6 +88,12 @@ class EmbeddingTable:
                 self._matrix = np.zeros((0, self.dim))
         return self._matrix
 
+    def norms(self) -> np.ndarray:
+        """The Euclidean norm of each entry vector, in table order, cached."""
+        if self._norms is None:
+            self._norms = np.linalg.norm(self.matrix(), axis=1)
+        return self._norms
+
 
 def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
     lines = text_lines(source)
@@ -104,7 +111,9 @@ def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
 
     entries: dict[str, np.ndarray] = {}
     unk = None
-    vectors = []  # in line order, for one finiteness check over the whole table
+    # one row per line, checked for finiteness in place; allocated once a row
+    # has shown the header's dimension, so a header alone claims no memory
+    matrix = None
     for offset in range(count):
         line_no = 2 + offset
         if offset + 1 >= len(lines):
@@ -114,12 +123,14 @@ def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
             raise EmbeddingParseError(
                 line_no, f"expected 1 word and {dim} values, got {len(fields)} fields"
             )
+        if matrix is None:
+            matrix = np.empty((min(count, len(lines) - 1), dim))
         word = fields[0]
+        vec = matrix[offset]
         try:
-            vec = np.array([float(v) for v in fields[1:]])
+            vec[:] = [float(v) for v in fields[1:]]
         except ValueError:
             raise EmbeddingParseError(line_no, "unparseable number") from None
-        vectors.append(vec)
         if word == UNK_TOKEN:
             if unk is not None:
                 raise EmbeddingParseError(line_no, f"duplicate {UNK_TOKEN} row")
@@ -128,8 +139,8 @@ def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
             raise EmbeddingParseError(line_no, f"duplicate word {word!r}")
         else:
             entries[word] = vec
-    if vectors:
-        finite = np.isfinite(np.stack(vectors)).all(axis=1)
+    if matrix is not None:
+        finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
             raise EmbeddingParseError(2 + int(np.argmin(finite)), "value is nan or infinite")
     for extra, line in enumerate(lines[count + 1 :]):
@@ -151,7 +162,7 @@ def write_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:
 def _format_row(word: str, vec: np.ndarray) -> str:
     if not word or " " in word or "\n" in word:
         raise ValueError(f"word {word!r} cannot be represented in the text format")
-    return word + " " + " ".join("%.17g" % v for v in vec) + "\n"
+    return word + (" %.17g" * len(vec)) % tuple(vec.tolist()) + "\n"
 
 
 def lookup(

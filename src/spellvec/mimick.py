@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -25,9 +26,14 @@ from .nn import (
     bilstm,
     embedding_init,
     glorot_uniform,
+    lstm_last_states,
+    matvec_rows,
 )
 
 UNK_CHAR_INDEX = 0
+
+# words per batched inference pass: bounds the pass's per-step buffers
+INFER_SLICE = 128
 
 
 class CharVocabulary:
@@ -69,7 +75,10 @@ class MimickTrainConfig:
 
 class CharBiLstm:
     """Character embedding read by forward and backward LSTMs; a word is
-    encoded as the concatenation of the two final states."""
+    encoded as the concatenation of the two final states.
+
+    encode runs one word on a tape, for training; encode_many runs many words
+    in one grad-free packed pass, for inference, with the same bits."""
 
     def __init__(
         self,
@@ -99,6 +108,25 @@ class CharBiLstm:
             raise ValueError("cannot embed an empty word")
         forward, backward = bilstm(tape, self.fwd, self.bwd, tape.row(self.char_emb, indices))
         return tape.concat([tape.row(forward, -1), tape.row(backward, 0)])
+
+    def encode_many(self, words: list[str]) -> np.ndarray:
+        """The (len(words), 2 * hidden) encodings of words, without a tape. Row
+        i is bit-identical to encode() of words[i], whatever else is in the
+        batch; unseen characters collapse to UNK."""
+        if not all(words):
+            raise ValueError("cannot embed an empty word")
+        # longest first, one (B_L, L, char_dim) group per length
+        order = sorted(range(len(words)), key=lambda i: -len(words[i]))
+        groups = [
+            self.char_emb.data[[self.chars.encode(words[i]) for i in members]]
+            for _, members in groupby(order, key=lambda i: len(words[i]))
+        ]
+        out = np.empty((len(words), 2 * self.hidden))
+        if groups:
+            forward = lstm_last_states(self.fwd, groups)
+            backward = lstm_last_states(self.bwd, groups, reverse=True)
+            out[order] = np.concatenate([forward, backward], axis=1)
+        return out
 
 
 class MimickModel(CharBiLstm):
@@ -133,10 +161,20 @@ class MimickModel(CharBiLstm):
         z = self.encode(tape, indices)
         return tape.affine(self.o_t, tape.tanh(tape.affine(self.t_h, z, self.b_h)), self.b_t)
 
+    def forward_many(self, words: list[str]) -> np.ndarray:
+        """The (len(words), dim) inferred embeddings of words, grad-free and
+        batched INFER_SLICE words at a time. Row i is bit-identical to
+        forward_on_tape() of words[i], whatever else is in the batch."""
+        out = np.empty((len(words), self.dim))
+        for start in range(0, len(words), INFER_SLICE):
+            z = self.encode_many(words[start : start + INFER_SLICE])
+            hidden = np.tanh(matvec_rows(self.t_h.data, z) + self.b_h.data)
+            out[start : start + INFER_SLICE] = matvec_rows(self.o_t.data, hidden) + self.b_t.data
+        return out
+
     def forward(self, word: str) -> np.ndarray:
         """Infer the embedding of a word; unseen characters collapse to UNK."""
-        out = self.forward_on_tape(Tape(), self.chars.encode(word))
-        return out.data.copy()
+        return self.forward_many([word])[0]
 
     def meta(self) -> dict:
         """What an archive needs, besides the tensors, to rebuild the model."""
@@ -236,7 +274,10 @@ def train_mimick(
             optimizer.step()
             total += value
         dev_loss = (
-            float(np.mean([mimick_loss(model, w, table.vector(w)) for w in dev_words]))
+            float(np.mean([
+                float(np.sum((out - table.vector(w)) ** 2))
+                for w, out in zip(dev_words, model.forward_many(dev_words))
+            ]))
             if dev_words
             else float("nan")
         )
@@ -245,10 +286,12 @@ def train_mimick(
 
 
 def infer_oov(model: MimickModel, table: EmbeddingTable, words: list[str]) -> EmbeddingTable:
-    """Infer vectors for the requested words (in-vocabulary ones included)."""
+    """Infer vectors for the requested words (in-vocabulary ones included),
+    in one batched pass per INFER_SLICE words."""
     if model.dim != table.dim:
         raise DimensionError(f"model dimension {model.dim} != table dimension {table.dim}")
-    return EmbeddingTable(model.dim, [(w, model.forward(w)) for w in dict.fromkeys(words)])
+    words = list(dict.fromkeys(words))
+    return EmbeddingTable(model.dim, zip(words, model.forward_many(words)))
 
 
 def nearest_neighbors(
@@ -265,7 +308,7 @@ def nearest_neighbors(
     if not 1 <= k <= len(table):
         raise ValueError(f"k must be in [1, {len(table)}], got {k}")
     matrix = table.matrix()
-    norms = np.linalg.norm(matrix, axis=1)
+    norms = table.norms()
     sims = np.full(len(table), -np.inf)
     nonzero = norms > 0.0
     # einsum, unlike BLAS, scores identical rows identically, so the stable

@@ -21,6 +21,8 @@ __all__ = [
     "LstmCellParams",
     "lstm_step",
     "bilstm",
+    "lstm_last_states",
+    "matvec_rows",
     "MomentumSgd",
     "GradCheckReport",
     "gradient_check",
@@ -307,13 +309,7 @@ class Tape:
         tanh_cs = np.empty((steps, h))
         for t in range(steps):
             a = (pre[t] + w_h @ hs[t]).reshape(4, h)
-            act = acts[t]
-            # exp(-logaddexp(0, -x)) never overflows
-            act[:3] = np.exp(-np.logaddexp(0.0, -a[:3]))
-            act[3] = np.tanh(a[3])
-            cs[t + 1] = act[1] * cs[t] + act[0] * act[3]
-            tanh_cs[t] = np.tanh(cs[t + 1])
-            hs[t + 1] = act[2] * tanh_cs[t]
+            _lstm_update(a, cs[t], acts[t], cs[t + 1], tanh_cs[t], hs[t + 1])
         states = hs[1:]
         out = Tensor(states[::-1] if reverse else states)
 
@@ -507,6 +503,71 @@ def bilstm(
     """Forward and backward sweeps from zero state over the rows of xs; both
     (T, hidden) state matrices are returned in input order."""
     return tape.lstm(fwd, xs), tape.lstm(bwd, xs, reverse=True)
+
+
+def _lstm_update(a, c_prev, act, c, tanh_c, h) -> None:
+    """One LSTM state update from the gate pre-activations a (..., 4, hidden),
+    in gate order: writes sigmoid(i, f, o) and tanh(candidate) to act, the new
+    cell state to c (which may be c_prev), tanh(c) to tanh_c and the new
+    hidden state to h. Tape.lstm and lstm_last_states both step through here,
+    so their gate arithmetic is the same."""
+    # exp(-logaddexp(0, -x)) never overflows
+    act[..., :3, :] = np.exp(-np.logaddexp(0.0, -a[..., :3, :]))
+    act[..., 3, :] = np.tanh(a[..., 3, :])
+    np.add(act[..., 1, :] * c_prev, act[..., 0, :] * act[..., 3, :], out=c)
+    np.tanh(c, out=tanh_c)
+    np.multiply(act[..., 2, :], tanh_c, out=h)
+
+
+def matvec_rows(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The (B, m) matrix whose row b is w @ xs[b], for w (m, n) and xs (B, n).
+
+    One BLAS mat-vec per row, so each row has the bits of w @ xs[b] computed
+    alone; one GEMM over all rows (xs @ w.T) rounds differently as B varies."""
+    return np.matmul(w, xs[:, :, None])[:, :, 0]
+
+
+def lstm_last_states(
+    cell: LstmCellParams, groups: list[np.ndarray], reverse: bool = False
+) -> np.ndarray:
+    """The last states of many LSTM sequences run from zero state, grad-free.
+
+    groups are (B_L, L, input) arrays of sequences of one length L, longest
+    first. Row b of the (sum of B_L, hidden) result is the state of the b-th
+    sequence, counting the groups' rows in order, after its last step; with
+    reverse each sequence is read last row first, as Tape.lstm reads it.
+
+    As in PyTorch's pack_padded_sequence, step t advances only the prefix of
+    sequences longer than t. Each product is the BLAS call Tape.lstm makes
+    for one sequence: one (L, input) GEMM per sequence for the input
+    projection, one mat-vec per sequence and step for the recurrence. So a
+    sequence's state has Tape.lstm's bits whatever else is in the batch; one
+    GEMM over all characters would not, as BLAS rounds rows differently for
+    different row counts.
+    """
+    n, h = cell.input_size, cell.hidden_size
+    w = cell.w.data
+    lengths = [g.shape[1] for g in groups]
+    ends = np.cumsum([g.shape[0] for g in groups])
+    total = int(ends[-1])
+    pre = np.empty((total, lengths[0], 4 * h))
+    start = 0
+    for g, end in zip(groups, ends):
+        pre[start:end, : g.shape[1]] = (g[:, ::-1] if reverse else g) @ w[:, :n].T + cell.b.data
+        start = end
+    w_h = w[:, n:]
+    hs = np.zeros((total, h))
+    cs = np.zeros((total, h))
+    acts = np.empty((total, 4, h))
+    tanh_cs = np.empty((total, h))
+    running = len(groups)
+    for t in range(lengths[0]):
+        while lengths[running - 1] <= t:
+            running -= 1
+        k = ends[running - 1]
+        a = pre[:k, t] + matvec_rows(w_h, hs[:k])
+        _lstm_update(a.reshape(k, 4, h), cs[:k], acts[:k], cs[:k], tanh_cs[:k], hs[:k])
+    return hs
 
 
 # ----------------------------------------------------------------------

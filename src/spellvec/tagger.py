@@ -11,6 +11,10 @@ training forms' vectors are the rows of one trainable matrix, the only rows
 an archive holds; any other form reads the variant's lookup, so tagging never
 changes the model. The char2tag and both variants additionally append a
 task-trained character BiLSTM output.
+
+Training runs the character encoders on the tape; tagging runs them
+grad-free, in one batched pass per sentence (char2tag) and one per corpus
+(the Mimick vectors of unseen forms), with the same bits.
 """
 
 from __future__ import annotations
@@ -200,6 +204,19 @@ class TaggerModel:
             self._lookups[form] = self.rep.vector(form)
         return self._lookups[form]
 
+    def memoise_lookups(self, forms: list[str]) -> None:
+        """Memoise the Mimick vectors of the forms outside training and the
+        table (mimick and both variants) with one batched pass; word_vector
+        then reads the same vectors it would have inferred one by one."""
+        if _VARIANT_POLICY[self.rep.variant] != MIMICK_DIRECT:
+            return
+        unseen = [
+            form for form in dict.fromkeys(forms)
+            if form not in self.rows and form not in self._lookups and form not in self.rep.table
+        ]
+        if unseen:
+            self._lookups.update(zip(unseen, self.rep.mimick.forward_many(unseen)))
+
     # ------------------------------------------------------------------
     # forward
 
@@ -209,10 +226,13 @@ class TaggerModel:
         sentence: Sentence,
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
+        grad: bool = True,
     ) -> Tensor:
         """The (T, 2 * hidden) sentence-BiLSTM states, one row per token. A
         sentence with any form outside training reads its word vectors as one
-        constant matrix: only tagging reads such forms, and it needs no gradient."""
+        constant matrix: only tagging reads such forms, and it needs no gradient.
+        With grad=False (no backward pass follows) the char2tag encodings are
+        one constant matrix too, from one grad-free batched pass."""
         if not sentence.tokens:
             raise ValueError("cannot run the tagger on an empty sentence")
         forms = [token.form for token in sentence.tokens]
@@ -226,7 +246,10 @@ class TaggerModel:
         else:
             reps = Tensor(np.stack([self.word_vector(form) for form in forms]))
         if self.c2t is not None:
-            chars = tape.stack([self.c2t.forward_on_tape(tape, form) for form in forms])
+            if grad:
+                chars = tape.stack([self.c2t.forward_on_tape(tape, form) for form in forms])
+            else:
+                chars = Tensor(self.c2t.encode_many(forms))
             reps = tape.concat([reps, chars])
         if dropout > 0.0:
             reps = tape.mul_const(reps, masks(self.width))
@@ -270,7 +293,7 @@ class TaggerModel:
         """Per-token (POS, attributes); NONE selections are emitted as
         attribute absence. Argmax ties resolve to the lowest inventory index."""
         tape = Tape()
-        states = self.states_on_tape(tape, sentence)
+        states = self.states_on_tape(tape, sentence, grad=False)
         pos = np.argmax(self.pos_head.logits(tape, states).data, axis=1)
         choices = {
             attr: np.argmax(head.logits(tape, states).data, axis=1)
@@ -410,7 +433,7 @@ def sentence_forward(
         raise ValueError("train mode with dropout needs a random generator")
     tape = Tape()
     states = model.states_on_tape(
-        tape, sentence, dropout if mode == "train" else 0.0, rng
+        tape, sentence, dropout if mode == "train" else 0.0, rng, grad=False
     )
     return [row.copy() for row in states.data]
 
@@ -428,6 +451,7 @@ def tag(model: TaggerModel, sentence: Sentence) -> list[tuple[str, dict[str, str
 
 def tag_corpus(model: TaggerModel, sentences: list[Sentence]) -> list[Sentence]:
     """Predicted copies of the input sentences (forms kept, tags replaced)."""
+    model.memoise_lookups([token.form for sentence in sentences for token in sentence.tokens])
     out = []
     for sentence in sentences:
         tagged = model.tag_sentence(sentence)

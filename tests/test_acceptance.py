@@ -10,6 +10,7 @@ import time
 from contextlib import redirect_stdout
 
 import numpy as np
+import pytest
 
 from synthetic import (
     make_stems,
@@ -60,6 +61,7 @@ def report(number, label, started):
 # 1. gradient fidelity
 
 
+@pytest.mark.slow
 def test_1_gradient_fidelity():
     started = time.monotonic()
     eps, tol = 1e-5, 1e-4
@@ -130,6 +132,7 @@ def test_1_gradient_fidelity():
 # 2. mimick learnability and typo robustness
 
 
+@pytest.mark.slow
 def test_2_mimick_learnability_and_typo_neighbors():
     started = time.monotonic()
     rng = np.random.default_rng(7)
@@ -164,6 +167,7 @@ def test_2_mimick_learnability_and_typo_neighbors():
 # 3. OOV tagging gain
 
 
+@pytest.mark.slow
 def test_3_oov_tagging_gain():
     started = time.monotonic()
     rng = np.random.default_rng(42)

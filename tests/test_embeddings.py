@@ -95,6 +95,20 @@ class TestWriteEmbeddings:
             assert np.array_equal(back.vector(word), vec)
         assert np.array_equal(back.unk, table.unk)
 
+    def test_rows_match_per_value_formatting_byte_for_byte(self):
+        rng = np.random.default_rng(4)
+        special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                   1.7976931348623157e308, 0.1, 1.0, -3.0, 123456789.0]
+        rows = [rng.normal(size=64) * 10.0 ** float(rng.integers(-300, 300)) for _ in range(40)]
+        rows += [rng.choice(special, size=64) for _ in range(10)]
+        table = EmbeddingTable(64, [(f"w{i}", row) for i, row in enumerate(rows)], unk=rows[-1])
+        sink = io.StringIO()
+        write_embeddings(table, sink)
+        expected = [f"{len(rows) + 1} 64", "<UNK> " + " ".join("%.17g" % v for v in rows[-1])]
+        expected += [f"w{i} " + " ".join("%.17g" % v for v in row) for i, row in enumerate(rows)]
+        assert sink.getvalue() == "\n".join(expected) + "\n"
+        assert "-0 " in sink.getvalue() and "4.9406564584124654e-324" in sink.getvalue()
+
     def test_serialization_is_deterministic(self):
         table = EmbeddingTable(2, [("a", np.array([0.1, 0.2])), ("b", np.array([0.3, 0.4]))])
         first, second = io.StringIO(), io.StringIO()
@@ -106,6 +120,16 @@ class TestWriteEmbeddings:
         table = EmbeddingTable(1, [("two words", np.array([1.0]))])
         with pytest.raises(ValueError, match="text format"):
             write_embeddings(table, io.StringIO())
+
+    def test_norms_are_cached_row_norms(self):
+        rng = np.random.default_rng(5)
+        table = EmbeddingTable(3, [(f"w{i}", rng.normal(size=3)) for i in range(4)]
+                               + [("zero", np.zeros(3))])
+        norms = table.norms()
+        assert np.array_equal(norms, np.linalg.norm(table.matrix(), axis=1))
+        assert norms[-1] == 0.0
+        assert table.norms() is norms
+        assert EmbeddingTable(3).norms().shape == (0,)
 
     def test_duplicate_entries_rejected_at_construction(self):
         with pytest.raises(ValueError, match="duplicate"):

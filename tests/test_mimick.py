@@ -5,6 +5,7 @@ import pytest
 
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import (
+    INFER_SLICE,
     CharVocabulary,
     MimickModel,
     MimickTrainConfig,
@@ -174,6 +175,62 @@ class TestTraining:
             assert np.array_equal(loaded.parameters()[name].data, param.data)
         assert loaded.chars.chars == model.chars.chars
         assert np.array_equal(loaded.forward("cafe"), model.forward("cafe"))
+
+
+def random_words(rng, count, alphabet="abcdefgXY"):
+    """Words of 1-15 characters with repeats; X and Y are unseen by a model
+    built on "abcdefg"."""
+    return ["".join(rng.choice(list(alphabet), size=int(n))) for n in rng.integers(1, 16, count)]
+
+
+class TestBatchedInference:
+    """The grad-free packed pass gives every word the bits of the tape."""
+
+    def test_rows_equal_the_tape(self):
+        rng = np.random.default_rng(11)
+        model = small_model(seed=4, dim=64, char_dim=20, hidden=50)
+        words = random_words(rng, 40) + ["a", "aaaa", "XY"]
+        encodings = model.encode_many(words)
+        outputs = model.forward_many(words)
+        assert encodings.shape == (len(words), 100)
+        assert outputs.shape == (len(words), 64)
+        for word, encoding, output in zip(words, encodings, outputs):
+            indices = model.chars.encode(word)
+            assert np.array_equal(encoding, model.encode(Tape(), indices).data), word
+            assert np.array_equal(output, model.forward_on_tape(Tape(), indices).data), word
+
+    def test_a_word_has_the_same_vector_in_any_batch(self):
+        rng = np.random.default_rng(12)
+        model = small_model(seed=5, dim=64, char_dim=20, hidden=50)
+        mixed = random_words(rng, 30) + ["gadfly"]
+        large = random_words(rng, 299) + ["gadfly"]
+        rng.shuffle(large)
+        alone = model.forward_many(["gadfly"])[0]
+        assert np.array_equal(model.forward_many(mixed)[-1], alone)
+        assert np.array_equal(model.forward_many(large)[large.index("gadfly")], alone)
+        assert np.array_equal(model.encode_many(large)[large.index("gadfly")],
+                              model.encode_many(["gadfly"])[0])
+
+    def test_empty_batch(self):
+        model = small_model()
+        assert model.encode_many([]).shape == (0, 8)
+        assert model.forward_many([]).shape == (0, 5)
+
+    def test_infer_oov_over_several_slices_equals_forward(self):
+        rng = np.random.default_rng(13)
+        model = small_model(seed=6, dim=6, char_dim=4, hidden=5)
+        words = list(dict.fromkeys(random_words(rng, 2 * INFER_SLICE + 40)))
+        assert len(words) > INFER_SLICE
+        ext = infer_oov(model, EmbeddingTable(6, [("ab", np.zeros(6))]), words)
+        assert ext.words() == words
+        for word in words:
+            assert np.array_equal(ext.vector(word), model.forward(word)), word
+
+    def test_empty_word_rejected_in_a_batch(self):
+        model = small_model()
+        table = EmbeddingTable(5, [("ab", np.zeros(5))])
+        with pytest.raises(ValueError, match="empty word"):
+            infer_oov(model, table, ["abc", "", "de"])
 
 
 class TestInferOov:

@@ -334,6 +334,29 @@ class TestVariants:
         for got, expected in zip(sentence_forward(model, s), reps):
             assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
+    def test_char2tag_batched_encodings_equal_the_tape(self):
+        rng = np.random.default_rng(9)
+        model = TaggerModel(
+            AttributeSchema(["A"], {}, {}),
+            WordRepSpec("char2tag", tiny_table(rng, ["ab"], dim=3)),
+            hidden=2,
+            char_dim=20,
+            char_hidden=128,
+            c2t_chars=CharVocabulary("abcdefg"),
+            rng=rng,
+        )
+        # 1-15 characters with repeats; X and Y are unseen
+        forms = ["".join(rng.choice(list("abcdefgXY"), size=int(n)))
+                 for n in rng.integers(1, 16, 40)]
+        forms += ["a", "aaaa", "XY"]
+        encodings = model.c2t.encode_many(forms)
+        for form, encoding in zip(forms, encodings):
+            assert np.array_equal(encoding, model.c2t.forward_on_tape(Tape(), form).data), form
+        # tagging reads them as one constant matrix, with the bits of the tape path
+        s = Sentence([Token(form, "A", {}) for form in forms])
+        on_tape = model.states_on_tape(Tape(), s).data
+        assert np.array_equal(np.stack(sentence_forward(model, s)), on_tape)
+
     def test_variant_prerequisites_validated(self):
         rng = np.random.default_rng(4)
         no_unk = tiny_table(rng, ["aa"], with_unk=False)
@@ -581,6 +604,27 @@ class TestTrainedRows:
         loaded = TaggerModel.load(str(path))
         assert len(loaded.rows) == len(model.rows) + len(extra)
         assert tag_corpus(loaded, split.dev) == tag_corpus(model, split.dev)
+
+    def test_tag_corpus_infers_unseen_forms_in_one_batch(self, monkeypatch):
+        model, split = self.trained("both", n_dev=2)
+        mimick = model.rep.mimick
+        batches = []
+        original = mimick.forward_many
+        monkeypatch.setattr(mimick, "forward_many",
+                            lambda ws: (batches.append(ws), original(ws))[1])
+        # forms that neither training nor its per-epoch dev tagging has read
+        corpus = [Sentence([Token(t.form + "q", t.upos, t.attrs) for t in s.tokens])
+                  for s in split.dev]
+        forms = [t.form for s in corpus for t in s.tokens]
+        unseen = [f for f in dict.fromkeys(forms)
+                  if f not in model.rows and f not in model.rep.table]
+        assert len(unseen) > 1
+        first = tag_corpus(model, corpus)
+        assert batches == [unseen]
+        assert tag_corpus(model, corpus) == first
+        assert len(batches) == 1
+        for form in unseen:
+            assert np.array_equal(model.word_vector(form), original([form])[0]), form
 
     def test_an_unseen_form_is_looked_up_once_per_model(self, monkeypatch):
         rng = np.random.default_rng(1)
