@@ -19,7 +19,9 @@ from .archive import ArchiveError
 from .conllu import ConlluParseError, CorpusSplit, parse_conllu, serialize_conllu, subsample
 from .embeddings import (
     EmbeddingParseError,
+    EmbeddingTable,
     OovLookupError,
+    parse_header,
     read_embeddings,
     write_embeddings,
 )
@@ -121,10 +123,13 @@ def cmd_train_mimick(args) -> int:
 
 def cmd_infer(args) -> int:
     model = MimickModel.load(args.model)
-    table = _read_table(args.embeddings)
+    # only the table's dimension is needed: read the header, not the rows
+    with open(args.embeddings, encoding="utf-8") as handle:
+        header = handle.readline()
+    _, dim = parse_header(header.rstrip("\n") if header else None)
     with open(args.words, encoding="utf-8") as handle:
         words = [line.strip() for line in handle if line.strip()]
-    extension = infer_oov(model, table, words)
+    extension = infer_oov(model, EmbeddingTable(dim), words)
     sink = io.StringIO()
     write_embeddings(extension, sink)
     atomic_write_text(args.out, sink.getvalue())

@@ -95,19 +95,26 @@ class EmbeddingTable:
         return self._norms
 
 
-def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
-    lines = text_lines(source)
-    if not lines:
+def parse_header(line: str | None) -> tuple[int, int]:
+    """The row count V and dimension d of a header line "V d" (None: the
+    file has no lines)."""
+    if line is None:
         raise EmbeddingParseError(1, "missing header")
-    header = lines[0].split(" ")
+    header = line.split(" ")
     if len(header) != 2:
-        raise EmbeddingParseError(1, f"expected header 'V d', got {lines[0]!r}")
+        raise EmbeddingParseError(1, f"expected header 'V d', got {line!r}")
     try:
         count, dim = int(header[0]), int(header[1])
     except ValueError:
-        raise EmbeddingParseError(1, f"expected integer header 'V d', got {lines[0]!r}") from None
+        raise EmbeddingParseError(1, f"expected integer header 'V d', got {line!r}") from None
     if count < 0 or dim < 1:
         raise EmbeddingParseError(1, f"invalid header counts {count} {dim}")
+    return count, dim
+
+
+def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
+    lines = text_lines(source)
+    count, dim = parse_header(lines[0] if lines else None)
 
     entries: dict[str, np.ndarray] = {}
     unk = None

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,14 +25,16 @@ from .nn import (
     bilstm,
     embedding_init,
     glorot_uniform,
-    lstm_last_states,
+    length_slices,
     matvec_rows,
+    packed_bilstm,
 )
 
 UNK_CHAR_INDEX = 0
 
-# words per batched inference pass: bounds the pass's per-step buffers
-INFER_SLICE = 128
+# words per packed inference pass: bounds the pass's buffers, which hold
+# both directions at once
+INFER_SLICE = 64
 
 
 class CharVocabulary:
@@ -109,23 +110,31 @@ class CharBiLstm:
         forward, backward = bilstm(tape, self.fwd, self.bwd, tape.row(self.char_emb, indices))
         return tape.concat([tape.row(forward, -1), tape.row(backward, 0)])
 
-    def encode_many(self, words: list[str]) -> np.ndarray:
-        """The (len(words), 2 * hidden) encodings of words, without a tape. Row
-        i is bit-identical to encode() of words[i], whatever else is in the
-        batch; unseen characters collapse to UNK."""
+    def packed_encodings(self, words: list[str]) -> Iterator[tuple[list[int], np.ndarray]]:
+        """The encodings of words without a tape, in packed passes of at most
+        INFER_SLICE words, longest first: per pass, the indices of its words
+        and their (n, 2 * hidden) encodings. Each is bit-identical to encode()
+        of its word, whatever else is in the batch; unseen characters
+        collapse to UNK."""
         if not all(words):
             raise ValueError("cannot embed an empty word")
-        # longest first, one (B_L, L, char_dim) group per length
-        order = sorted(range(len(words)), key=lambda i: -len(words[i]))
-        groups = [
-            self.char_emb.data[[self.chars.encode(words[i]) for i in members]]
-            for _, members in groupby(order, key=lambda i: len(words[i]))
-        ]
+        h = self.hidden
+        for groups in length_slices([len(word) for word in words], INFER_SLICE):
+            states = packed_bilstm(self.fwd, self.bwd, [
+                self.char_emb.data[[self.chars.encode(words[i]) for i in group]]
+                for group in groups
+            ])
+            # the forward state after the last character, the backward one after the first
+            yield [i for group in groups for i in group], np.concatenate(
+                [np.concatenate([s[:, -1, :h], s[:, 0, h:]], axis=1) for s in states]
+            )
+
+    def encode_many(self, words: list[str]) -> np.ndarray:
+        """The (len(words), 2 * hidden) encodings of words, without a tape; row
+        i is bit-identical to encode() of words[i]."""
         out = np.empty((len(words), 2 * self.hidden))
-        if groups:
-            forward = lstm_last_states(self.fwd, groups)
-            backward = lstm_last_states(self.bwd, groups, reverse=True)
-            out[order] = np.concatenate([forward, backward], axis=1)
+        for rows, encodings in self.packed_encodings(words):
+            out[rows] = encodings
         return out
 
 
@@ -163,13 +172,12 @@ class MimickModel(CharBiLstm):
 
     def forward_many(self, words: list[str]) -> np.ndarray:
         """The (len(words), dim) inferred embeddings of words, grad-free and
-        batched INFER_SLICE words at a time. Row i is bit-identical to
+        in the packed passes of packed_encodings. Row i is bit-identical to
         forward_on_tape() of words[i], whatever else is in the batch."""
         out = np.empty((len(words), self.dim))
-        for start in range(0, len(words), INFER_SLICE):
-            z = self.encode_many(words[start : start + INFER_SLICE])
-            hidden = np.tanh(matvec_rows(self.t_h.data, z) + self.b_h.data)
-            out[start : start + INFER_SLICE] = matvec_rows(self.o_t.data, hidden) + self.b_t.data
+        for rows, encodings in self.packed_encodings(words):
+            hidden = np.tanh(matvec_rows(self.t_h.data, encodings) + self.b_h.data)
+            out[rows] = matvec_rows(self.o_t.data, hidden) + self.b_t.data
         return out
 
     def forward(self, word: str) -> np.ndarray:
@@ -287,7 +295,7 @@ def train_mimick(
 
 def infer_oov(model: MimickModel, table: EmbeddingTable, words: list[str]) -> EmbeddingTable:
     """Infer vectors for the requested words (in-vocabulary ones included),
-    in one batched pass per INFER_SLICE words."""
+    in packed passes of at most INFER_SLICE words."""
     if model.dim != table.dim:
         raise DimensionError(f"model dimension {model.dim} != table dimension {table.dim}")
     words = list(dict.fromkeys(words))

@@ -11,6 +11,7 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -21,8 +22,9 @@ __all__ = [
     "LstmCellParams",
     "lstm_step",
     "bilstm",
-    "lstm_last_states",
+    "length_slices",
     "matvec_rows",
+    "packed_bilstm",
     "MomentumSgd",
     "GradCheckReport",
     "gradient_check",
@@ -509,7 +511,7 @@ def _lstm_update(a, c_prev, act, c, tanh_c, h) -> None:
     """One LSTM state update from the gate pre-activations a (..., 4, hidden),
     in gate order: writes sigmoid(i, f, o) and tanh(candidate) to act, the new
     cell state to c (which may be c_prev), tanh(c) to tanh_c and the new
-    hidden state to h. Tape.lstm and lstm_last_states both step through here,
+    hidden state to h. Tape.lstm and packed_bilstm both step through here,
     so their gate arithmetic is the same."""
     # exp(-logaddexp(0, -x)) never overflows
     act[..., :3, :] = np.exp(-np.logaddexp(0.0, -a[..., :3, :]))
@@ -520,54 +522,73 @@ def _lstm_update(a, c_prev, act, c, tanh_c, h) -> None:
 
 
 def matvec_rows(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The (B, m) matrix whose row b is w @ xs[b], for w (m, n) and xs (B, n).
+    """w @ x for each vector x on the last axis of xs, for w (m, n) and xs
+    (..., n); a stack of weights (..., m, n) broadcasts against xs's leading axes.
 
-    One BLAS mat-vec per row, so each row has the bits of w @ xs[b] computed
+    One BLAS mat-vec per vector, so each result has the bits of w @ x computed
     alone; one GEMM over all rows (xs @ w.T) rounds differently as B varies."""
-    return np.matmul(w, xs[:, :, None])[:, :, 0]
+    return np.matmul(w, xs[..., None])[..., 0]
 
 
-def lstm_last_states(
-    cell: LstmCellParams, groups: list[np.ndarray], reverse: bool = False
-) -> np.ndarray:
-    """The last states of many LSTM sequences run from zero state, grad-free.
+def length_slices(lengths: list[int], size: int) -> list[list[list[int]]]:
+    """The indices of sequences of the given lengths, longest first (input
+    order within a length), cut into slices of at most size sequences, each
+    slice a list of groups of one length: the packing packed_bilstm reads."""
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    return [
+        [list(group) for _, group in groupby(order[start : start + size], lengths.__getitem__)]
+        for start in range(0, len(order), size)
+    ]
+
+
+def packed_bilstm(
+    fwd: LstmCellParams, bwd: LstmCellParams, groups: list[np.ndarray]
+) -> list[np.ndarray]:
+    """The states of a BiLSTM run over many sequences from zero state, grad-free.
 
     groups are (B_L, L, input) arrays of sequences of one length L, longest
-    first. Row b of the (sum of B_L, hidden) result is the state of the b-th
-    sequence, counting the groups' rows in order, after its last step; with
-    reverse each sequence is read last row first, as Tape.lstm reads it.
+    first. For each group the result holds the (B_L, L, 2 * hidden) states in
+    input order, forward half first: row t of a sequence is the concatenation
+    of row t of Tape.lstm(fwd, xs) and of Tape.lstm(bwd, xs, reverse=True).
 
-    As in PyTorch's pack_padded_sequence, step t advances only the prefix of
-    sequences longer than t. Each product is the BLAS call Tape.lstm makes
-    for one sequence: one (L, input) GEMM per sequence for the input
-    projection, one mat-vec per sequence and step for the recurrence. So a
-    sequence's state has Tape.lstm's bits whatever else is in the batch; one
-    GEMM over all characters would not, as BLAS rounds rows differently for
-    different row counts.
+    Both directions advance together. As in PyTorch's pack_padded_sequence,
+    step t advances only the prefix of sequences longer than t: one mat-vec
+    per direction and sequence against the stacked recurrent weights, then one
+    gate update over all of them. The input projection is one (L, input) GEMM
+    per sequence and direction. These are the BLAS calls Tape.lstm makes for
+    one sequence, so a sequence's states have Tape.lstm's bits whatever else
+    is in the batch; one GEMM over all rows would not, as BLAS rounds rows
+    differently for different row counts.
     """
-    n, h = cell.input_size, cell.hidden_size
-    w = cell.w.data
+    n, h = fwd.input_size, fwd.hidden_size
     lengths = [g.shape[1] for g in groups]
     ends = np.cumsum([g.shape[0] for g in groups])
+    starts = ends - [g.shape[0] for g in groups]
     total = int(ends[-1])
-    pre = np.empty((total, lengths[0], 4 * h))
-    start = 0
-    for g, end in zip(groups, ends):
-        pre[start:end, : g.shape[1]] = (g[:, ::-1] if reverse else g) @ w[:, :n].T + cell.b.data
-        start = end
-    w_h = w[:, n:]
-    hs = np.zeros((total, h))
-    cs = np.zeros((total, h))
-    acts = np.empty((total, 4, h))
-    tanh_cs = np.empty((total, h))
+    # per sequence and step, the forward then the backward direction
+    pre = np.empty((total, lengths[0], 2, 4 * h))
+    for g, start, end in zip(groups, starts, ends):
+        pre[start:end, : g.shape[1], 0] = g @ fwd.w.data[:, :n].T + fwd.b.data
+        pre[start:end, : g.shape[1], 1] = g[:, ::-1] @ bwd.w.data[:, :n].T + bwd.b.data
+    w_h = np.stack([fwd.w.data[:, n:], bwd.w.data[:, n:]])
+    states = np.empty((total, lengths[0], 2, h))
+    hs = np.zeros((total, 2, h))
+    cs = np.zeros((total, 2, h))
+    acts = np.empty((total, 2, 4, h))
+    tanh_cs = np.empty((total, 2, h))
     running = len(groups)
     for t in range(lengths[0]):
         while lengths[running - 1] <= t:
             running -= 1
         k = ends[running - 1]
         a = pre[:k, t] + matvec_rows(w_h, hs[:k])
-        _lstm_update(a.reshape(k, 4, h), cs[:k], acts[:k], cs[:k], tanh_cs[:k], hs[:k])
-    return hs
+        _lstm_update(a.reshape(k, 2, 4, h), cs[:k], acts[:k], cs[:k], tanh_cs[:k], hs[:k])
+        states[:k, t] = hs[:k]
+    # the backward direction's step t read input row L - 1 - t
+    return [
+        np.concatenate([states[start:end, :L, 0], states[start:end, L - 1 :: -1, 1]], axis=-1)
+        for L, start, end in zip(lengths, starts, ends)
+    ]
 
 
 # ----------------------------------------------------------------------

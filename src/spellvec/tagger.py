@@ -12,15 +12,17 @@ an archive holds; any other form reads the variant's lookup, so tagging never
 changes the model. The char2tag and both variants additionally append a
 task-trained character BiLSTM output.
 
-Training runs the character encoders on the tape; tagging runs them
-grad-free, in one batched pass per sentence (char2tag) and one per corpus
-(the Mimick vectors of unseen forms), with the same bits.
+Training runs on the tape. Tagging is grad-free and batched per corpus: the
+Mimick vectors of unseen forms in one pass, then the sentences longest first,
+TAG_SLICE at a time, through packed passes of the character and sentence
+BiLSTMs and one head product per sentence length, with the tape's bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -46,6 +48,8 @@ from .nn import (
     bilstm,
     dropout_mask,
     glorot_uniform,
+    length_slices,
+    packed_bilstm,
 )
 
 VARIANTS = ("no-char", "mimick", "char2tag", "both")
@@ -61,6 +65,9 @@ POS_HEAD = "POS"
 
 # training sets at or below this many tokens get a doubled epoch budget
 LOW_RESOURCE_TOKENS = 5000
+
+# sentences per packed tagging pass: bounds the pass's per-step buffers
+TAG_SLICE = 64
 
 
 @dataclass
@@ -132,6 +139,16 @@ class Head:
 
     def logits(self, tape: Tape, h: Tensor) -> Tensor:
         return tape.affine(self.o_w, tape.tanh(tape.affine(self.w_h, h, self.b_h)), self.b_w)
+
+    def scores(self, h: np.ndarray) -> np.ndarray:
+        """logits() without a tape and with its BLAS calls: (values,) for a
+        (width,) state, (..., values) for (..., T, width) states, one GEMM
+        per sentence as Tape.affine does it."""
+
+        def affine(w: Tensor, x: np.ndarray, b: Tensor) -> np.ndarray:
+            return (w.data @ x if x.ndim == 1 else x @ w.data.T) + b.data
+
+        return affine(self.o_w, np.tanh(affine(self.w_h, h, self.b_h)), self.b_w)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {
@@ -226,13 +243,10 @@ class TaggerModel:
         sentence: Sentence,
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
-        grad: bool = True,
     ) -> Tensor:
         """The (T, 2 * hidden) sentence-BiLSTM states, one row per token. A
         sentence with any form outside training reads its word vectors as one
-        constant matrix: only tagging reads such forms, and it needs no gradient.
-        With grad=False (no backward pass follows) the char2tag encodings are
-        one constant matrix too, from one grad-free batched pass."""
+        constant matrix: no training row has a gradient to take."""
         if not sentence.tokens:
             raise ValueError("cannot run the tagger on an empty sentence")
         forms = [token.form for token in sentence.tokens]
@@ -246,10 +260,7 @@ class TaggerModel:
         else:
             reps = Tensor(np.stack([self.word_vector(form) for form in forms]))
         if self.c2t is not None:
-            if grad:
-                chars = tape.stack([self.c2t.forward_on_tape(tape, form) for form in forms])
-            else:
-                chars = Tensor(self.c2t.encode_many(forms))
+            chars = tape.stack([self.c2t.forward_on_tape(tape, form) for form in forms])
             reps = tape.concat([reps, chars])
         if dropout > 0.0:
             reps = tape.mul_const(reps, masks(self.width))
@@ -257,6 +268,30 @@ class TaggerModel:
         if dropout > 0.0:
             layer1 = tape.mul_const(layer1, masks(2 * self.hidden))
         return tape.concat(list(bilstm(tape, self.l2f, self.l2b, layer1)))
+
+    def packed_states(self, sentences: list[Sentence]) -> Iterator[tuple[list[int], np.ndarray]]:
+        """Grad-free sentence-BiLSTM states, bit-identical to states_on_tape()
+        without dropout, in packed passes of at most TAG_SLICE sentences,
+        longest first. Yields, per pass and sentence length L, the indices of
+        the sentences of that length and their (B_L, L, 2 * hidden) states."""
+        tokens = [sentence.tokens for sentence in sentences]
+        if not all(tokens):
+            raise ValueError("cannot run the tagger on an empty sentence")
+        for groups in length_slices([len(t) for t in tokens], TAG_SLICE):
+            # per group, its sentences' forms in order, B_L * L of them
+            forms = [[token.form for i in group for token in tokens[i]] for group in groups]
+            reps = [np.array([self.word_vector(form) for form in fs]) for fs in forms]
+            if self.c2t is not None:
+                distinct = list(dict.fromkeys(form for fs in forms for form in fs))
+                row = {form: i for i, form in enumerate(distinct)}
+                encodings = self.c2t.encode_many(distinct)
+                reps = [
+                    np.concatenate([r, encodings[[row[form] for form in fs]]], axis=1)
+                    for r, fs in zip(reps, forms)
+                ]
+            reps = [r.reshape(len(group), -1, self.width) for r, group in zip(reps, groups)]
+            layer1 = packed_bilstm(self.l1f, self.l1b, reps)
+            yield from zip(groups, packed_bilstm(self.l2f, self.l2b, layer1))
 
     # ------------------------------------------------------------------
     # loss
@@ -289,23 +324,26 @@ class TaggerModel:
     # ------------------------------------------------------------------
     # prediction
 
-    def tag_sentence(self, sentence: Sentence) -> list[tuple[str, dict[str, str]]]:
-        """Per-token (POS, attributes); NONE selections are emitted as
-        attribute absence. Argmax ties resolve to the lowest inventory index."""
-        tape = Tape()
-        states = self.states_on_tape(tape, sentence, grad=False)
-        pos = np.argmax(self.pos_head.logits(tape, states).data, axis=1)
-        choices = {
-            attr: np.argmax(head.logits(tape, states).data, axis=1)
-            for attr, head in self.attr_heads.items()
-        }
-        out = []
-        for t in range(len(sentence.tokens)):
-            attrs = {}
-            for attr, index in choices.items():
-                if index[t] != 0:
-                    attrs[attr] = self.schema.attrs[attr][index[t] - 1]
-            out.append((self.schema.pos[pos[t]], attrs))
+    def predict(self, sentences: list[Sentence]) -> list[list[tuple[str, dict[str, str]]]]:
+        """Per sentence, per token (POS, attributes), grad-free; NONE selections
+        are emitted as attribute absence. Argmax ties resolve to the lowest
+        inventory index."""
+        out: list = [None] * len(sentences)
+        for group, states in self.packed_states(sentences):
+            pos = np.argmax(self.pos_head.scores(states), axis=-1)
+            choices = {
+                attr: np.argmax(head.scores(states), axis=-1)
+                for attr, head in self.attr_heads.items()
+            }
+            for b, i in enumerate(group):
+                tagged = []
+                for t in range(states.shape[1]):
+                    attrs = {}
+                    for attr, index in choices.items():
+                        if index[b, t] != 0:
+                            attrs[attr] = self.schema.attrs[attr][index[b, t] - 1]
+                    tagged.append((self.schema.pos[pos[b, t]], attrs))
+                out[i] = tagged
         return out
 
     # ------------------------------------------------------------------
@@ -415,8 +453,11 @@ def attribute_distribution(model: TaggerModel, h: np.ndarray, attr: str) -> np.n
         head = model.attr_heads[attr]
     else:
         raise SchemaError(f"unknown attribute {attr!r}")
-    tape = Tape()
-    return tape.softmax(head.logits(tape, Tensor(h))).data.copy()
+    # Tape.softmax's expressions, so the same bits
+    logits = head.scores(h)
+    shifted = logits - logits.max()
+    e = np.exp(shifted)
+    return e / e.sum()
 
 
 def sentence_forward(
@@ -429,13 +470,12 @@ def sentence_forward(
     """Per-token hidden states; dropout applies in train mode only."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "train" and dropout > 0.0 and rng is None:
-        raise ValueError("train mode with dropout needs a random generator")
-    tape = Tape()
-    states = model.states_on_tape(
-        tape, sentence, dropout if mode == "train" else 0.0, rng, grad=False
-    )
-    return [row.copy() for row in states.data]
+    if mode == "train" and dropout > 0.0:
+        if rng is None:
+            raise ValueError("train mode with dropout needs a random generator")
+        return [row.copy() for row in model.states_on_tape(Tape(), sentence, dropout, rng).data]
+    ((_, states),) = model.packed_states([sentence])
+    return list(states[0])
 
 
 def joint_loss(
@@ -446,21 +486,20 @@ def joint_loss(
 
 
 def tag(model: TaggerModel, sentence: Sentence) -> list[tuple[str, dict[str, str]]]:
-    return model.tag_sentence(sentence)
+    return model.predict([sentence])[0]
 
 
 def tag_corpus(model: TaggerModel, sentences: list[Sentence]) -> list[Sentence]:
-    """Predicted copies of the input sentences (forms kept, tags replaced)."""
+    """Predicted copies of the input sentences (forms kept, tags replaced),
+    the Mimick vectors of unseen forms inferred in one batch first."""
     model.memoise_lookups([token.form for sentence in sentences for token in sentence.tokens])
-    out = []
-    for sentence in sentences:
-        tagged = model.tag_sentence(sentence)
-        tokens = [
-            Token(token.form, pos, attrs)
-            for token, (pos, attrs) in zip(sentence.tokens, tagged)
-        ]
-        out.append(Sentence(tokens, sentence.sent_id))
-    return out
+    return [
+        Sentence(
+            [Token(token.form, pos, attrs) for token, (pos, attrs) in zip(sentence.tokens, tagged)],
+            sentence.sent_id,
+        )
+        for sentence, tagged in zip(sentences, model.predict(sentences))
+    ]
 
 
 @dataclass

@@ -8,7 +8,12 @@ from synthetic import make_stems, suffix_sentences, suffix_table
 from spellvec.archive import load_archive
 from spellvec.cli import main
 from spellvec.conllu import parse_conllu, serialize_conllu
-from spellvec.embeddings import EmbeddingTable, read_embeddings, write_embeddings
+from spellvec.embeddings import (
+    EmbeddingParseError,
+    EmbeddingTable,
+    read_embeddings,
+    write_embeddings,
+)
 from spellvec.mimick import MimickModel, MimickTrainConfig, nearest_neighbors, train_mimick
 from spellvec.tagger import TaggerModel
 
@@ -126,6 +131,32 @@ class TestInfer:
         words.write_text("zzz\n", encoding="utf-8")
         assert main(["infer", str(mimick_model_path), str(other), str(words),
                      str(tmp_path / "out.txt")]) == 1
+
+    def test_reads_only_the_table_header(self, tmp_path, emb_path, mimick_model_path):
+        words = tmp_path / "words.txt"
+        words.write_text("zzz\nabq\n", encoding="utf-8")
+        header = emb_path.read_text(encoding="utf-8").splitlines()[0]
+        rowless = tmp_path / "rowless.txt"
+        rowless.write_text(header + "\nnot a row\n", encoding="utf-8")
+        expected, out = tmp_path / "expected.txt", tmp_path / "out.txt"
+        assert main(["infer", str(mimick_model_path), str(emb_path), str(words), str(expected)]) == 0
+        assert main(["infer", str(mimick_model_path), str(rowless), str(words), str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("content", ["", "\n", "12\n", "12 four\n", "12 0\n"])
+    def test_bad_header_fails_as_the_table_reader_does(
+        self, tmp_path, mimick_model_path, capsys, content
+    ):
+        table = tmp_path / "table.txt"
+        table.write_text(content, encoding="utf-8")
+        words = tmp_path / "words.txt"
+        words.write_text("zzz\n", encoding="utf-8")
+        with pytest.raises(EmbeddingParseError) as caught:
+            read_embeddings(content)
+        assert str(caught.value).startswith("line 1: ")
+        assert main(["infer", str(mimick_model_path), str(table), str(words),
+                     str(tmp_path / "out.txt")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {caught.value}"
 
 
 class TestNearestNeighbors:

@@ -12,7 +12,9 @@ from spellvec.nn import (
     Tensor,
     dropout_mask,
     gradient_check,
+    length_slices,
     lstm_step,
+    packed_bilstm,
 )
 
 
@@ -430,6 +432,33 @@ class TestLstmKernel:
             Tape().lstm(cell, Tensor(np.zeros(3)))
         with pytest.raises(DimensionError):
             Tape().lstm(cell, Tensor(np.zeros((0, 3))))
+
+
+class TestPackedBilstm:
+    """The grad-free packed pass gives each direction of every sequence the
+    bits of Tape.lstm, whatever else is in the batch."""
+
+    @pytest.mark.parametrize("hidden,width", [(3, 4), (128, 64)])
+    def test_each_direction_equals_the_tape_row_for_row(self, hidden, width):
+        rng = np.random.default_rng(hidden)
+        fwd, bwd = LstmCellParams(width, hidden, rng), LstmCellParams(width, hidden, rng)
+        # lengths 1-20, some repeated, in shuffled order
+        lengths = [int(n) for n in rng.permutation(list(range(1, 21)) + [1, 7, 7, 20])]
+        sequences = [rng.normal(size=(n, width)) for n in lengths]
+        (groups,) = length_slices(lengths, len(lengths))
+        assert [len(sequences[g[0]]) for g in groups] == list(range(20, 0, -1))
+        states = packed_bilstm(fwd, bwd, [np.stack([sequences[i] for i in g]) for g in groups])
+        for group, group_states in zip(groups, states):
+            assert group_states.shape == (len(group), len(sequences[group[0]]), 2 * hidden)
+            for i, got in zip(group, group_states):
+                xs = Tensor(sequences[i])
+                assert np.array_equal(got[:, :hidden], Tape().lstm(fwd, xs).data), i
+                assert np.array_equal(got[:, hidden:], Tape().lstm(bwd, xs, reverse=True).data), i
+
+    def test_length_slices_sort_longest_first_and_cut(self):
+        assert length_slices([2, 5, 2, 1, 5], 3) == [[[1, 4], [0]], [[2], [3]]]
+        assert length_slices([3, 3], 5) == [[[0, 1]]]
+        assert length_slices([], 4) == []
 
 
 class TestStackedGateStorage:

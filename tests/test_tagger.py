@@ -6,18 +6,21 @@ import pytest
 
 from synthetic import make_stems, suffix_sentences, suffix_table
 from spellvec.archive import ArchiveError, load_archive, save_archive
+from spellvec import tagger as tagger_module
 from spellvec.conllu import (
     AttributeSchema,
     CorpusSplit,
     SchemaError,
     Sentence,
     Token,
+    build_schema,
 )
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import CharVocabulary, MimickModel
 from spellvec.nn import Tape, Tensor, dropout_mask, gradient_check
 from spellvec.tagger import (
     POS_HEAD,
+    VARIANTS,
     TaggerModel,
     TaggerTrainConfig,
     WordRepSpec,
@@ -641,3 +644,127 @@ class TestTrainedRows:
         assert calls == ["zz"]
         assert np.array_equal(model.word_vector("zz"), original("zz"))
         assert model.parameters()["rows"].data.shape == (1, 3)
+
+
+def tape_tags(model, s):
+    """Per-sentence tape oracle: the sentence's states on a tape, then the
+    argmax of each head's logits on it, as tagging ran before it was batched."""
+    tape = Tape()
+    states = model.states_on_tape(tape, s)
+    pos = np.argmax(model.pos_head.logits(tape, states).data, axis=1)
+    choices = {
+        attr: np.argmax(head.logits(tape, states).data, axis=1)
+        for attr, head in model.attr_heads.items()
+    }
+    out = []
+    for t in range(len(s.tokens)):
+        attrs = {
+            attr: model.schema.attrs[attr][index[t] - 1]
+            for attr, index in choices.items()
+            if index[t] != 0
+        }
+        out.append((model.schema.pos[pos[t]], attrs))
+    return out
+
+
+def mixed_corpus_model(variant, seed=21):
+    """An untrained tagger at the default hidden sizes, and a shuffled corpus
+    of 46 sentences: lengths 1-11 with repeats, a 1-token sentence, forms
+    outside training and outside the table (some capitalised, some with
+    characters training never saw)."""
+    rng = np.random.default_rng(seed)
+    stems = make_stems(rng, 10)
+    table = suffix_table(rng, stems, dim=8)
+    train = suffix_sentences(rng, stems[:6], 8)
+    corpus = suffix_sentences(rng, stems, 40, min_len=1, max_len=12)
+    corpus += [Sentence([Token(f, "NOUN", {"Case": "Nom"}) for f in forms]) for forms in (
+        ["Qzan"], ["zzzk", stems[0] + "an", stems[1].upper() + "iv"], ["xyq"] * 4,
+        [stems[7] + "ok", "Qzan", stems[0] + "an"], [stems[8] + "qq"] * 2, ["z"],
+    )]
+    corpus = [corpus[i] for i in rng.permutation(len(corpus))]
+    mimick = None
+    if variant in ("mimick", "both"):
+        mimick = MimickModel(CharVocabulary.from_words(table.words()), dim=8, rng=rng)
+    forms = [t.form for s in train for t in s.tokens]
+    model = TaggerModel(
+        build_schema(train), WordRepSpec(variant, table, mimick),
+        c2t_chars=CharVocabulary.from_words(forms), rng=rng,
+    )
+    model.init_rows(forms)
+    return model, corpus
+
+
+class TestBatchedTagging:
+    """Tagging runs a whole corpus through grad-free packed passes with the
+    tape's bits: the same tags, states and distributions."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tag_corpus_equals_the_per_sentence_tape(self, variant):
+        model, corpus = mixed_corpus_model(variant)
+        assert len(corpus) >= 40 and min(len(s.tokens) for s in corpus) == 1
+        assert any(t.form not in model.rows for s in corpus for t in s.tokens)
+        tagged = tag_corpus(model, corpus)
+        assert [s.sent_id for s in tagged] == [s.sent_id for s in corpus]
+        for s, got in zip(corpus, tagged):
+            assert [t.form for t in got.tokens] == [t.form for t in s.tokens]
+            assert [(t.upos, t.attrs) for t in got.tokens] == tape_tags(model, s)
+        assert tag(model, corpus[0]) == tape_tags(model, corpus[0])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_sentence_has_the_same_states_alone_and_in_the_corpus(self, monkeypatch, variant):
+        model, corpus = mixed_corpus_model(variant)
+        # several passes, a length split across two of them
+        monkeypatch.setattr(tagger_module, "TAG_SLICE", 7)
+        in_corpus = {}
+        passes = list(model.packed_states(corpus))
+        for group, states in passes:
+            in_corpus.update(zip(group, states))
+        assert sorted(in_corpus) == list(range(len(corpus)))
+        assert len(passes) > len({len(s.tokens) for s in corpus})
+        for i, s in enumerate(corpus):
+            ((_, alone),) = model.packed_states([s])
+            assert np.array_equal(in_corpus[i], alone[0]), i
+            assert np.array_equal(alone[0], model.states_on_tape(Tape(), s).data), i
+            assert np.array_equal(np.stack(sentence_forward(model, s)), alone[0]), i
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tagging_builds_no_tape(self, monkeypatch, variant):
+        model, corpus = mixed_corpus_model(variant)
+        expected = [tape_tags(model, s) for s in corpus]
+
+        def no_tape(self):
+            raise AssertionError("tagging built a tape")
+
+        monkeypatch.setattr(Tape, "__init__", no_tape)
+        tagged = tag_corpus(model, corpus)
+        assert [[(t.upos, t.attrs) for t in s.tokens] for s in tagged] == expected
+        assert tag(model, corpus[1]) == expected[1]
+        h = np.stack(sentence_forward(model, corpus[2]))
+        assert attribute_distribution(model, h[0], POS_HEAD).shape == (len(model.schema.pos),)
+
+    def test_head_scores_equal_the_tape_logits(self):
+        model, corpus = mixed_corpus_model("no-char")
+        heads = [model.pos_head, *model.attr_heads.values()]
+        for group, states in model.packed_states(corpus):
+            scores = [head.scores(states) for head in heads]
+            for b, i in enumerate(group):
+                tape = Tape()
+                on_tape = model.states_on_tape(tape, corpus[i])
+                for head, got in zip(heads, scores):
+                    assert np.array_equal(got[b], head.logits(tape, on_tape).data), i
+
+    def test_attribute_distribution_has_the_bits_of_the_tape_softmax(self):
+        model, corpus = mixed_corpus_model("no-char")
+        for h in sentence_forward(model, corpus[0]):
+            for attr, head in [(POS_HEAD, model.pos_head), *model.attr_heads.items()]:
+                tape = Tape()
+                expected = tape.softmax(head.logits(tape, Tensor(h))).data
+                assert np.array_equal(attribute_distribution(model, h, attr), expected), attr
+
+    def test_an_empty_sentence_is_rejected(self):
+        model, corpus = mixed_corpus_model("no-char")
+        empty = Sentence([])
+        for run in (lambda: tag_corpus(model, corpus[:3] + [empty]), lambda: tag(model, empty),
+                    lambda: sentence_forward(model, empty)):
+            with pytest.raises(ValueError, match="cannot run the tagger on an empty sentence"):
+                run()
