@@ -17,6 +17,7 @@ from .embeddings import (
     UNK_LOWERCASE,
     EmbeddingTable,
     lookup,
+    lookup_many,
     read_embeddings,
     write_embeddings,
 )

@@ -97,12 +97,18 @@ def _check_type(path: str, key: str, value, default) -> None:
 
 def _read_table(path: str):
     with open(path, encoding="utf-8") as handle:
-        return read_embeddings(handle)
+        try:
+            return read_embeddings(handle)
+        except EmbeddingParseError as err:
+            raise CliError(f"{path}: {err}") from None
 
 
 def _read_corpus(path: str):
     with open(path, encoding="utf-8") as handle:
-        return parse_conllu(handle)
+        try:
+            return parse_conllu(handle)
+        except ConlluParseError as err:
+            raise CliError(f"{path}: {err}") from None
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +132,10 @@ def cmd_infer(args) -> int:
     # only the table's dimension is needed: read the header, not the rows
     with open(args.embeddings, encoding="utf-8") as handle:
         header = handle.readline()
-    _, dim = parse_header(header.rstrip("\n") if header else None)
+    try:
+        _, dim = parse_header(header.rstrip("\n") if header else None)
+    except EmbeddingParseError as err:
+        raise CliError(f"{args.embeddings}: {err}") from None
     with open(args.words, encoding="utf-8") as handle:
         words = [line.strip() for line in handle if line.strip()]
     extension = infer_oov(model, EmbeddingTable(dim), words)

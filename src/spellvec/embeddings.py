@@ -1,4 +1,4 @@
-"""Word embedding tables: text-format I/O and policy-based lookup.
+"""Word embedding tables: text-format I/O and policy-based lookup, one word or a batch.
 
 File format: a header line "V d", then V lines of "word v1 ... vd" with
 single-space separators, UTF-8, LF line endings. A row for the reserved
@@ -178,31 +178,50 @@ def lookup(
     word: str,
     mimick=None,
 ) -> tuple[np.ndarray, str]:
-    """Resolve a word to a vector under an OOV backoff policy.
+    """One word's (vector, provenance): lookup_many() of [word]."""
+    vectors, provenance = lookup_many(table, policy, [word], mimick)
+    return vectors[0], provenance[0]
 
-    Returns (vector, provenance) with provenance one of in-vocab, lowercase,
-    unk, mimicked. In-vocabulary words resolve to their own vector under
-    every policy.
+
+def lookup_many(
+    table: EmbeddingTable, policy: str, words: list[str], mimick=None
+) -> tuple[np.ndarray, list[str]]:
+    """Resolve words to vectors under an OOV backoff policy.
+
+    Returns a fresh (len(words), d) matrix and one provenance per word: in-vocab,
+    lowercase, unk or mimicked. In-vocabulary words resolve to their own vector
+    under every policy. Under mimick-direct, `mimick` needs only forward_many:
+    the words outside the table go to it in one call, in input order, and it
+    returns their (n, d) vectors; there is no call when every word is in the table.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    vec = table.get(word)
-    if vec is not None:
-        return vec.copy(), "in-vocab"
-    if policy == UNK_LOWERCASE:
-        if table.unk is None:
-            raise ValueError(f"policy {policy!r} requires an UNK vector")
-        lowered = table.get(word.lower())
-        if lowered is not None:
-            return lowered.copy(), "lowercase"
-        return table.unk.copy(), "unk"
-    if policy == MIMICK_DIRECT:
+    vectors = np.empty((len(words), table.dim))
+    provenance = []
+    oov = []  # indices of the words left to Mimick
+    for i, word in enumerate(words):
+        vec = table.get(word)
+        if vec is not None:
+            vectors[i] = vec
+            provenance.append("in-vocab")
+        elif policy == UNK_LOWERCASE:
+            if table.unk is None:
+                raise ValueError(f"policy {policy!r} requires an UNK vector")
+            lowered = table.get(word.lower())
+            vectors[i] = table.unk if lowered is None else lowered
+            provenance.append("unk" if lowered is None else "lowercase")
+        elif policy == MIMICK_DIRECT:
+            oov.append(i)
+            provenance.append("mimicked")
+        else:
+            raise OovLookupError(word)
+    if oov:
         if mimick is None:
             raise ValueError(f"policy {policy!r} requires a trained mimick model")
-        inferred = np.asarray(mimick.forward(word), dtype=np.float64)
-        if inferred.shape != (table.dim,):
+        inferred = np.asarray(mimick.forward_many([words[i] for i in oov]), dtype=np.float64)
+        if inferred.shape != (len(oov), table.dim):
             raise ValueError(
-                f"mimick output has shape {inferred.shape}, table dimension is {table.dim}"
+                f"mimick output has shape {inferred.shape}, expected {(len(oov), table.dim)}"
             )
-        return inferred, "mimicked"
-    raise OovLookupError(word)
+        vectors[oov] = inferred
+    return vectors, provenance

@@ -17,7 +17,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .conllu import Sentence
-from .embeddings import EmbeddingTable, OovLookupError, lookup
+from .embeddings import EmbeddingTable, OovLookupError, lookup_many
 from .fileio import text_lines
 
 
@@ -214,8 +214,7 @@ def spearman(
     sims, scores = [], []
     for w1, w2, score in dataset:
         try:
-            v1, _ = lookup(table, policy, w1, mimick)
-            v2, _ = lookup(table, policy, w2, mimick)
+            (v1, v2), _ = lookup_many(table, policy, [w1, w2], mimick)
         except OovLookupError:
             continue
         sims.append(cosine(v1, v2))

@@ -6,16 +6,17 @@ state into a distribution over that attribute's training inventory, with an
 explicit NONE class at index 0 for non-POS attributes.
 
 Word representations start from a pre-trained table and differ only in how
-out-of-vocabulary forms are initialized (the four variants below). The
-training forms' vectors are the rows of one trainable matrix, the only rows
-an archive holds; any other form reads the variant's lookup, so tagging never
-changes the model. The char2tag and both variants additionally append a
-task-trained character BiLSTM output.
+out-of-vocabulary forms are initialized (the four variants below, each a
+lookup_many policy). The training forms' vectors are the rows of one
+trainable matrix, the only rows an archive holds; any other form reads the
+variant's lookup, memoised per model and one batch per call, so tagging never
+changes the model. The char2tag and both variants append a task-trained
+character BiLSTM output.
 
-Training runs on the tape. Tagging is grad-free and batched per corpus: the
-Mimick vectors of unseen forms in one pass, then the sentences longest first,
-TAG_SLICE at a time, through packed passes of the character and sentence
-BiLSTMs and one head product per sentence length, with the tape's bits.
+Training runs on the tape. Tagging is grad-free and batched per corpus: each
+distinct form's word vector and character encoding once, then the sentences
+longest first, TAG_SLICE at a time, through packed passes of the sentence
+BiLSTM and one head product per sentence length, with the tape's bits.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .conllu import (
     build_schema,
     token_count,
 )
-from .embeddings import MIMICK_DIRECT, UNK_LOWERCASE, EmbeddingTable, lookup
+from .embeddings import MIMICK_DIRECT, UNK_LOWERCASE, EmbeddingTable, lookup_many
 from .evaluate import TaggedCorpusPair, micro_f1, pos_accuracy
 from .mimick import CharBiLstm, CharVocabulary, MimickModel, restore_parameters
 from .nn import (
@@ -91,9 +92,9 @@ class WordRepSpec:
         elif self.table.unk is None:
             raise ValueError(f"variant {self.variant!r} requires a table with an UNK vector")
 
-    def vector(self, word: str) -> np.ndarray:
-        """The word's vector from the table under the variant's backoff policy."""
-        return lookup(self.table, _VARIANT_POLICY[self.variant], word, self.mimick)[0]
+    def vectors(self, words: list[str]) -> np.ndarray:
+        """The words' (len(words), d) vectors under the variant's backoff policy."""
+        return lookup_many(self.table, _VARIANT_POLICY[self.variant], words, self.mimick)[0]
 
     @property
     def uses_char_lstm(self) -> bool:
@@ -210,29 +211,16 @@ class TaggerModel:
         """One trainable row per distinct form, first appearance first, each
         starting from the table under the variant's backoff policy."""
         self.rows = {form: i for i, form in enumerate(dict.fromkeys(forms))}
-        vectors = [self.rep.vector(form) for form in self.rows]
-        self.embeddings = Tensor(np.array(vectors).reshape(-1, self.rep.table.dim))
+        self.embeddings = Tensor(self.rep.vectors(list(self.rows)))
 
-    def word_vector(self, form: str) -> np.ndarray:
-        """A form's trained row, else its lookup, memoised; not to be written to."""
-        if form in self.rows:
-            return self.embeddings.data[self.rows[form]]
-        if form not in self._lookups:
-            self._lookups[form] = self.rep.vector(form)
-        return self._lookups[form]
-
-    def memoise_lookups(self, forms: list[str]) -> None:
-        """Memoise the Mimick vectors of the forms outside training and the
-        table (mimick and both variants) with one batched pass; word_vector
-        then reads the same vectors it would have inferred one by one."""
-        if _VARIANT_POLICY[self.rep.variant] != MIMICK_DIRECT:
-            return
-        unseen = [
-            form for form in dict.fromkeys(forms)
-            if form not in self.rows and form not in self._lookups and form not in self.rep.table
-        ]
-        if unseen:
-            self._lookups.update(zip(unseen, self.rep.mimick.forward_many(unseen)))
+    def word_vectors(self, forms: list[str]) -> np.ndarray:
+        """The forms' (len(forms), d) vectors: a training form's row, else its
+        lookup, memoised; the forms not yet memoised are looked up in one batch."""
+        unseen = [f for f in dict.fromkeys(forms) if f not in self.rows and f not in self._lookups]
+        self._lookups.update(zip(unseen, self.rep.vectors(unseen)))
+        rows = self.embeddings.data
+        vectors = [rows[self.rows[f]] if f in self.rows else self._lookups[f] for f in forms]
+        return np.array(vectors).reshape(len(forms), self.rep.table.dim)
 
     # ------------------------------------------------------------------
     # forward
@@ -258,7 +246,7 @@ class TaggerModel:
         if all(form in self.rows for form in forms):
             reps = tape.row(self.embeddings, [self.rows[form] for form in forms])
         else:
-            reps = Tensor(np.stack([self.word_vector(form) for form in forms]))
+            reps = Tensor(self.word_vectors(forms))
         if self.c2t is not None:
             chars = tape.stack([self.c2t.forward_on_tape(tape, form) for form in forms])
             reps = tape.concat([reps, chars])
@@ -277,20 +265,15 @@ class TaggerModel:
         tokens = [sentence.tokens for sentence in sentences]
         if not all(tokens):
             raise ValueError("cannot run the tagger on an empty sentence")
+        # each distinct form's representation once, gathered per length group
+        distinct = list(dict.fromkeys(token.form for t in tokens for token in t))
+        row = {form: i for i, form in enumerate(distinct)}
+        ids = [[row[token.form] for token in t] for t in tokens]
+        reps = self.word_vectors(distinct)
+        if self.c2t is not None:
+            reps = np.concatenate([reps, self.c2t.encode_many(distinct)], axis=1)
         for groups in length_slices([len(t) for t in tokens], TAG_SLICE):
-            # per group, its sentences' forms in order, B_L * L of them
-            forms = [[token.form for i in group for token in tokens[i]] for group in groups]
-            reps = [np.array([self.word_vector(form) for form in fs]) for fs in forms]
-            if self.c2t is not None:
-                distinct = list(dict.fromkeys(form for fs in forms for form in fs))
-                row = {form: i for i, form in enumerate(distinct)}
-                encodings = self.c2t.encode_many(distinct)
-                reps = [
-                    np.concatenate([r, encodings[[row[form] for form in fs]]], axis=1)
-                    for r, fs in zip(reps, forms)
-                ]
-            reps = [r.reshape(len(group), -1, self.width) for r, group in zip(reps, groups)]
-            layer1 = packed_bilstm(self.l1f, self.l1b, reps)
+            layer1 = packed_bilstm(self.l1f, self.l1b, [reps[[ids[i] for i in g]] for g in groups])
             yield from zip(groups, packed_bilstm(self.l2f, self.l2b, layer1))
 
     # ------------------------------------------------------------------
@@ -490,9 +473,7 @@ def tag(model: TaggerModel, sentence: Sentence) -> list[tuple[str, dict[str, str
 
 
 def tag_corpus(model: TaggerModel, sentences: list[Sentence]) -> list[Sentence]:
-    """Predicted copies of the input sentences (forms kept, tags replaced),
-    the Mimick vectors of unseen forms inferred in one batch first."""
-    model.memoise_lookups([token.form for sentence in sentences for token in sentence.tokens])
+    """Predicted copies of the input sentences (forms kept, tags replaced)."""
     return [
         Sentence(
             [Token(token.form, pos, attrs) for token, (pos, attrs) in zip(sentence.tokens, tagged)],

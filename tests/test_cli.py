@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from spellvec.embeddings import (
     read_embeddings,
     write_embeddings,
 )
-from spellvec.mimick import MimickModel, MimickTrainConfig, nearest_neighbors, train_mimick
+from spellvec.mimick import (
+    CharVocabulary,
+    MimickModel,
+    MimickTrainConfig,
+    nearest_neighbors,
+    train_mimick,
+)
 from spellvec.tagger import TaggerModel
 
 
@@ -156,7 +163,7 @@ class TestInfer:
         assert str(caught.value).startswith("line 1: ")
         assert main(["infer", str(mimick_model_path), str(table), str(words),
                      str(tmp_path / "out.txt")]) == 1
-        assert capsys.readouterr().err.splitlines()[-1] == f"error: {caught.value}"
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {table}: {caught.value}"
 
 
 class TestNearestNeighbors:
@@ -238,6 +245,50 @@ class TestTrainTagger:
         assert main(["train-tagger", "--train", str(train), "--embeddings", str(emb),
                      "--out", str(tmp_path / "t.svm"), "--variant", "mimick",
                      *TAGGER_FLAGS]) == 1
+
+
+# one malformed file per reader the CLI uses, and the argument it goes into
+BAD_INPUTS = {
+    "table": "2 3\ndog 1 2 3\ncat 4 five 6\n",
+    "header": "3\n",
+    "conllu": "# sent_id = 1\n1\tdog\n",
+}
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("table", ["train-tagger", "--train", "{train}", "--dev", "{dev}", "--embeddings", "{bad}",
+               "--out", "{out}"]),
+    ("conllu", ["train-tagger", "--train", "{bad}", "--embeddings", "{emb}", "--out", "{out}"]),
+    ("conllu", ["train-tagger", "--train", "{train}", "--dev", "{bad}", "--embeddings", "{emb}",
+                "--out", "{out}"]),
+    ("conllu", ["eval", "{bad}", "{dev}"]),
+    ("conllu", ["eval", "{dev}", "{bad}"]),
+    ("conllu", ["eval", "{dev}", "{dev}", "--train", "{bad}"]),
+    ("conllu", ["eval", "{dev}", "{dev}", "--compare", "{bad}"]),
+    ("table", ["nn", "{bad}", "dog"]),
+    ("header", ["infer", "{model}", "{bad}", "{words}", "{out}"]),
+])
+def test_a_parse_error_names_the_file(tmp_path, capsys, kind, argv):
+    emb, train, dev = build_tagger_corpus(tmp_path)
+    bad = tmp_path / f"bad-{kind}.txt"
+    bad.write_text(BAD_INPUTS[kind], encoding="utf-8")
+    model = tmp_path / "mimick.svm"
+    MimickModel(CharVocabulary("abc"), dim=4, char_dim=2, hidden=2,
+                rng=np.random.default_rng(0)).save(str(model))
+    words = tmp_path / "words.txt"
+    words.write_text("zzz\n", encoding="utf-8")
+    paths = dict(emb=emb, train=train, dev=dev, bad=bad, model=model, words=words,
+                 out=tmp_path / "out.txt")
+    parse = parse_conllu if kind == "conllu" else read_embeddings
+    with pytest.raises(ValueError) as caught:
+        parse(BAD_INPUTS[kind])
+    assert re.fullmatch(r"line \d+: .+", str(caught.value))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error")] == [
+        f"error: {bad}: {caught.value}"
+    ]
+    assert "Traceback" not in err
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spellvec.embeddings import (
     MIMICK_DIRECT,
@@ -11,6 +13,7 @@ from spellvec.embeddings import (
     EmbeddingTable,
     OovLookupError,
     lookup,
+    lookup_many,
     read_embeddings,
     write_embeddings,
 )
@@ -141,9 +144,9 @@ class FakeMimick:
         self.dim = dim
         self.calls = []
 
-    def forward(self, word):
-        self.calls.append(word)
-        return np.full(self.dim, float(len(word)))
+    def forward_many(self, words):
+        self.calls.append(list(words))
+        return np.array([np.full(self.dim, float(len(word))) for word in words])
 
 
 @pytest.fixture
@@ -178,7 +181,7 @@ class TestLookup:
         mimick = FakeMimick(2)
         vec, provenance = lookup(table, MIMICK_DIRECT, "Dog", mimick=mimick)
         assert provenance == "mimicked"
-        assert mimick.calls == ["Dog"]
+        assert mimick.calls == [["Dog"]]
         assert np.array_equal(vec, [3.0, 3.0])
 
     def test_table_only_raises_on_oov(self, table):
@@ -216,3 +219,39 @@ class TestLookup:
         assert vec.shape == (2,)
         with pytest.raises(ValueError, match="shape"):
             lookup(table, MIMICK_DIRECT, "xyzzy", mimick=FakeMimick(3))
+
+
+# repeats, case variants of in-table words, and OOV words
+batch_words = st.lists(
+    st.sampled_from(["dog", "cat", "Dog", "CAT", "zebra"])
+    | st.text("dDoOgGcCaAtTzZ", min_size=1, max_size=5),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_words)
+def test_lookup_many_equals_per_word_lookup(words):
+    table = EmbeddingTable(
+        2,
+        [("dog", np.array([1.0, -0.0])), ("cat", np.array([0.1, 1e-310]))],
+        unk=np.array([0.5, -2.5]),
+    )
+    oov = [word for word in words if word not in table]
+    for policy in (UNK_LOWERCASE, MIMICK_DIRECT):
+        mimick = FakeMimick(2)
+        vectors, provenance = lookup_many(table, policy, words, mimick=mimick)
+        single = [lookup(table, policy, word, mimick=FakeMimick(2)) for word in words]
+        expected = np.array([vec for vec, _ in single]).reshape(len(words), 2)
+        assert vectors.shape == expected.shape
+        assert vectors.tobytes() == expected.tobytes()
+        assert provenance == [origin for _, origin in single]
+        assert mimick.calls == ([oov] if policy == MIMICK_DIRECT and oov else [])
+    if oov:
+        with pytest.raises(OovLookupError):
+            lookup_many(table, TABLE_ONLY, words)
+    else:
+        vectors, provenance = lookup_many(table, TABLE_ONLY, words)
+        rows = np.array([table.vector(word) for word in words]).reshape(len(words), 2)
+        assert vectors.tobytes() == rows.tobytes()
+        assert provenance == ["in-vocab"] * len(words)

@@ -253,8 +253,8 @@ class TestSpearman:
 
     def test_mimick_direct_resolves_everything(self):
         class Stub:
-            def forward(self, word):
-                return np.array([1.0, float(len(word))])
+            def forward_many(self, words):
+                return np.array([[1.0, float(len(word))] for word in words])
 
         table = self.table()
         dataset = [("w0", "zz", 5.0), ("qqq", "w1", 4.0), ("a", "b", 3.0)]

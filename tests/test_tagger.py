@@ -17,7 +17,7 @@ from spellvec.conllu import (
 )
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import CharVocabulary, MimickModel
-from spellvec.nn import Tape, Tensor, dropout_mask, gradient_check
+from spellvec.nn import Tape, Tensor, dropout_mask, gradient_check, length_slices
 from spellvec.tagger import (
     POS_HEAD,
     VARIANTS,
@@ -82,7 +82,7 @@ def straight_line_states(model, sentence):
         b = sweep(bwd, xs[::-1])[::-1]
         return [np.concatenate(p) for p in zip(f, b)]
 
-    reps = [model.word_vector(t.form) for t in sentence.tokens]
+    reps = [model.word_vectors([t.form])[0] for t in sentence.tokens]
     return bilstm(model.l2f, model.l2b, bilstm(model.l1f, model.l1b, reps))
 
 
@@ -173,7 +173,8 @@ def test_train_mode_dropout_matches_straight_line_oracle_with_per_token_masks():
         return [np.concatenate(p) for p in zip(sweep(fwd, xs), sweep(bwd, xs[::-1])[::-1])]
 
     rng = np.random.default_rng(7)
-    reps = [model.word_vector(t.form) * dropout_mask(model.width, 0.5, rng) for t in s.tokens]
+    vectors = model.word_vectors([t.form for t in s.tokens])
+    reps = [v * dropout_mask(model.width, 0.5, rng) for v in vectors]
     layer1 = [h * dropout_mask(2 * model.hidden, 0.5, rng) for h in bilstm(model.l1f, model.l1b, reps)]
     expected = bilstm(model.l2f, model.l2b, layer1)
     assert len(got) == len(expected)
@@ -261,14 +262,41 @@ class TestVariants:
         table = tiny_table(rng, ["aa", "bb"], dim=3, with_unk=False)
         mimick = MimickModel(CharVocabulary("ab"), dim=3, char_dim=2, hidden=2, rng=rng)
         calls = []
-        original = mimick.forward
-        monkeypatch.setattr(mimick, "forward", lambda w: (calls.append(w), original(w))[1])
+        original = mimick.forward_many
+        monkeypatch.setattr(mimick, "forward_many", lambda ws: (calls.append(ws), original(ws))[1])
         schema = AttributeSchema(["A"], {}, {})
         model = TaggerModel(schema, WordRepSpec("mimick", table, mimick), hidden=2, rng=rng)
         tag(model, sentence(("aa", "A", {}), ("bb", "A", {})))
         assert calls == []
-        model.word_vector("oops")
-        assert calls == ["oops"]
+        model.word_vectors(["oops"])
+        assert calls == [["oops"]]
+
+    def counting_mimick_model(self, monkeypatch):
+        """A mimick-variant model whose table holds only "aa", the word lists
+        its Mimick is asked for, and the unpatched forward_many."""
+        rng = np.random.default_rng(1)
+        table = tiny_table(rng, ["aa"], dim=3, with_unk=False)
+        mimick = MimickModel(CharVocabulary("az"), dim=3, char_dim=2, hidden=2, rng=rng)
+        calls = []
+        original = mimick.forward_many
+        monkeypatch.setattr(mimick, "forward_many", lambda ws: (calls.append(ws), original(ws))[1])
+        model = TaggerModel(AttributeSchema(["A"], {}, {}), WordRepSpec("mimick", table, mimick),
+                            hidden=2, rng=rng)
+        return model, calls, original
+
+    def test_tag_infers_the_unseen_forms_of_a_sentence_in_one_call(self, monkeypatch):
+        model, calls, original = self.counting_mimick_model(monkeypatch)
+        model.init_rows(["aa"])
+        s = sentence(("zz", "A", {}), ("aa", "A", {}), ("za", "A", {}), ("zz", "A", {}))
+        assert tag(model, s) == tape_tags(model, s)
+        assert calls == [["zz", "za"]]
+
+    def test_init_rows_infers_the_forms_outside_the_table_in_one_call(self, monkeypatch):
+        model, calls, original = self.counting_mimick_model(monkeypatch)
+        model.init_rows(["zz", "aa", "za", "zz", "az"])
+        assert calls == [["zz", "za", "az"]]
+        for form in ("zz", "za", "az"):
+            assert np.array_equal(model.embeddings.data[model.rows[form]], original([form])[0])
 
     def test_no_char_variant_backs_off_to_lowercase_then_unk(self):
         rng = np.random.default_rng(2)
@@ -277,8 +305,8 @@ class TestVariants:
         )
         schema = AttributeSchema(["A"], {}, {})
         model = TaggerModel(schema, WordRepSpec("no-char", table), hidden=2, rng=rng)
-        assert np.array_equal(model.word_vector("Dog"), [1.0, 0.0])
-        assert np.array_equal(model.word_vector("cat"), [0.25, 0.25])
+        assert np.array_equal(model.word_vectors(["Dog"])[0], [1.0, 0.0])
+        assert np.array_equal(model.word_vectors(["cat"])[0], [0.25, 0.25])
 
     def test_char2tag_widens_word_representation(self):
         rng = np.random.default_rng(3)
@@ -322,13 +350,13 @@ class TestVariants:
         def representation(form):
             xs = [c2t.char_emb.data[i] for i in c2t.chars.encode(form)]
             ends = [sweep(c2t.fwd, xs)[-1], sweep(c2t.bwd, xs[::-1])[-1]]
-            return np.concatenate([model.word_vector(form), *ends])
+            return np.concatenate([model.word_vectors([form])[0], *ends])
 
         s = sentence(("a", "A", {}), ("aba", "A", {}))
         reps = [representation(t.form) for t in s.tokens]
         tape = Tape()
         for token, expected in zip(s.tokens, reps):
-            word = Tensor(model.word_vector(token.form))
+            word = Tensor(model.word_vectors([token.form])[0])
             got = tape.concat([word, c2t.forward_on_tape(tape, token.form)])
             assert np.allclose(got.data, expected, rtol=0.0, atol=1e-12), token.form
         # the same representations feed the sentence BiLSTM
@@ -602,7 +630,7 @@ class TestTrainedRows:
                  if f not in model.rows]
         assert extra
         manifest["meta"]["rows"] += extra
-        tensors["rows"] = np.vstack([tensors["rows"], *(model.rep.vector(f) for f in extra)])
+        tensors["rows"] = np.vstack([tensors["rows"], model.rep.vectors(extra)])
         save_archive(str(path), "tagger", manifest["meta"], tensors)
         loaded = TaggerModel.load(str(path))
         assert len(loaded.rows) == len(model.rows) + len(extra)
@@ -627,22 +655,22 @@ class TestTrainedRows:
         assert tag_corpus(model, corpus) == first
         assert len(batches) == 1
         for form in unseen:
-            assert np.array_equal(model.word_vector(form), original([form])[0]), form
+            assert np.array_equal(model.word_vectors([form])[0], original([form])[0]), form
 
     def test_an_unseen_form_is_looked_up_once_per_model(self, monkeypatch):
         rng = np.random.default_rng(1)
         table = tiny_table(rng, ["aa"], dim=3, with_unk=False)
         mimick = MimickModel(CharVocabulary("az"), dim=3, char_dim=2, hidden=2, rng=rng)
         calls = []
-        original = mimick.forward
-        monkeypatch.setattr(mimick, "forward", lambda w: (calls.append(w), original(w))[1])
+        original = mimick.forward_many
+        monkeypatch.setattr(mimick, "forward_many", lambda ws: (calls.append(ws), original(ws))[1])
         model = TaggerModel(AttributeSchema(["A"], {}, {}), WordRepSpec("mimick", table, mimick),
                             hidden=2, rng=rng)
         model.init_rows(["aa"])
         s = sentence(("zz", "A", {}), ("aa", "A", {}), ("zz", "A", {}))
         assert tag(model, s) == tag(model, s)
-        assert calls == ["zz"]
-        assert np.array_equal(model.word_vector("zz"), original("zz"))
+        assert calls == [["zz"]]
+        assert np.array_equal(model.word_vectors(["zz"])[0], original(["zz"])[0])
         assert model.parameters()["rows"].data.shape == (1, 3)
 
 
@@ -726,6 +754,26 @@ class TestBatchedTagging:
             assert np.array_equal(in_corpus[i], alone[0]), i
             assert np.array_equal(alone[0], model.states_on_tape(Tape(), s).data), i
             assert np.array_equal(np.stack(sentence_forward(model, s)), alone[0]), i
+
+    def test_a_corpus_is_encoded_once_per_call(self, monkeypatch):
+        model, corpus = mixed_corpus_model("both")
+        monkeypatch.setattr(tagger_module, "TAG_SLICE", 7)
+        assert len(corpus) > tagger_module.TAG_SLICE
+        forms = list(dict.fromkeys(t.form for s in corpus for t in s.tokens))
+        # the passes share forms: encoding per pass would encode some twice
+        passes = length_slices([len(s.tokens) for s in corpus], tagger_module.TAG_SLICE)
+        per_pass = [{t.form for g in gs for i in g for t in corpus[i].tokens} for gs in passes]
+        assert sum(map(len, per_pass)) > len(forms)
+        batches = []
+        original = model.c2t.encode_many
+        monkeypatch.setattr(model.c2t, "encode_many",
+                            lambda ws: (batches.append(ws), original(ws))[1])
+        tagged = tag_corpus(model, corpus)
+        assert batches == [forms]
+        for s, got in zip(corpus, tagged):
+            assert [(t.upos, t.attrs) for t in got.tokens] == tape_tags(model, s)
+        tag_corpus(model, corpus)
+        assert batches == [forms, forms]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_tagging_builds_no_tape(self, monkeypatch, variant):
