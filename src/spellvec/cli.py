@@ -13,6 +13,7 @@ import argparse
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 from .archive import ArchiveError
@@ -21,6 +22,7 @@ from .embeddings import (
     EmbeddingParseError,
     EmbeddingTable,
     OovLookupError,
+    check_word,
     parse_header,
     read_embeddings,
     write_embeddings,
@@ -62,7 +64,7 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         with open(args.config, encoding="utf-8") as handle:
             try:
                 overrides = json.load(handle)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
                 raise CliError(f"config {args.config}: {err}") from None
         if not isinstance(overrides, dict):
             raise CliError(f"config {args.config}: expected a JSON object")
@@ -95,20 +97,59 @@ def _check_type(path: str, key: str, value, default) -> None:
         raise CliError(f"config {path}: key {key!r} must be {expected.__name__}, got {got}")
 
 
+@contextmanager
+def _reading(path: str):
+    """The UTF-8 text file at path, open for the block; a parse or decoding
+    error in the block becomes a CliError that names the file and the line."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except (EmbeddingParseError, ConlluParseError) as err:
+        raise CliError(f"{path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise CliError(f"{path}: {_undecodable_line(path, err)}") from None
+
+
+def _undecodable_line(path: str, err: UnicodeDecodeError) -> str:
+    """The first line of path that is not UTF-8, with its decoding error.
+
+    The text reader decodes in chunks, so err's position is an offset into
+    a chunk, not into the file; a newline byte never occurs inside a UTF-8
+    sequence, so the file can be decoded line by line instead."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as line_err:
+                return f"line {number}: {line_err}"
+    return str(err)
+
+
 def _read_table(path: str):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return read_embeddings(handle)
-        except EmbeddingParseError as err:
-            raise CliError(f"{path}: {err}") from None
+    with _reading(path) as handle:
+        return read_embeddings(handle)
 
 
 def _read_corpus(path: str):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return parse_conllu(handle)
-        except ConlluParseError as err:
-            raise CliError(f"{path}: {err}") from None
+    with _reading(path) as handle:
+        return parse_conllu(handle)
+
+
+def _read_words(path: str) -> list[str]:
+    """The non-blank lines of a word list, stripped; each must be a word the
+    embedding text format can write."""
+    words = []
+    with _reading(path) as handle:
+        for number, line in enumerate(handle, 1):
+            word = line.strip()
+            if not word:
+                continue
+            try:
+                check_word(word)
+            except ValueError as err:
+                raise EmbeddingParseError(number, str(err)) from None
+            words.append(word)
+    return words
 
 
 # ----------------------------------------------------------------------
@@ -130,14 +171,10 @@ def cmd_train_mimick(args) -> int:
 def cmd_infer(args) -> int:
     model = MimickModel.load(args.model)
     # only the table's dimension is needed: read the header, not the rows
-    with open(args.embeddings, encoding="utf-8") as handle:
+    with _reading(args.embeddings) as handle:
         header = handle.readline()
-    try:
         _, dim = parse_header(header.rstrip("\n") if header else None)
-    except EmbeddingParseError as err:
-        raise CliError(f"{args.embeddings}: {err}") from None
-    with open(args.words, encoding="utf-8") as handle:
-        words = [line.strip() for line in handle if line.strip()]
+    words = _read_words(args.words)
     extension = infer_oov(model, EmbeddingTable(dim), words)
     sink = io.StringIO()
     write_embeddings(extension, sink)

@@ -166,9 +166,14 @@ def write_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:
         sink.write(_format_row(word, vec))
 
 
-def _format_row(word: str, vec: np.ndarray) -> str:
+def check_word(word: str) -> None:
+    """Raise ValueError unless word can be written as a row's word."""
     if not word or " " in word or "\n" in word:
         raise ValueError(f"word {word!r} cannot be represented in the text format")
+
+
+def _format_row(word: str, vec: np.ndarray) -> str:
+    check_word(word)
     return word + (" %.17g" * len(vec)) % tuple(vec.tolist()) + "\n"
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "LstmCellParams",
+    "sigmoid",
     "lstm_step",
     "bilstm",
     "length_slices",
@@ -77,6 +78,23 @@ def _require_vector(op: str, *tensors: Tensor) -> None:
 def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
+
+
+def sigmoid(x, out=None) -> np.ndarray:
+    """The logistic function, computed as 0.5 * tanh(0.5 * x) + 0.5: the one
+    sigmoid of every LSTM gate, on the tape and off it.
+
+    Halving is exact, so the result is within 2**-53 of the slower softplus
+    form exp(-softplus(-x)), exactly 0.5 at 0 and exactly 0 or 1 once
+    |x| > 38; nothing overflows. The result is written to out if given.
+    """
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 class Tape:
@@ -358,8 +376,7 @@ class Tape:
         return self._emit(out, backward)
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        # exp(-logaddexp(0, -x)) never overflows
-        out = Tensor(np.exp(-np.logaddexp(0.0, -a.data)))
+        out = Tensor(sigmoid(a.data))
 
         def backward(g):
             a.grad += g * out.data * (1.0 - out.data)
@@ -513,9 +530,8 @@ def _lstm_update(a, c_prev, act, c, tanh_c, h) -> None:
     cell state to c (which may be c_prev), tanh(c) to tanh_c and the new
     hidden state to h. Tape.lstm and packed_bilstm both step through here,
     so their gate arithmetic is the same."""
-    # exp(-logaddexp(0, -x)) never overflows
-    act[..., :3, :] = np.exp(-np.logaddexp(0.0, -a[..., :3, :]))
-    act[..., 3, :] = np.tanh(a[..., 3, :])
+    sigmoid(a[..., :3, :], out=act[..., :3, :])
+    np.tanh(a[..., 3, :], out=act[..., 3, :])
     np.add(act[..., 1, :] * c_prev, act[..., 0, :] * act[..., 3, :], out=c)
     np.tanh(c, out=tanh_c)
     np.multiply(act[..., 2, :], tanh_c, out=h)

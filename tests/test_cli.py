@@ -165,6 +165,23 @@ class TestInfer:
                      str(tmp_path / "out.txt")]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {table}: {caught.value}"
 
+    def test_an_unwritable_word_fails_before_inference(
+        self, tmp_path, emb_path, mimick_model_path, capsys, monkeypatch
+    ):
+        words = tmp_path / "words.txt"
+        words.write_text("zzz\n\nfoo bar\nabq\n", encoding="utf-8")
+        out = tmp_path / "oov.txt"
+
+        def forward_many(self, batch):
+            raise AssertionError("forward_many ran before the word list was checked")
+
+        monkeypatch.setattr(MimickModel, "forward_many", forward_many)
+        assert main(["infer", str(mimick_model_path), str(emb_path), str(words), str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {words}: line 3: word 'foo bar' cannot be represented in the text format"
+        )
+        assert not out.exists()
+
 
 class TestNearestNeighbors:
     def test_in_vocab_query_returns_itself_first(self, emb_path, capsys):
@@ -255,7 +272,8 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("kind, argv", [
+# each argument position a text input goes into, with the kind of file it reads
+READER_ARGVS = [
     ("table", ["train-tagger", "--train", "{train}", "--dev", "{dev}", "--embeddings", "{bad}",
                "--out", "{out}"]),
     ("conllu", ["train-tagger", "--train", "{bad}", "--embeddings", "{emb}", "--out", "{out}"]),
@@ -267,18 +285,26 @@ BAD_INPUTS = {
     ("conllu", ["eval", "{dev}", "{dev}", "--compare", "{bad}"]),
     ("table", ["nn", "{bad}", "dog"]),
     ("header", ["infer", "{model}", "{bad}", "{words}", "{out}"]),
-])
-def test_a_parse_error_names_the_file(tmp_path, capsys, kind, argv):
+]
+
+
+def reader_paths(tmp_path, bad):
+    """The argv placeholders of READER_ARGVS, bad given."""
     emb, train, dev = build_tagger_corpus(tmp_path)
-    bad = tmp_path / f"bad-{kind}.txt"
-    bad.write_text(BAD_INPUTS[kind], encoding="utf-8")
     model = tmp_path / "mimick.svm"
     MimickModel(CharVocabulary("abc"), dim=4, char_dim=2, hidden=2,
                 rng=np.random.default_rng(0)).save(str(model))
     words = tmp_path / "words.txt"
     words.write_text("zzz\n", encoding="utf-8")
-    paths = dict(emb=emb, train=train, dev=dev, bad=bad, model=model, words=words,
-                 out=tmp_path / "out.txt")
+    return dict(emb=emb, train=train, dev=dev, bad=bad, model=model, words=words,
+                out=tmp_path / "out.txt")
+
+
+@pytest.mark.parametrize("kind, argv", READER_ARGVS)
+def test_a_parse_error_names_the_file(tmp_path, capsys, kind, argv):
+    bad = tmp_path / f"bad-{kind}.txt"
+    bad.write_text(BAD_INPUTS[kind], encoding="utf-8")
+    paths = reader_paths(tmp_path, bad)
     parse = parse_conllu if kind == "conllu" else read_embeddings
     with pytest.raises(ValueError) as caught:
         parse(BAD_INPUTS[kind])
@@ -289,6 +315,45 @@ def test_a_parse_error_names_the_file(tmp_path, capsys, kind, argv):
         f"error: {bad}: {caught.value}"
     ]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in READER_ARGVS] + [
+    ["infer", "{model}", "{emb}", "{bad}", "{out}"],
+])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    # a valid table, corpus and word list but for one Latin-1 byte (0xff)
+    bad.write_bytes(b"2 3\ndog 1 2 3\nc\xffat 4 5 6\n")
+    paths = reader_paths(tmp_path, bad)
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error")] == [
+        f"error: {bad}: line 3: 'utf-8' codec can't decode byte 0xff in position 1: "
+        "invalid start byte"
+    ]
+    assert "Traceback" not in err
+    assert not paths["out"].exists()
+
+
+def test_a_decoding_error_past_the_first_chunk_names_its_line(tmp_path, capsys):
+    table = tmp_path / "big.txt"
+    # the text reader decodes 8 KiB chunks; the bad byte is in a later one
+    rows = "".join(f"w{i} 1 2 3\n" for i in range(1500)).encode("utf-8")
+    table.write_bytes(b"1501 3\n" + rows + b"c\xffat 4 5 6\n")
+    assert main(["nn", str(table), "w0"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {table}: line 1502: 'utf-8' codec can't decode byte 0xff in position 1: "
+        "invalid start byte"
+    )
+
+
+def test_a_config_that_is_not_utf8_is_named(tmp_path, capsys):
+    emb, train, dev = build_tagger_corpus(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"epochs": "\xff"}')
+    assert main(["train-tagger", "--train", str(train), "--embeddings", str(emb),
+                 "--out", str(tmp_path / "t.svm"), "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: config {config}: ")
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spellvec import nn
 from spellvec.nn import (
@@ -15,6 +17,7 @@ from spellvec.nn import (
     length_slices,
     lstm_step,
     packed_bilstm,
+    sigmoid,
 )
 
 
@@ -574,3 +577,95 @@ def test_matrix_ops_match_their_vector_forms_row_by_row():
         assert picked[r] == m[r, [3, 0, 1][r]]
         assert np.array_equal(joined[r], np.concatenate([m[r], n[r]]))
     assert np.array_equal(rows, m[[2, 2, 0]])
+
+
+class TestSigmoid:
+    """The tanh-form gate sigmoid against the softplus form it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    @example([np.inf, -np.inf])
+    @example([5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+    @example([1e308, -1e308, np.finfo(float).max, -np.finfo(float).max])
+    def test_within_half_an_ulp_of_one_of_the_softplus_form(self, values):
+        x = np.array(values)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = sigmoid(x)
+            mirrored = sigmoid(-x)
+        reference = np.exp(-np.logaddexp(0.0, -x))
+        assert np.all((0.0 <= got) & (got <= 1.0))
+        assert np.all(np.abs(got - reference) <= 2.0**-53)
+        assert np.all(np.abs(mirrored - (1.0 - got)) <= 2.0**-53)
+        # the gate update's sigmoid rows have Tape.sigmoid's bits
+        a = np.stack([x, -x, x, np.zeros_like(x)])
+        act, state = np.empty_like(a), np.zeros((4, len(x)))
+        nn._lstm_update(a, state[0], act, state[1], state[2], state[3])
+        assert np.array_equal(act[:3], Tape().sigmoid(Tensor(a[:3])).data)
+
+    def test_exact_at_zero_and_beyond_38(self):
+        assert np.array_equal(sigmoid(np.array([0.0, -0.0])), [0.5, 0.5])
+        assert np.array_equal(sigmoid(np.array([38.5, 40.0, 1e3, np.inf])), np.ones(4))
+        assert np.array_equal(sigmoid(np.array([-38.5, -40.0, -1e3, -np.inf])), np.zeros(4))
+
+
+def saturate(cell, rng, gates, magnitude):
+    """Set the biases of the given gates to +-magnitude (random signs) and
+    check that, for inputs in [-4, 4], every pre-activation of those gates
+    lies beyond +-40, where the sigmoid is exactly 0 or 1."""
+    h = cell.hidden_size
+    for gate in gates:
+        rows = slice(h * "ifoc".index(gate), h * ("ifoc".index(gate) + 1))
+        cell.b.data[rows] = rng.choice([-1.0, 1.0], size=h) * magnitude
+        reach = np.abs(cell.w.data[rows]).sum(axis=1) * 4.0
+        assert np.all(np.abs(cell.b.data[rows]) - reach > 40.0)
+
+
+class TestSaturatedGates:
+    """Gate pre-activations beyond +-40, where i, f and o are exactly 0 or 1."""
+
+    def test_packed_states_equal_the_tape(self):
+        rng = np.random.default_rng(40)
+        fwd, bwd = LstmCellParams(4, 3, rng), LstmCellParams(4, 3, rng)
+        saturate(fwd, rng, "ifo", 60.0)
+        saturate(bwd, rng, "ifo", 60.0)
+        lengths = [5, 3, 3, 1, 7]
+        sequences = [np.clip(rng.normal(size=(n, 4)), -4.0, 4.0) for n in lengths]
+        (groups,) = length_slices(lengths, len(lengths))
+        states = packed_bilstm(fwd, bwd, [np.stack([sequences[i] for i in g]) for g in groups])
+        for group, group_states in zip(groups, states):
+            for i, got in zip(group, group_states):
+                xs = Tensor(sequences[i])
+                assert np.array_equal(got[:, :3], Tape().lstm(fwd, xs).data), i
+                assert np.array_equal(got[:, 3:], Tape().lstm(bwd, xs, reverse=True).data), i
+
+    @pytest.mark.parametrize("magnitude", [60.0, 1e3, 1e300])
+    def test_tape_gradients_are_finite(self, magnitude):
+        rng = np.random.default_rng(41)
+        cell = LstmCellParams(3, 4, rng)
+        saturate(cell, rng, "ifoc", magnitude)
+        xs = Tensor(np.clip(rng.normal(size=(6, 3)), -4.0, 4.0))
+        for reverse in (False, True):
+            for p in [*cell.parameters().values(), xs]:
+                p.zero_grad()
+            tape = Tape()
+            states = tape.lstm(cell, xs, reverse)
+            tape.backward(tape.sum_squares(states))
+            assert np.all(np.isfinite(states.data))
+            assert np.all(np.isfinite(cell.w.grad)) and np.all(np.isfinite(cell.b.grad))
+            assert np.all(np.isfinite(xs.grad))
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(42)
+        for steps in (1, 3, 5):
+            for reverse in (False, True):
+                cell = LstmCellParams(3, 2, rng)
+                saturate(cell, rng, "ifo", 60.0)
+                params = cell.parameters()
+                params["xs"] = Tensor(np.clip(rng.normal(size=(steps, 3)), -4.0, 4.0))
+
+                def forward():
+                    t = Tape()
+                    return t, t.sum_squares(t.lstm(cell, params["xs"], reverse))
+
+                report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
+                assert report.passed, (steps, reverse, report)
