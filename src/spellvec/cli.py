@@ -22,6 +22,7 @@ from .embeddings import (
     EmbeddingParseError,
     EmbeddingTable,
     OovLookupError,
+    UNK_TOKEN,
     check_word,
     parse_header,
     read_embeddings,
@@ -137,19 +138,40 @@ def _read_corpus(path: str):
 
 def _read_words(path: str) -> list[str]:
     """The non-blank lines of a word list, stripped; each must be a word the
-    embedding text format can write."""
+    embedding text format can write as a regular row, so not the reserved
+    UNK token, which would read back as the table's UNK vector."""
     words = []
     with _reading(path) as handle:
         for number, line in enumerate(handle, 1):
             word = line.strip()
             if not word:
                 continue
+            if word == UNK_TOKEN:
+                raise EmbeddingParseError(
+                    number, f"word {UNK_TOKEN!r} is reserved for the UNK vector"
+                )
             try:
                 check_word(word)
             except ValueError as err:
                 raise EmbeddingParseError(number, str(err)) from None
             words.append(word)
     return words
+
+
+def _warn_if_diverged(trace) -> None:
+    """One stderr line for the first epoch whose mean train loss exceeds 1e100
+    times epoch 1's, or 1e100 if epoch 1's is above 1: a run can diverge
+    within epoch 1 and stay finite. The factor is a heuristic; the run is
+    neither stopped nor changed."""
+    reference = 1e100 * min(1.0, trace[0].train_loss)
+    for e in trace:
+        if e.train_loss > reference:
+            print(
+                f"warning: epoch {e.epoch}: mean train loss {e.train_loss:.3g} exceeds "
+                f"{reference:.3g}; training has likely diverged",
+                file=sys.stderr,
+            )
+            return
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +183,7 @@ def cmd_train_mimick(args) -> int:
     table = _read_table(args.embeddings)
     cfg = MimickTrainConfig(**{f: resolved[k] for k, f in MIMICK_FIELDS.items()})
     model, trace = train_mimick(table, cfg)
+    _warn_if_diverged(trace)
     model.save(args.out, extra_meta={"config": resolved})
     rows = ["epoch\ttrain_loss\tdev_loss\n"]
     rows += [f"{e.epoch}\t{e.train_loss:.17g}\t{e.dev_loss:.17g}\n" for e in trace]
@@ -210,6 +233,7 @@ def cmd_train_tagger(args) -> int:
     rep = WordRepSpec(resolved["variant"], table, mimick)
     cfg = TaggerTrainConfig(**{f: resolved[k] for k, f in TAGGER_FIELDS.items()})
     model, trace = train_tagger(CorpusSplit(train, dev, []), rep, cfg)
+    _warn_if_diverged(trace)
     model.save(args.out, extra_meta={"config": resolved})
     rows = ["epoch\ttrain_loss\tdev_pos_accuracy\tdev_micro_f1\n"]
     rows += [

@@ -52,6 +52,7 @@ class EmbeddingTable:
                 raise ValueError(f"duplicate word {word!r}")
             self._entries[word] = self._check_vector(word, vec)
         self.unk = None if unk is None else self._check_vector(UNK_TOKEN, unk)
+        self._words: list[str] | None = None
         self._matrix: np.ndarray | None = None
         self._norms: np.ndarray | None = None
 
@@ -74,7 +75,11 @@ class EmbeddingTable:
         return self._entries.get(word)
 
     def words(self) -> list[str]:
-        return list(self._entries)
+        """The words in table order, cached: every call returns the same list,
+        which callers must not modify."""
+        if self._words is None:
+            self._words = list(self._entries)
+        return self._words
 
     def items(self):
         return self._entries.items()

@@ -306,10 +306,14 @@ def nearest_neighbors(
     table: EmbeddingTable, query: np.ndarray, k: int
 ) -> list[tuple[str, float]]:
     """Top-k table words by cosine similarity, descending; ties broken by
-    table order; zero-norm table vectors rank last."""
+    table order; zero-norm table vectors rank last. A query costs one pass
+    over the table plus an O(V) selection of the k best; the result is the
+    first k of a full stable sort."""
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (table.dim,):
         raise DimensionError(f"query shape {query.shape}, expected ({table.dim},)")
+    if not np.isfinite(query).all():
+        raise ValueError("query vector must be finite")
     qnorm = np.linalg.norm(query)
     if qnorm == 0.0:
         raise ValueError("query vector must be non-zero")
@@ -323,6 +327,12 @@ def nearest_neighbors(
     # sort keeps ties in table order
     dots = np.einsum("ij,j->i", matrix, query)
     sims[nonzero] = dots[nonzero] / (norms[nonzero] * qnorm)
-    order = np.argsort(-sims, kind="stable")[:k]
+    neg = -sims
+    kth = np.partition(neg, k - 1)[k - 1]
+    # every row that can be among the first k of a full stable sort: those tied
+    # with the k-th included, and all rows if the k-th key is NaN; they are in
+    # table order, so the stable sort keeps ties in table order
+    candidates = np.flatnonzero(~(neg > kth))
+    order = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
     words = table.words()
     return [(words[i], float(sims[i])) for i in order]

@@ -172,6 +172,13 @@ class CharToTag(CharBiLstm):
 
 
 class TaggerModel:
+    """The sentence BiLSTM and heads over word representations.
+
+    The memo of looked-up vectors for forms outside the training rows
+    (`_lookups`) is never saved and never evicted: it grows by one vector
+    per distinct unseen form for the model's lifetime, so a long-lived
+    tagging process holds every form it has tagged."""
+
     def __init__(
         self,
         schema: AttributeSchema,

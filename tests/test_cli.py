@@ -17,6 +17,7 @@ from spellvec.embeddings import (
 )
 from spellvec.mimick import (
     CharVocabulary,
+    EpochLoss,
     MimickModel,
     MimickTrainConfig,
     nearest_neighbors,
@@ -183,6 +184,24 @@ class TestInfer:
         assert not out.exists()
 
 
+    def test_the_reserved_unk_token_fails_before_inference(
+        self, tmp_path, emb_path, mimick_model_path, capsys, monkeypatch
+    ):
+        words = tmp_path / "words.txt"
+        words.write_text("zzz\n<UNK>\n", encoding="utf-8")
+        out = tmp_path / "oov.txt"
+
+        def forward_many(self, batch):
+            raise AssertionError("forward_many ran before the word list was checked")
+
+        monkeypatch.setattr(MimickModel, "forward_many", forward_many)
+        assert main(["infer", str(mimick_model_path), str(emb_path), str(words), str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {words}: line 2: word '<UNK>' is reserved for the UNK vector"
+        )
+        assert not out.exists()
+
+
 class TestNearestNeighbors:
     def test_in_vocab_query_returns_itself_first(self, emb_path, capsys):
         table = small_table()
@@ -207,6 +226,17 @@ class TestNearestNeighbors:
         model = MimickModel.load(str(mimick_model_path))
         expected = nearest_neighbors(table, model.forward("zzzzz"), 4)
         assert [ln.split("\t")[0] for ln in lines] == [w for w, _ in expected]
+
+    def test_a_model_inferring_nan_fails_with_one_line(self, tmp_path, emb_path, capsys):
+        model = MimickModel(CharVocabulary("abcdef"), dim=4, char_dim=2, hidden=2,
+                            rng=np.random.default_rng(0))
+        model.b_t.data[0] = np.nan
+        path = tmp_path / "nan.svm"
+        model.save(str(path))
+        assert main(["nn", str(emb_path), "zzzzz", "--model", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: query vector must be finite"
 
 
 def build_tagger_corpus(tmp_path, seed=0, n_train=10, n_dev=3):
@@ -496,3 +526,48 @@ def test_diverging_mimick_run_fails_with_one_line_and_writes_nothing(tmp_path, c
         "error: epoch 1: loss inf on word 'huge'; training diverged"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
+
+def warning_lines(err):
+    return [line for line in err.splitlines() if line.startswith("warning:")]
+
+
+def test_a_finitely_diverging_tagger_run_warns_once_and_is_saved(tmp_path, capsys):
+    # lr 1e300 saturates the units: every mean loss is near 1e302, and finite
+    emb, train, dev = build_tagger_corpus(tmp_path)
+    out = tmp_path / "tagger.svm"
+    assert main(["train-tagger", "--train", str(train), "--dev", str(dev), "--embeddings",
+                 str(emb), "--out", str(out), *TAGGER_FLAGS, "--lr", "1e300"]) == 0
+    (line,) = warning_lines(capsys.readouterr().err)
+    assert re.fullmatch(
+        r"warning: epoch 1: mean train loss \S+ exceeds 1e\+100; training has likely diverged",
+        line,
+    ), line
+    TaggerModel.load(str(out))
+    assert len((tmp_path / "tagger.svm.trace.tsv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("losses, warned", [
+    ([0.5, 0.4, 0.3], None),
+    ([0.5, 4e99, 6e99, 1e300], 3),  # 1e100 times epoch 1's 0.5
+    ([2.0, 9e99, 2e100], 3),  # epoch 1's loss counts as 1
+    ([1e101, 1e101], 1),
+])
+def test_mimick_divergence_warning_compares_with_epoch_one(
+    tmp_path, emb_path, capsys, monkeypatch, losses, warned
+):
+    def fake_train(table, cfg):
+        model, _ = train_mimick(table, cfg)
+        return model, [EpochLoss(i + 1, loss, 0.0) for i, loss in enumerate(losses)]
+
+    monkeypatch.setattr("spellvec.cli.train_mimick", fake_train)
+    out = tmp_path / "m.svm"
+    assert main(["train-mimick", str(emb_path), str(out), *MIMICK_FLAGS]) == 0
+    warnings = warning_lines(capsys.readouterr().err)
+    if warned is None:
+        assert warnings == []
+    else:
+        (line,) = warnings
+        assert line.startswith(f"warning: epoch {warned}: mean train loss "), line
+    MimickModel.load(str(out))
+    assert len((tmp_path / "m.svm.trace.tsv").read_text().splitlines()) == len(losses) + 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import (
@@ -293,6 +295,12 @@ class TestNearestNeighbors:
         with pytest.raises(ValueError):
             nearest_neighbors(table, np.zeros(2), k=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        table = EmbeddingTable(2, [("zero", np.zeros(2)), ("x", np.array([1.0, 0.0]))])
+        with pytest.raises(ValueError, match="^query vector must be finite$"):
+            nearest_neighbors(table, np.array([bad, 1.0]), k=2)
+
     def test_k_out_of_range_rejected(self):
         table = EmbeddingTable(2, [("x", np.array([1.0, 0.0]))])
         with pytest.raises(ValueError):
@@ -308,3 +316,53 @@ class TestNearestNeighbors:
             scores = dict(ranked)
             assert order.index("w0") < order.index("copy"), dim
             assert scores["w0"] == scores["copy"], dim
+
+    def test_duplicate_row_tie_on_the_kth_place(self):
+        # the copies come after the rows they tie with, so only table order
+        # puts them after w0 when the k-th place falls among the tied rows
+        rows = np.random.default_rng(5).normal(size=(10, 6))
+        entries = [(f"w{i}", row) for i, row in enumerate(rows)]
+        table = EmbeddingTable(6, entries + [("copy", rows[0]), ("copy2", rows[0])])
+        full = nearest_neighbors(table, rows[0], k=len(table))
+        for k, expected in [(1, ["w0"]), (2, ["w0", "copy"]), (3, ["w0", "copy", "copy2"])]:
+            ranked = nearest_neighbors(table, rows[0], k=k)
+            assert [word for word, _ in ranked] == expected
+            assert ranked == full[:k]
+            assert len({sim for _, sim in ranked}) == 1
+
+
+def full_sort_ranking(table, query, k):
+    """The first k of a full stable sort of the same similarities: the
+    straight-line reference for nearest_neighbors' selection."""
+    norms = table.norms()
+    sims = np.full(len(table), -np.inf)
+    nonzero = norms > 0.0
+    dots = np.einsum("ij,j->i", table.matrix(), query)
+    sims[nonzero] = dots[nonzero] / (norms[nonzero] * np.linalg.norm(query))
+    words = table.words()
+    return [(words[i], float(sims[i])) for i in np.argsort(-sims, kind="stable")[:k]]
+
+
+# few distinct values, so rows repeat and scores tie; huge ones overflow the
+# norms into inf and the similarities into NaN
+VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1e200, -1e300]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_selection_equals_full_stable_sort(data):
+    dim = data.draw(st.integers(1, 4))
+    row = st.lists(VALUES, min_size=dim, max_size=dim)
+    distinct = data.draw(st.lists(row, min_size=1, max_size=6))
+    # each row a zero row or a draw, with repeats, from a few distinct ones
+    picks = data.draw(st.lists(st.integers(-1, len(distinct) - 1), min_size=1, max_size=25))
+    rows = [np.zeros(dim) if p < 0 else np.array(distinct[p]) for p in picks]
+    table = EmbeddingTable(dim, [(f"w{i}", r) for i, r in enumerate(rows)])
+    query = np.array(data.draw(row))
+    k = data.draw(st.integers(1, len(table)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assume(np.linalg.norm(query) > 0.0)
+        got = nearest_neighbors(table, query, k)
+        expected = full_sort_ranking(table, query, k)
+    assert [w for w, _ in got] == [w for w, _ in expected]
+    assert np.array([s for _, s in got]).tobytes() == np.array([s for _, s in expected]).tobytes()
