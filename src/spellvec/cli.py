@@ -14,14 +14,12 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import astuple, fields
 
-from .archive import ArchiveError
 from .conllu import ConlluParseError, CorpusSplit, parse_conllu, serialize_conllu, subsample
 from .embeddings import (
     EmbeddingParseError,
     EmbeddingTable,
-    OovLookupError,
     UNK_TOKEN,
     check_word,
     parse_header,
@@ -31,7 +29,6 @@ from .embeddings import (
 from .evaluate import TaggedCorpusPair, mcnemar, pos_correctness, render_report
 from .fileio import atomic_write_text
 from .mimick import MimickModel, MimickTrainConfig, infer_oov, nearest_neighbors, train_mimick
-from .nn import DimensionError
 from .tagger import (
     LOSS_MODES,
     TaggerModel,
@@ -86,12 +83,17 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
+def _setting_type(default) -> type:
+    """A setting's type: its default's, or int for token_limit, whose default is None."""
+    return int if default is None else type(default)
+
+
 def _check_type(path: str, key: str, value, default) -> None:
-    """A config-file value must have its default's type (token_limit, whose
-    default is null, takes an int); ints pass as floats, bools never as numbers."""
+    """A config-file value must have its setting's type, or be null where the
+    default is; ints pass as floats, bools never as numbers."""
     if value is None and default is None:
         return
-    expected = int if default is None else type(default)
+    expected = _setting_type(default)
     accepted = (int, float) if expected is float else expected
     if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
         got = "null" if value is None else type(value).__name__
@@ -158,11 +160,12 @@ def _read_words(path: str) -> list[str]:
     return words
 
 
-def _warn_if_diverged(trace) -> None:
-    """One stderr line for the first epoch whose mean train loss exceeds 1e100
-    times epoch 1's, or 1e100 if epoch 1's is above 1: a run can diverge
-    within epoch 1 and stay finite. The factor is a heuristic; the run is
-    neither stopped nor changed."""
+def _finish_run(args, resolved: dict, model, trace) -> None:
+    """Warn if training diverged, then save the model with its resolved config
+    and the trace TSV (the epoch record's field names, then one row per epoch).
+    The warning names the first epoch whose mean train loss exceeds 1e100 times
+    epoch 1's, or 1e100 if epoch 1's is above 1 (a run can diverge within epoch
+    1 and stay finite); the factor is a heuristic, and the run is saved as is."""
     reference = 1e100 * min(1.0, trace[0].train_loss)
     for e in trace:
         if e.train_loss > reference:
@@ -171,7 +174,11 @@ def _warn_if_diverged(trace) -> None:
                 f"{reference:.3g}; training has likely diverged",
                 file=sys.stderr,
             )
-            return
+            break
+    model.save(args.out, extra_meta={"config": resolved})
+    rows = ["\t".join(f.name for f in fields(trace[0]))]
+    rows += ["\t".join(f"{value:.17g}" for value in astuple(e)) for e in trace]
+    atomic_write_text(args.trace or args.out + ".trace.tsv", "\n".join(rows) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -183,11 +190,7 @@ def cmd_train_mimick(args) -> int:
     table = _read_table(args.embeddings)
     cfg = MimickTrainConfig(**{f: resolved[k] for k, f in MIMICK_FIELDS.items()})
     model, trace = train_mimick(table, cfg)
-    _warn_if_diverged(trace)
-    model.save(args.out, extra_meta={"config": resolved})
-    rows = ["epoch\ttrain_loss\tdev_loss\n"]
-    rows += [f"{e.epoch}\t{e.train_loss:.17g}\t{e.dev_loss:.17g}\n" for e in trace]
-    atomic_write_text(args.trace or args.out + ".trace.tsv", "".join(rows))
+    _finish_run(args, resolved, model, trace)
     return 0
 
 
@@ -233,14 +236,7 @@ def cmd_train_tagger(args) -> int:
     rep = WordRepSpec(resolved["variant"], table, mimick)
     cfg = TaggerTrainConfig(**{f: resolved[k] for k, f in TAGGER_FIELDS.items()})
     model, trace = train_tagger(CorpusSplit(train, dev, []), rep, cfg)
-    _warn_if_diverged(trace)
-    model.save(args.out, extra_meta={"config": resolved})
-    rows = ["epoch\ttrain_loss\tdev_pos_accuracy\tdev_micro_f1\n"]
-    rows += [
-        f"{e.epoch}\t{e.train_loss:.17g}\t{e.dev_pos_accuracy:.17g}\t{e.dev_micro_f1:.17g}\n"
-        for e in trace
-    ]
-    atomic_write_text(args.trace or args.out + ".trace.tsv", "".join(rows))
+    _finish_run(args, resolved, model, trace)
     return 0
 
 
@@ -274,6 +270,20 @@ def cmd_eval(args) -> int:
 # parser
 
 
+def _add_setting_flags(p: argparse.ArgumentParser, defaults: dict, trace_help: str) -> None:
+    """--config, --trace and one flag per setting: the key with "-" for "_",
+    typed as its default (a bool is a store_true switch)."""
+    p.add_argument("--config", help="JSON file of setting overrides")
+    p.add_argument("--trace", help=trace_help)
+    choices = {"loss": LOSS_MODES, "variant": VARIANTS}
+    for key, default in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=_setting_type(default), choices=choices.get(key))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spellvec",
@@ -284,15 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-mimick", help="train a spelling-to-vector model")
     p.add_argument("embeddings", help="embedding table in text format")
     p.add_argument("out", help="output model archive")
-    p.add_argument("--config", help="JSON file of setting overrides")
-    p.add_argument("--trace", help="per-epoch loss file (default: OUT.trace.tsv)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--char-dim", type=int, dest="char_dim")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--dev-fraction", type=float, dest="dev_fraction")
+    _add_setting_flags(p, MIMICK_DEFAULTS, "per-epoch loss file (default: OUT.trace.tsv)")
     p.set_defaults(run=cmd_train_mimick)
 
     p = sub.add_parser("infer", help="infer vectors for a word list")
@@ -315,20 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True, help="embedding table in text format")
     p.add_argument("--out", required=True, help="output model archive")
     p.add_argument("--mimick", help="mimick archive for the mimick/both variants")
-    p.add_argument("--config", help="JSON file of setting overrides")
-    p.add_argument("--trace", help="per-epoch metric file (default: OUT.trace.tsv)")
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--loss", choices=LOSS_MODES)
-    p.add_argument("--token-limit", type=int, dest="token_limit")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--char-dim", type=int, dest="char_dim")
-    p.add_argument("--char-hidden", type=int, dest="char_hidden")
-    p.add_argument("--pos-only", action="store_true", dest="pos_only")
+    _add_setting_flags(p, TAGGER_DEFAULTS, "per-epoch metric file (default: OUT.trace.tsv)")
     p.set_defaults(run=cmd_train_tagger)
 
     p = sub.add_parser("tag", help="tag a corpus with a trained model")
@@ -361,19 +350,14 @@ def main(argv=None) -> int:
     )
     try:
         return args.run(args)
-    except (
-        CliError,
-        ArchiveError,
-        ConlluParseError,
-        EmbeddingParseError,
-        DimensionError,
-        OovLookupError,
-        ValueError,
-        OSError,
-    ) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

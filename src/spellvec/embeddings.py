@@ -54,6 +54,7 @@ class EmbeddingTable:
         self.unk = None if unk is None else self._check_vector(UNK_TOKEN, unk)
         self._words: list[str] | None = None
         self._matrix: np.ndarray | None = None
+        self._scaled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._norms: np.ndarray | None = None
 
     def _check_vector(self, word: str, vec) -> np.ndarray:
@@ -94,10 +95,25 @@ class EmbeddingTable:
         return self._matrix
 
     def norms(self) -> np.ndarray:
-        """The Euclidean norm of each entry vector, in table order, cached."""
+        """The Euclidean norm of each entry vector, in table order, cached;
+        finite wherever it is representable."""
         if self._norms is None:
-            self._norms = np.linalg.norm(self.matrix(), axis=1)
+            _, norms, exponents = self._scaled_rows()
+            self._norms = np.ldexp(norms, exponents)
         return self._norms
+
+    def _scaled_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entry vectors, each row whose largest magnitude is beyond
+        2**±500 times the power of two 2**-e that brings it into [0.5, 1), so
+        no norm or dot product overflows; their norms; and each e (0 for a row
+        left as it is, and a table of such rows is not copied); cached."""
+        if self._scaled is None:
+            matrix = self.matrix()
+            exponents = np.frexp(np.abs(matrix).max(axis=1))[1]
+            exponents[np.abs(exponents) <= 500] = 0
+            rows = np.ldexp(matrix, -exponents[:, None]) if exponents.any() else matrix
+            self._scaled = (rows, np.linalg.norm(rows, axis=1), exponents)
+        return self._scaled
 
 
 def parse_header(line: str | None) -> tuple[int, int]:

@@ -22,7 +22,6 @@ from .nn import (
     MomentumSgd,
     Tape,
     Tensor,
-    bilstm,
     embedding_init,
     glorot_uniform,
     length_slices,
@@ -107,7 +106,8 @@ class CharBiLstm:
     def encode(self, tape: Tape, indices: list[int]) -> Tensor:
         if not indices:
             raise ValueError("cannot embed an empty word")
-        forward, backward = bilstm(tape, self.fwd, self.bwd, tape.row(self.char_emb, indices))
+        chars = tape.row(self.char_emb, indices)
+        forward, backward = tape.lstm(self.fwd, chars), tape.lstm(self.bwd, chars, reverse=True)
         return tape.concat([tape.row(forward, -1), tape.row(backward, 0)])
 
     def packed_encodings(self, words: list[str]) -> Iterator[tuple[list[int], np.ndarray]]:
@@ -314,18 +314,20 @@ def nearest_neighbors(
         raise DimensionError(f"query shape {query.shape}, expected ({table.dim},)")
     if not np.isfinite(query).all():
         raise ValueError("query vector must be finite")
+    # the query and the rows scaled by powers of two: nothing overflows, and
+    # a similarity that needed no scaling keeps its bits
+    query = np.ldexp(query, -np.frexp(np.abs(query).max())[1])
     qnorm = np.linalg.norm(query)
     if qnorm == 0.0:
         raise ValueError("query vector must be non-zero")
     if not 1 <= k <= len(table):
         raise ValueError(f"k must be in [1, {len(table)}], got {k}")
-    matrix = table.matrix()
-    norms = table.norms()
+    rows, norms, _ = table._scaled_rows()
     sims = np.full(len(table), -np.inf)
     nonzero = norms > 0.0
     # einsum, unlike BLAS, scores identical rows identically, so the stable
     # sort keeps ties in table order
-    dots = np.einsum("ij,j->i", matrix, query)
+    dots = np.einsum("ij,j->i", rows, query)
     sims[nonzero] = dots[nonzero] / (norms[nonzero] * qnorm)
     neg = -sims
     kth = np.partition(neg, k - 1)[k - 1]

@@ -22,7 +22,6 @@ __all__ = [
     "LstmCellParams",
     "sigmoid",
     "lstm_step",
-    "bilstm",
     "length_slices",
     "matvec_rows",
     "packed_bilstm",
@@ -32,21 +31,11 @@ __all__ = [
     "dropout_mask",
     "glorot_uniform",
     "embedding_init",
-    "set_debug_checks",
 ]
 
 
 class DimensionError(ValueError):
     """Shapes of an operation's inputs do not conform."""
-
-
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf detection on every recorded operation result."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 class Tensor:
@@ -110,8 +99,6 @@ class Tape:
         return len(self._records)
 
     def _emit(self, out: Tensor, backward) -> Tensor:
-        if _debug_checks and not np.all(np.isfinite(out.data)):
-            raise FloatingPointError("operation produced a non-finite value")
         self._records.append((out, backward))
         return out
 
@@ -514,14 +501,6 @@ def lstm_step(
     c = tape.add(tape.mul(f, c_prev), tape.mul(i, cand))
     h = tape.mul(o, tape.tanh(c))
     return h, c
-
-
-def bilstm(
-    tape: Tape, fwd: LstmCellParams, bwd: LstmCellParams, xs: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Forward and backward sweeps from zero state over the rows of xs; both
-    (T, hidden) state matrices are returned in input order."""
-    return tape.lstm(fwd, xs), tape.lstm(bwd, xs, reverse=True)
 
 
 def _lstm_update(a, c_prev, act, c, tanh_c, h) -> None:

@@ -46,7 +46,6 @@ from .nn import (
     MomentumSgd,
     Tape,
     Tensor,
-    bilstm,
     dropout_mask,
     glorot_uniform,
     length_slices,
@@ -259,10 +258,10 @@ class TaggerModel:
             reps = tape.concat([reps, chars])
         if dropout > 0.0:
             reps = tape.mul_const(reps, masks(self.width))
-        layer1 = tape.concat(list(bilstm(tape, self.l1f, self.l1b, reps)))
+        layer1 = tape.concat([tape.lstm(self.l1f, reps), tape.lstm(self.l1b, reps, reverse=True)])
         if dropout > 0.0:
             layer1 = tape.mul_const(layer1, masks(2 * self.hidden))
-        return tape.concat(list(bilstm(tape, self.l2f, self.l2b, layer1)))
+        return tape.concat([tape.lstm(self.l2f, layer1), tape.lstm(self.l2b, layer1, reverse=True)])
 
     def packed_states(self, sentences: list[Sentence]) -> Iterator[tuple[list[int], np.ndarray]]:
         """Grad-free sentence-BiLSTM states, bit-identical to states_on_tape()

@@ -1,13 +1,19 @@
+import argparse
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spellvec
 from synthetic import make_stems, suffix_sentences, suffix_table
 from spellvec.archive import load_archive
-from spellvec.cli import main
+from spellvec.cli import MIMICK_DEFAULTS, TAGGER_DEFAULTS, build_parser, main
 from spellvec.conllu import parse_conllu, serialize_conllu
 from spellvec.embeddings import (
     EmbeddingParseError,
@@ -23,7 +29,7 @@ from spellvec.mimick import (
     nearest_neighbors,
     train_mimick,
 )
-from spellvec.tagger import TaggerModel
+from spellvec.tagger import LOSS_MODES, VARIANTS, TaggerModel
 
 
 def write_table(path, table):
@@ -238,6 +244,21 @@ class TestNearestNeighbors:
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == "error: query vector must be finite"
 
+    def test_runs_as_a_module_and_scores_huge_rows(self, tmp_path):
+        # norms and dot products of 1e200 rows overflow unless the rows are scaled
+        table = tmp_path / "huge.txt"
+        table.write_text("3 2\na 1 0\nb 1e200 1e200\nc 0 0\n", encoding="utf-8")
+        src = str(Path(spellvec.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "spellvec.cli", "nn", str(table), "a", "--k", "3"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "a\t1.000000\nb\t0.707107\nc\t-inf\n"
+        assert run.stderr == f"invocation: command=nn embeddings={table} k=3 word=a\n"
+
 
 def build_tagger_corpus(tmp_path, seed=0, n_train=10, n_dev=3):
     rng = np.random.default_rng(seed)
@@ -292,6 +313,57 @@ class TestTrainTagger:
         assert main(["train-tagger", "--train", str(train), "--embeddings", str(emb),
                      "--out", str(tmp_path / "t.svm"), "--variant", "mimick",
                      *TAGGER_FLAGS]) == 1
+
+
+# per training command: its defaults, its required arguments and its input flags
+SETTING_COMMANDS = {
+    "train-mimick": (MIMICK_DEFAULTS, ["emb.txt", "m.svm"], set()),
+    "train-tagger": (TAGGER_DEFAULTS, ["--train", "t", "--embeddings", "e", "--out", "o"],
+                     {"train", "dev", "embeddings", "out", "mimick"}),
+}
+
+
+def setting_flags(command):
+    """dest -> option strings of the command's setting flags, in parser order."""
+    inputs = SETTING_COMMANDS[command][2]
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a.option_strings for a in commands.choices[command]._actions
+            if a.option_strings and a.dest not in {"help", "config", "trace", *inputs}}
+
+
+@pytest.mark.parametrize("command", SETTING_COMMANDS)
+def test_setting_flags_are_the_defaults_keys_typed_as_their_defaults(command):
+    defaults, required, _ = SETTING_COMMANDS[command]
+    flags = setting_flags(command)
+    assert list(flags) == list(defaults)  # field order, as --help lists them
+    parser = build_parser()
+    unset = parser.parse_args([command, *required])
+    for key, default in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        assert flags[key] == [flag]
+        assert getattr(unset, key) in (None, False)  # the config's value applies
+        if isinstance(default, bool):
+            value = []
+        elif isinstance(default, str):
+            value = [default]
+        else:
+            value = ["7" if default is None or isinstance(default, int) else "0.25"]
+        parsed = getattr(parser.parse_args([command, *required, flag, *value]), key)
+        assert type(parsed) is (int if default is None else type(default)), key
+
+
+@pytest.mark.parametrize("flag, allowed", [("--loss", LOSS_MODES), ("--variant", VARIANTS)])
+def test_choice_settings_take_only_their_choices(capsys, flag, allowed):
+    required = SETTING_COMMANDS["train-tagger"][1]
+    parser = build_parser()
+    for value in allowed:
+        args = parser.parse_args(["train-tagger", *required, flag, value])
+        assert getattr(args, flag[2:]) == value
+    with pytest.raises(SystemExit) as exited:
+        parser.parse_args(["train-tagger", *required, flag, "other"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'other'" in capsys.readouterr().err
 
 
 # one malformed file per reader the CLI uses, and the argument it goes into

@@ -290,6 +290,16 @@ class TestNearestNeighbors:
         assert ranked[-1][0] == "zero"
         assert ranked[-1][1] == -np.inf
 
+    def test_huge_and_tiny_rows_score_their_true_cosine(self):
+        table = EmbeddingTable(2, [("a", np.array([1.0, 0.0])), ("b", np.array([1e200, 1e200])),
+                                   ("c", np.zeros(2)), ("d", np.array([-1e-200, 1e-200]))])
+        with np.errstate(all="raise"):
+            ranked = nearest_neighbors(table, np.array([1.0, 0.0]), k=4)
+            assert ranked == [("a", 1.0), ("b", pytest.approx(2 ** -0.5, rel=1e-15)),
+                              ("d", pytest.approx(-(2 ** -0.5), rel=1e-15)), ("c", -np.inf)]
+            assert nearest_neighbors(table, np.array([1e300, 1e300]), k=1) == [("b", 1.0)]
+            assert table.norms()[1] == pytest.approx(2 ** 0.5 * 1e200, rel=1e-15)
+
     def test_zero_query_rejected(self):
         table = EmbeddingTable(2, [("x", np.array([1.0, 0.0]))])
         with pytest.raises(ValueError):
@@ -334,17 +344,18 @@ class TestNearestNeighbors:
 def full_sort_ranking(table, query, k):
     """The first k of a full stable sort of the same similarities: the
     straight-line reference for nearest_neighbors' selection."""
-    norms = table.norms()
+    rows, norms, _ = table._scaled_rows()
+    query = np.ldexp(query, -np.frexp(np.abs(query).max())[1])
     sims = np.full(len(table), -np.inf)
     nonzero = norms > 0.0
-    dots = np.einsum("ij,j->i", table.matrix(), query)
+    dots = np.einsum("ij,j->i", rows, query)
     sims[nonzero] = dots[nonzero] / (norms[nonzero] * np.linalg.norm(query))
     words = table.words()
     return [(words[i], float(sims[i])) for i in np.argsort(-sims, kind="stable")[:k]]
 
 
-# few distinct values, so rows repeat and scores tie; huge ones overflow the
-# norms into inf and the similarities into NaN
+# few distinct values, so rows repeat and scores tie; huge ones would overflow
+# unscaled norms and dot products
 VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1e200, -1e300]) | st.floats(-4.0, 4.0)
 
 
@@ -360,8 +371,8 @@ def test_selection_equals_full_stable_sort(data):
     table = EmbeddingTable(dim, [(f"w{i}", r) for i, r in enumerate(rows)])
     query = np.array(data.draw(row))
     k = data.draw(st.integers(1, len(table)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assume(np.linalg.norm(query) > 0.0)
+    assume(np.any(query != 0.0))
+    with np.errstate(over="raise", invalid="raise"):
         got = nearest_neighbors(table, query, k)
         expected = full_sort_ranking(table, query, k)
     assert [w for w, _ in got] == [w for w, _ in expected]
