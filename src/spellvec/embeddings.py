@@ -9,11 +9,11 @@ float64 exactly; a nan or infinite value is rejected when read.
 
 from __future__ import annotations
 
-from typing import IO, Iterable
+import os
+from stat import S_ISREG
+from typing import IO, Iterable, Iterator
 
 import numpy as np
-
-from .fileio import text_lines
 
 UNK_TOKEN = "<UNK>"
 
@@ -35,7 +35,10 @@ class OovLookupError(KeyError):
 
 
 class EmbeddingTable:
-    """Ordered word -> vector mapping of fixed dimension, immutable once built."""
+    """Ordered word -> vector mapping of fixed dimension, immutable once built:
+    one read-only (V, d) matrix whose rows are the entries in table order, a
+    word -> row dict, and the word list. vector(), get() and items() hand out
+    views into the matrix."""
 
     def __init__(
         self,
@@ -45,62 +48,79 @@ class EmbeddingTable:
     ):
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
-        self.dim = dim
-        self._entries: dict[str, np.ndarray] = {}
+        words, vectors = [], []
         for word, vec in entries.items() if isinstance(entries, dict) else entries:
-            if word in self._entries:
-                raise ValueError(f"duplicate word {word!r}")
-            self._entries[word] = self._check_vector(word, vec)
-        self.unk = None if unk is None else self._check_vector(UNK_TOKEN, unk)
-        self._words: list[str] | None = None
-        self._matrix: np.ndarray | None = None
-        self._scaled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._norms: np.ndarray | None = None
+            vec = np.asarray(vec, dtype=np.float64)
+            if vec.shape != (dim,):
+                raise ValueError(f"vector for {word!r} has shape {vec.shape}, expected ({dim},)")
+            words.append(word)
+            vectors.append(vec)
+        self._adopt(words, np.stack(vectors) if vectors else np.zeros((0, dim)), unk)
 
-    def _check_vector(self, word: str, vec) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"vector for {word!r} has shape {vec.shape}, expected ({self.dim},)")
-        return vec
+    @classmethod
+    def over(
+        cls, words: list[str], matrix: np.ndarray, unk: np.ndarray | None = None
+    ) -> "EmbeddingTable":
+        """The table whose row i is words[i] -> matrix[i]. It adopts the float64
+        matrix without copying it, so the caller must not write to it later."""
+        table = cls.__new__(cls)
+        table._adopt(list(words), matrix, unk)
+        return table
+
+    def _adopt(self, words: list[str], matrix: np.ndarray, unk: np.ndarray | None) -> None:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(words) or matrix.shape[1] < 1:
+            raise ValueError(
+                f"matrix has shape {matrix.shape}, expected ({len(words)}, d) with d >= 1"
+            )
+        self.dim = matrix.shape[1]
+        self._rows = {word: i for i, word in enumerate(words)}
+        if len(self._rows) != len(words):
+            seen: set[str] = set()
+            for word in words:
+                if word in seen:
+                    raise ValueError(f"duplicate word {word!r}")
+                seen.add(word)
+        self._words = words
+        # a read-only view, so a write through any row view raises
+        self._matrix = matrix.view()
+        self._matrix.flags.writeable = False
+        self.unk = None
+        if unk is not None:
+            unk = np.array(unk, dtype=np.float64)
+            if unk.shape != (self.dim,):
+                raise ValueError(
+                    f"vector for {UNK_TOKEN!r} has shape {unk.shape}, expected ({self.dim},)"
+                )
+            unk.flags.writeable = False
+            self.unk = unk
+        self._scaled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._words)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._entries
+        return word in self._rows
 
     def vector(self, word: str) -> np.ndarray:
-        return self._entries[word]
+        return self._matrix[self._rows[word]]
 
     def get(self, word: str) -> np.ndarray | None:
-        return self._entries.get(word)
+        row = self._rows.get(word)
+        return None if row is None else self._matrix[row]
 
     def words(self) -> list[str]:
-        """The words in table order, cached: every call returns the same list,
-        which callers must not modify."""
-        if self._words is None:
-            self._words = list(self._entries)
+        """The words in table order: every call returns the same list, which
+        callers must not modify."""
         return self._words
 
     def items(self):
-        return self._entries.items()
+        """An iterator over (word, row view) pairs in table order."""
+        return zip(self._words, self._matrix)
 
     def matrix(self) -> np.ndarray:
-        """All entry vectors stacked in table order, cached."""
-        if self._matrix is None:
-            if self._entries:
-                self._matrix = np.stack(list(self._entries.values()))
-            else:
-                self._matrix = np.zeros((0, self.dim))
+        """The read-only (V, d) matrix of entry vectors in table order."""
         return self._matrix
-
-    def norms(self) -> np.ndarray:
-        """The Euclidean norm of each entry vector, in table order, cached;
-        finite wherever it is representable."""
-        if self._norms is None:
-            _, norms, exponents = self._scaled_rows()
-            self._norms = np.ldexp(norms, exponents)
-        return self._norms
 
     def _scaled_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The entry vectors, each row whose largest magnitude is beyond
@@ -133,48 +153,80 @@ def parse_header(line: str | None) -> tuple[int, int]:
     return count, dim
 
 
-def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
-    lines = text_lines(source)
-    count, dim = parse_header(lines[0] if lines else None)
+def _lines_and_size(source: IO[str] | str) -> tuple[Iterator[str], int]:
+    """The lines of source one at a time, without their line endings, and the
+    likely bound on their characters: a regular file is read as it is parsed,
+    bounded by its size in bytes (too low only if it is compressed); other
+    text is split into lines up front."""
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        try:
+            stat = os.fstat(source.fileno())
+        except (AttributeError, OSError):
+            stat = None
+        if stat is not None and S_ISREG(stat.st_mode):
+            return (line.rstrip("\n") for line in source), stat.st_size
+        lines = [line.rstrip("\n") for line in source]
+    return iter(lines), sum(map(len, lines))
 
-    entries: dict[str, np.ndarray] = {}
+
+def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
+    """Parse the text format line by line straight into the table's matrix."""
+    lines, size = _lines_and_size(source)
+    count, dim = parse_header(next(lines, None))
+
+    # the entries fill the matrix's first rows in file order and the <UNK> row
+    # is kept aside, so the table adopts a view of them with no copy; a row
+    # line holds at least a space and a digit per value, so a header that
+    # claims more rows than the input can hold claims no memory for them
+    matrix = np.empty((min(count, size // (2 * dim)), dim))
+    words: list[str] = []
+    seen: set[str] = set()
     unk = None
-    # one row per line, checked for finiteness in place; allocated once a row
-    # has shown the header's dimension, so a header alone claims no memory
-    matrix = None
+    unk_row = count  # entries before the <UNK> row
     for offset in range(count):
         line_no = 2 + offset
-        if offset + 1 >= len(lines):
+        line = next(lines, None)
+        if line is None:
             raise EmbeddingParseError(line_no, f"expected {count} rows, file ends after {offset}")
-        fields = lines[offset + 1].split(" ")
+        fields = line.split(" ")
         if len(fields) != dim + 1:
             raise EmbeddingParseError(
                 line_no, f"expected 1 word and {dim} values, got {len(fields)} fields"
             )
-        if matrix is None:
-            matrix = np.empty((min(count, len(lines) - 1), dim))
-        word = fields[0]
-        vec = matrix[offset]
         try:
-            vec[:] = [float(v) for v in fields[1:]]
+            values = [float(v) for v in fields[1:]]
         except ValueError:
             raise EmbeddingParseError(line_no, "unparseable number") from None
+        word = fields[0]
         if word == UNK_TOKEN:
             if unk is not None:
                 raise EmbeddingParseError(line_no, f"duplicate {UNK_TOKEN} row")
-            unk = vec
-        elif word in entries:
+            unk, unk_row = np.array(values), len(words)
+        elif word in seen:
             raise EmbeddingParseError(line_no, f"duplicate word {word!r}")
         else:
-            entries[word] = vec
-    if matrix is not None:
-        finite = np.isfinite(matrix).all(axis=1)
-        if not finite.all():
-            raise EmbeddingParseError(2 + int(np.argmin(finite)), "value is nan or infinite")
-    for extra, line in enumerate(lines[count + 1 :]):
+            if len(words) == len(matrix):  # past the size bound: a compressed file's size
+                grown = np.empty((min(count, 2 * len(words) + 1), dim))
+                grown[: len(words)] = matrix
+                matrix = grown
+            seen.add(word)
+            matrix[len(words)] = values
+            words.append(word)
+    matrix = matrix[: len(words)]
+    # the first non-finite row's line: entry i is on line 2 + i, one further
+    # down once past the <UNK> row
+    finite = np.isfinite(matrix).all(axis=1)
+    bad = [2 + i + (i >= unk_row) for i in np.flatnonzero(~finite)[:1].tolist()]
+    if unk is not None and not np.isfinite(unk).all():
+        bad.append(2 + unk_row)
+    if bad:
+        raise EmbeddingParseError(min(bad), "value is nan or infinite")
+    for extra, line in enumerate(lines):
         if line.strip():
             raise EmbeddingParseError(count + 2 + extra, "content past the declared row count")
-    return EmbeddingTable(dim, entries, unk)
+    return EmbeddingTable.over(words, matrix, unk)
 
 
 def write_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:
@@ -224,23 +276,35 @@ def lookup_many(
         raise ValueError(f"unknown policy {policy!r}")
     vectors = np.empty((len(words), table.dim))
     provenance = []
+    found, rows = [], []  # indices of the words resolved to a table row, and those rows
+    unk = []  # indices of the words resolved to the UNK vector
     oov = []  # indices of the words left to Mimick
     for i, word in enumerate(words):
-        vec = table.get(word)
-        if vec is not None:
-            vectors[i] = vec
+        row = table._rows.get(word)
+        if row is not None:
+            found.append(i)
+            rows.append(row)
             provenance.append("in-vocab")
         elif policy == UNK_LOWERCASE:
             if table.unk is None:
                 raise ValueError(f"policy {policy!r} requires an UNK vector")
-            lowered = table.get(word.lower())
-            vectors[i] = table.unk if lowered is None else lowered
-            provenance.append("unk" if lowered is None else "lowercase")
+            row = table._rows.get(word.lower())
+            if row is None:
+                unk.append(i)
+                provenance.append("unk")
+            else:
+                found.append(i)
+                rows.append(row)
+                provenance.append("lowercase")
         elif policy == MIMICK_DIRECT:
             oov.append(i)
             provenance.append("mimicked")
         else:
             raise OovLookupError(word)
+    # one gather for every table row
+    vectors[found] = table.matrix()[rows]
+    if unk:
+        vectors[unk] = table.unk
     if oov:
         if mimick is None:
             raise ValueError(f"policy {policy!r} requires a trained mimick model")

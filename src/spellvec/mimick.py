@@ -299,7 +299,7 @@ def infer_oov(model: MimickModel, table: EmbeddingTable, words: list[str]) -> Em
     if model.dim != table.dim:
         raise DimensionError(f"model dimension {model.dim} != table dimension {table.dim}")
     words = list(dict.fromkeys(words))
-    return EmbeddingTable(model.dim, zip(words, model.forward_many(words)))
+    return EmbeddingTable.over(words, model.forward_many(words))
 
 
 def nearest_neighbors(

@@ -390,11 +390,11 @@ class TaggerModel:
             if name not in tensors:
                 raise ArchiveError(f"{path}: missing tensor {name!r}")
         with reading_meta(path):
-            table = EmbeddingTable(
-                meta["dim"],
-                zip(meta["base_words"], tensors["base"]),
-                unk=tensors.get("base_unk"),
+            table = EmbeddingTable.over(
+                meta["base_words"], tensors["base"], unk=tensors.get("base_unk")
             )
+            if table.dim != meta["dim"]:
+                raise ValueError(f"tensor 'base' is {table.dim} wide, meta 'dim' is {meta['dim']}")
             mimick = None
             if meta["mimick"] is not None:
                 sub = {

@@ -1,4 +1,6 @@
+import gzip
 import io
+import os
 
 import numpy as np
 import pytest
@@ -73,6 +75,121 @@ class TestReadEmbeddings:
         table = read_embeddings(io.StringIO("1 1\ndog 7\n"))
         assert np.array_equal(table.vector("dog"), [7])
 
+    def test_header_claiming_too_many_rows_claims_no_memory(self, tmp_path):
+        text = "1000000000 64\nw " + " ".join(["1.5"] * 64) + "\n"
+        (tmp_path / "t.txt").write_text(text, encoding="utf-8")
+        with open(tmp_path / "t.txt", encoding="utf-8") as handle:
+            for source in (text, handle):
+                with pytest.raises(EmbeddingParseError, match="^line 3: .*file ends after 1$"):
+                    read_embeddings(source)
+
+    def test_compressed_file_larger_than_its_size_parses(self, tmp_path):
+        rows = [f"w{i} " + " ".join(["0.5"] * 8) for i in range(300)]
+        text = "300 8\n" + "\n".join(rows) + "\n"
+        with gzip.open(tmp_path / "t.txt.gz", "wt", encoding="utf-8") as sink:
+            sink.write(text)
+        assert (tmp_path / "t.txt.gz").stat().st_size < len(text) / 10
+        with gzip.open(tmp_path / "t.txt.gz", "rt", encoding="utf-8") as handle:
+            table = read_embeddings(handle)
+        assert table.words() == [f"w{i}" for i in range(300)]
+        assert table.matrix().tobytes() == np.full((300, 8), 0.5).tobytes()
+
+    @pytest.mark.parametrize("kind", ["file", "pipe"])
+    def test_file_and_pipe_parse_like_their_text(self, tmp_path, kind):
+        text = "3 2\ndog 1 -2.5\n<UNK> 0 1e-300\ncat 3 4\n\n"
+        if kind == "file":
+            (tmp_path / "t.txt").write_text(text, encoding="utf-8")
+            handle = open(tmp_path / "t.txt", encoding="utf-8")
+        else:
+            read_end, write_end = os.pipe()
+            os.write(write_end, text.encode("utf-8"))
+            os.close(write_end)
+            handle = os.fdopen(read_end, encoding="utf-8")
+        with handle:
+            from_file = read_embeddings(handle)
+        from_text = read_embeddings(text)
+        assert from_file.words() == from_text.words() == ["dog", "cat"]
+        assert from_file.matrix().tobytes() == from_text.matrix().tobytes()
+        assert from_file.unk.tobytes() == from_text.unk.tobytes()
+
+
+finite_values = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def table_texts(draw):
+    """A table's text, its (word, row) pairs in file order with <UNK> at any
+    position, and the line of the one row given a non-finite value, if any."""
+    dim = draw(st.integers(1, 4))
+    words = draw(st.lists(st.text("abcXY", min_size=1, max_size=3), max_size=6, unique=True))
+    rows = [(w, draw(st.lists(finite_values, min_size=dim, max_size=dim))) for w in words]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    ("<UNK>", draw(st.lists(finite_values, min_size=dim, max_size=dim))))
+    bad_line = None
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, dim - 1))
+        rows[i][1][j] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        bad_line = 2 + i
+    lines = [f"{len(rows)} {dim}"] + [" ".join([w] + ["%.17g" % v for v in r]) for w, r in rows]
+    return "\n".join(lines) + "\n", rows, bad_line
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_texts(), st.booleans())
+def test_read_embeddings_fills_one_matrix_in_file_order(case, stream):
+    text, rows, bad_line = case
+    source = io.StringIO(text) if stream else text
+    if bad_line is not None:
+        with pytest.raises(EmbeddingParseError, match=f"^line {bad_line}: value is nan or infinite$"):
+            read_embeddings(source)
+        return
+    table = read_embeddings(source)
+    entries = [(w, r) for w, r in rows if w != "<UNK>"]
+    matrix = table.matrix()
+    assert matrix is table.matrix()
+    assert table.words() == [w for w, _ in entries]
+    assert matrix.tobytes() == np.array([r for _, r in entries]).reshape(-1, table.dim).tobytes()
+    for word, _ in entries:
+        assert np.shares_memory(table.vector(word), matrix)
+    unk = [r for w, r in rows if w == "<UNK>"]
+    assert (table.unk is None) if not unk else (table.unk.tobytes() == np.array(unk[0]).tobytes())
+
+
+class TestTableStorage:
+    def test_matrix_is_the_rows_and_vectors_are_views(self):
+        table = EmbeddingTable(2, {"a": [1.0, 2.0], "b": [3.0, 4.0]})
+        assert table.matrix() is table.matrix()
+        assert np.array_equal(table.matrix(), [[1.0, 2.0], [3.0, 4.0]])
+        assert all(np.shares_memory(vec, table.matrix()) for _, vec in table.items())
+        assert np.shares_memory(table.get("b"), table.matrix())
+        assert table.get("c") is None
+
+    def test_writes_through_the_table_raise(self):
+        table = EmbeddingTable(2, [("a", np.zeros(2)), ("b", np.ones(2))], unk=np.zeros(2))
+        with pytest.raises(ValueError, match="read-only"):
+            table.vector("b")[:] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.matrix()[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.unk[0] = 5.0
+        assert np.array_equal(table.matrix(), [[0.0, 0.0], [1.0, 1.0]])
+
+    def test_over_adopts_the_matrix(self):
+        matrix = np.arange(6.0).reshape(3, 2)
+        table = EmbeddingTable.over(["a", "b", "c"], matrix, unk=[0.5, 0.5])
+        assert table.dim == 2 and len(table) == 3 and "c" in table
+        assert np.shares_memory(table.matrix(), matrix)
+        assert np.array_equal(table.vector("c"), [4.0, 5.0])
+        assert matrix.flags.writeable
+        with pytest.raises(ValueError, match="shape"):
+            EmbeddingTable.over(["a", "b"], matrix)
+        with pytest.raises(ValueError, match="shape"):
+            EmbeddingTable.over(["a", "b", "c"], matrix, unk=[1.0])
+        with pytest.raises(ValueError, match="duplicate word 'b'"):
+            EmbeddingTable.over(["b", "a", "b"], matrix)
+        assert EmbeddingTable.over([], np.zeros((0, 4))).matrix().shape == (0, 4)
+
 
 class TestWriteEmbeddings:
     def test_empty_table_is_header_only(self):
@@ -123,16 +240,6 @@ class TestWriteEmbeddings:
         table = EmbeddingTable(1, [("two words", np.array([1.0]))])
         with pytest.raises(ValueError, match="text format"):
             write_embeddings(table, io.StringIO())
-
-    def test_norms_are_cached_row_norms(self):
-        rng = np.random.default_rng(5)
-        table = EmbeddingTable(3, [(f"w{i}", rng.normal(size=3)) for i in range(4)]
-                               + [("zero", np.zeros(3))])
-        norms = table.norms()
-        assert np.array_equal(norms, np.linalg.norm(table.matrix(), axis=1))
-        assert norms[-1] == 0.0
-        assert table.norms() is norms
-        assert EmbeddingTable(3).norms().shape == (0,)
 
     def test_duplicate_entries_rejected_at_construction(self):
         with pytest.raises(ValueError, match="duplicate"):

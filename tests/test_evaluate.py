@@ -9,6 +9,7 @@ from spellvec.evaluate import (
     AlignmentError,
     TaggedCorpusPair,
     average_ranks,
+    cosine,
     mcnemar,
     micro_f1,
     pos_accuracy,
@@ -198,6 +199,32 @@ def naive_spearman(sims, scores):
     va = sum((x - ma) ** 2 for x in ra)
     vb = sum((y - mb) ** 2 for y in rb)
     return cov / math.sqrt(va * vb)
+
+
+class TestCosine:
+    def test_huge_vectors_do_not_overflow(self):
+        assert cosine(np.array([1e200, 1e200]), np.array([1e200, 1e200])) == pytest.approx(
+            1.0, rel=1e-15)
+        assert cosine(np.array([1e300, 0.0]), np.array([-1e300, 1e300])) == pytest.approx(
+            -(2 ** -0.5), rel=1e-15)
+
+    def test_tiny_vectors_do_not_underflow(self):
+        assert cosine(np.array([1e-200, 1e-200]), np.array([1e-200, 0.0])) == pytest.approx(
+            2 ** -0.5, rel=1e-15)
+        assert cosine(np.array([5e-324, 0.0]), np.array([1.0, 1.0])) == pytest.approx(
+            2 ** -0.5, rel=1e-15)
+
+    def test_zero_vector_scores_zero(self):
+        assert cosine(np.zeros(3), np.ones(3)) == 0.0
+
+    def test_normal_range_similarities_keep_their_bits(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            dim = int(rng.integers(1, 70))
+            u = rng.normal(size=dim) * 10.0 ** float(rng.integers(-100, 100))
+            v = rng.normal(size=dim) * 10.0 ** float(rng.integers(-100, 100))
+            plain = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+            assert cosine(u, v) == plain
 
 
 class TestSpearman:

@@ -298,7 +298,8 @@ class TestNearestNeighbors:
             assert ranked == [("a", 1.0), ("b", pytest.approx(2 ** -0.5, rel=1e-15)),
                               ("d", pytest.approx(-(2 ** -0.5), rel=1e-15)), ("c", -np.inf)]
             assert nearest_neighbors(table, np.array([1e300, 1e300]), k=1) == [("b", 1.0)]
-            assert table.norms()[1] == pytest.approx(2 ** 0.5 * 1e200, rel=1e-15)
+            _, norms, exponents = table._scaled_rows()
+            assert np.ldexp(norms[1], exponents[1]) == pytest.approx(2 ** 0.5 * 1e200, rel=1e-15)
 
     def test_zero_query_rejected(self):
         table = EmbeddingTable(2, [("x", np.array([1.0, 0.0]))])

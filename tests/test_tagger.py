@@ -537,6 +537,30 @@ class TestTraining:
         probe = split.dev or split.train
         assert tag_corpus(loaded, probe) == tag_corpus(model, probe)
 
+    def test_loaded_base_table_is_the_saved_base_tensor(self, tmp_path):
+        model = tiny_model(words=("aa", "bb", "cc", "dd"))
+        path = str(tmp_path / "tagger.svm")
+        model.save(path)
+        _, tensors = load_archive(path)
+        table = TaggerModel.load(path).rep.table
+        assert table.matrix().tobytes() == tensors["base"].tobytes()
+        assert table.words() == ["aa", "bb", "cc", "dd"]
+        assert all(np.shares_memory(table.vector(w), table.matrix()) for w in table.words())
+        assert table.unk.tobytes() == tensors["base_unk"].tobytes()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"dim": 4}, "tensor 'base' is 3 wide, meta 'dim' is 4"),
+        ({"base_words": ["aa", "bb"]}, "matrix has shape (4, 3), expected (2, d)"),
+    ])
+    def test_base_tensor_not_matching_meta_names_the_file(self, tmp_path, change, message):
+        model = tiny_model(words=("aa", "bb", "cc", "dd"))
+        path = str(tmp_path / "tagger.svm")
+        model.save(path)
+        manifest, tensors = load_archive(path)
+        save_archive(path, "tagger", {**manifest["meta"], **change}, tensors)
+        with pytest.raises(ArchiveError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            TaggerModel.load(path)
+
     def test_archive_round_trip_with_mimick_and_char_lstm(self, tmp_path):
         rng = np.random.default_rng(4)
         split, stems = small_split(rng, n_train=4, n_dev=1, n_suffixes=3)
