@@ -136,6 +136,14 @@ class EmbeddingTable:
         return self._scaled
 
 
+def pow2_scaled(x: np.ndarray) -> np.ndarray:
+    """x scaled by the power of two that brings its largest magnitude into
+    [0.5, 1). The scaling is exact, so no norm or dot product of the result
+    overflows or underflows, and a cosine that needed no scaling keeps its
+    bits."""
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+
+
 def parse_header(line: str | None) -> tuple[int, int]:
     """The row count V and dimension d of a header line "V d" (None: the
     file has no lines)."""
@@ -154,21 +162,18 @@ def parse_header(line: str | None) -> tuple[int, int]:
 
 
 def _lines_and_size(source: IO[str] | str) -> tuple[Iterator[str], int]:
-    """The lines of source one at a time, without their line endings, and the
-    likely bound on their characters: a regular file is read as it is parsed,
-    bounded by its size in bytes (too low only if it is compressed); other
-    text is split into lines up front."""
+    """The lines of source one at a time, without their line endings, and a
+    likely bound on their characters: a string's length, a regular file's
+    size in bytes (too low only if it is compressed), or 0 for a stream of
+    unknown size."""
     if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        try:
-            stat = os.fstat(source.fileno())
-        except (AttributeError, OSError):
-            stat = None
-        if stat is not None and S_ISREG(stat.st_mode):
-            return (line.rstrip("\n") for line in source), stat.st_size
-        lines = [line.rstrip("\n") for line in source]
-    return iter(lines), sum(map(len, lines))
+        return iter(source.splitlines()), len(source)
+    try:
+        stat = os.fstat(source.fileno())
+    except (AttributeError, OSError):
+        stat = None
+    size = stat.st_size if stat is not None and S_ISREG(stat.st_mode) else 0
+    return (line.rstrip("\n") for line in source), size
 
 
 def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
@@ -207,7 +212,7 @@ def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
         elif word in seen:
             raise EmbeddingParseError(line_no, f"duplicate word {word!r}")
         else:
-            if len(words) == len(matrix):  # past the size bound: a compressed file's size
+            if len(words) == len(matrix):  # past the size bound: a stream or a compressed file
                 grown = np.empty((min(count, 2 * len(words) + 1), dim))
                 grown[: len(words)] = matrix
                 matrix = grown

@@ -17,7 +17,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .conllu import Sentence
-from .embeddings import EmbeddingTable, OovLookupError, lookup_many
+from .embeddings import EmbeddingTable, OovLookupError, lookup_many, pow2_scaled
 from .fileio import text_lines
 
 
@@ -194,10 +194,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    # each vector scaled by the power of two that brings its largest magnitude
-    # into [0.5, 1): no norm or dot product overflows or underflows, and a
-    # similarity that needed no scaling keeps its bits
-    u, v = (np.ldexp(x, -np.frexp(np.abs(x).max())[1]) for x in (u, v))
+    u, v = pow2_scaled(u), pow2_scaled(v)
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0

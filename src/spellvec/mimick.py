@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .archive import ArchiveError, load_archive, reading_meta, save_archive
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, pow2_scaled
 from .nn import (
     DimensionError,
     LstmCellParams,
@@ -316,7 +316,7 @@ def nearest_neighbors(
         raise ValueError("query vector must be finite")
     # the query and the rows scaled by powers of two: nothing overflows, and
     # a similarity that needed no scaling keeps its bits
-    query = np.ldexp(query, -np.frexp(np.abs(query).max())[1])
+    query = pow2_scaled(query)
     qnorm = np.linalg.norm(query)
     if qnorm == 0.0:
         raise ValueError("query vector must be non-zero")

@@ -79,7 +79,7 @@ class TestReadEmbeddings:
         text = "1000000000 64\nw " + " ".join(["1.5"] * 64) + "\n"
         (tmp_path / "t.txt").write_text(text, encoding="utf-8")
         with open(tmp_path / "t.txt", encoding="utf-8") as handle:
-            for source in (text, handle):
+            for source in (text, handle, io.StringIO(text)):
                 with pytest.raises(EmbeddingParseError, match="^line 3: .*file ends after 1$"):
                     read_embeddings(source)
 
