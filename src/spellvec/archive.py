@@ -15,10 +15,14 @@ identical models serialize to identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
+from stat import S_ISREG
+from typing import IO
 
 import numpy as np
 
@@ -47,17 +51,30 @@ def save_archive(path: str, kind: str, meta: dict, tensors: dict[str, np.ndarray
 
 
 def load_archive(path: str, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (manifest, tensors); validates magic, version, kind, and sizes."""
+    """Returns (manifest, tensors); validates magic, version, kind, and sizes.
+    Each tensor is read from the file straight into its own array."""
     with open(path, "rb") as handle:
-        raw = handle.read()
-    if len(raw) < len(MAGIC) + 8 or not raw.startswith(MAGIC):
+        stat = os.fstat(handle.fileno())
+        if S_ISREG(stat.st_mode):
+            file_size = stat.st_size
+        else:  # a pipe or a device: its size is known only once read
+            raw = handle.read()
+            handle, file_size = io.BytesIO(raw), len(raw)
+        return _read_archive(path, handle, file_size, expect_kind)
+
+
+def _read_archive(
+    path: str, handle: IO[bytes], file_size: int, expect_kind: str | None
+) -> tuple[dict, dict[str, np.ndarray]]:
+    head = handle.read(len(MAGIC) + 8)
+    if len(head) < len(MAGIC) + 8 or not head.startswith(MAGIC):
         raise ArchiveError(f"{path}: not a model archive")
-    (manifest_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    (manifest_len,) = struct.unpack_from("<Q", head, len(MAGIC))
     header_end = len(MAGIC) + 8 + manifest_len
-    if len(raw) < header_end:
+    if file_size < header_end:
         raise ArchiveError(f"{path}: truncated manifest")
     try:
-        manifest = json.loads(raw[len(MAGIC) + 8 : header_end].decode("utf-8"))
+        manifest = json.loads(handle.read(manifest_len).decode("utf-8"))
     except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, over-long ints, deep nesting
         raise ArchiveError(f"{path}: unreadable manifest: {err}") from None
     if not isinstance(manifest, dict):
@@ -89,18 +106,20 @@ def load_archive(path: str, expect_kind: str | None = None) -> tuple[dict, dict[
         if any(d < 0 for d in shape):
             raise ArchiveError(f"{path}: tensor {spec['name']!r} has negative shape {list(shape)}")
         size = 8 * math.prod(shape)
-        if offset + size > len(raw):
+        if offset + size > file_size:
+            raise ArchiveError(f"{path}: truncated tensor {spec['name']!r}")
+        arr = np.empty(size // 8, dtype="<f8")
+        if handle.readinto(arr) != size:  # the file shrank while it was read
             raise ArchiveError(f"{path}: truncated tensor {spec['name']!r}")
         try:  # numpy refuses a zero-size shape with a dimension past its index range
-            arr = np.frombuffer(raw, dtype="<f8", count=size // 8, offset=offset).reshape(shape)
+            arr = arr.reshape(shape)
         except ValueError as err:
             raise ArchiveError(f"{path}: tensor {spec['name']!r}: {err}") from None
-        tensors[spec["name"]] = arr.astype(np.float64)
+        tensors[spec["name"]] = arr.astype(np.float64, copy=False)
         offset += size
-    if offset != len(raw):
-        raise ArchiveError(f"{path}: {len(raw) - offset} trailing bytes past declared tensors")
+    if offset != file_size:
+        raise ArchiveError(f"{path}: {file_size - offset} trailing bytes past declared tensors")
     return manifest, tensors
-
 
 
 @contextmanager

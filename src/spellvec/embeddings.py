@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import os
 from stat import S_ISREG
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
+
+from .fileio import text_lines
 
 UNK_TOKEN = "<UNK>"
 
@@ -161,30 +163,31 @@ def parse_header(line: str | None) -> tuple[int, int]:
     return count, dim
 
 
-def _lines_and_size(source: IO[str] | str) -> tuple[Iterator[str], int]:
-    """The lines of source one at a time, without their line endings, and a
-    likely bound on their characters: a string's length, a regular file's
-    size in bytes (too low only if it is compressed), or 0 for a stream of
-    unknown size."""
+def _size_bound(source: IO[str] | str) -> int:
+    """A likely bound on the characters of source: a string's length, a
+    regular file's size in bytes (too low only if it is compressed), or 0 for
+    a stream of unknown size."""
     if isinstance(source, str):
-        return iter(source.splitlines()), len(source)
+        return len(source)
     try:
         stat = os.fstat(source.fileno())
     except (AttributeError, OSError):
-        stat = None
-    size = stat.st_size if stat is not None and S_ISREG(stat.st_mode) else 0
-    return (line.rstrip("\n") for line in source), size
+        return 0
+    return stat.st_size if S_ISREG(stat.st_mode) else 0
 
 
 def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
     """Parse the text format line by line straight into the table's matrix."""
-    lines, size = _lines_and_size(source)
+    size = _size_bound(source)
+    lines = text_lines(source)
     count, dim = parse_header(next(lines, None))
 
-    # the entries fill the matrix's first rows in file order and the <UNK> row
-    # is kept aside, so the table adopts a view of them with no copy; a row
-    # line holds at least a space and a digit per value, so a header that
-    # claims more rows than the input can hold claims no memory for them
+    # each row's values are parsed into the matrix's next free row, which an
+    # entry keeps and the <UNK> row is copied out of, so the entries fill the
+    # first rows in file order and the table adopts a view of them with no
+    # copy; a row line holds at least a space and a digit per value, so a
+    # header that claims more rows than the input can hold claims no memory
+    # for them
     matrix = np.empty((min(count, size // (2 * dim)), dim))
     words: list[str] = []
     seen: set[str] = set()
@@ -200,24 +203,24 @@ def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
             raise EmbeddingParseError(
                 line_no, f"expected 1 word and {dim} values, got {len(fields)} fields"
             )
-        try:
-            values = [float(v) for v in fields[1:]]
+        row = len(words)
+        if row == len(matrix):  # past the size bound: a stream or a compressed file
+            grown = np.empty((min(count, 2 * row + 1), dim))
+            grown[:row] = matrix
+            matrix = grown
+        try:  # numpy converts each str by float()'s rules
+            matrix[row] = fields[1:]
         except ValueError:
             raise EmbeddingParseError(line_no, "unparseable number") from None
         word = fields[0]
         if word == UNK_TOKEN:
             if unk is not None:
                 raise EmbeddingParseError(line_no, f"duplicate {UNK_TOKEN} row")
-            unk, unk_row = np.array(values), len(words)
+            unk, unk_row = matrix[row].copy(), row
         elif word in seen:
             raise EmbeddingParseError(line_no, f"duplicate word {word!r}")
         else:
-            if len(words) == len(matrix):  # past the size bound: a stream or a compressed file
-                grown = np.empty((min(count, 2 * len(words) + 1), dim))
-                grown[: len(words)] = matrix
-                matrix = grown
             seen.add(word)
-            matrix[len(words)] = values
             words.append(word)
     matrix = matrix[: len(words)]
     # the first non-finite row's line: entry i is on line 2 + i, one further
@@ -246,7 +249,7 @@ def write_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:
 
 def check_word(word: str) -> None:
     """Raise ValueError unless word can be written as a row's word."""
-    if not word or " " in word or "\n" in word:
+    if not word or " " in word or "\n" in word or "\r" in word:
         raise ValueError(f"word {word!r} cannot be represented in the text format")
 
 

@@ -1,14 +1,19 @@
 """Atomic file writes (outputs appear fully written or not at all) and the
 text-line reading shared by the parsers."""
 
+import io
 import os
 import tempfile
-from typing import IO
+from typing import IO, Iterator
 
 
-def text_lines(source: IO[str] | str) -> list[str]:
-    """The lines of a string or a text file, without their line endings."""
-    return source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
+def text_lines(source: IO[str] | str) -> Iterator[str]:
+    """The lines of a string or a text file one at a time, without their line
+    endings. A string splits as a file opened in text mode would: at "\n",
+    "\r\n" and "\r" only, not at the other breaks str.splitlines() knows."""
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    return (line.rstrip("\n") for line in source)
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

@@ -619,13 +619,17 @@ class MomentumSgd:
 # dropout
 
 
-def dropout_mask(n: int, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: zero with probability rate, else 1/(1-rate)."""
+def dropout_mask(
+    shape: int | tuple[int, ...], rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Inverted-dropout mask of the given shape: zero with probability rate,
+    else 1/(1-rate). It draws rng.random(shape), which fills the mask in
+    row-major order, so a (T, n) mask equals T masks of n drawn in turn."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return np.ones(n)
-    keep = rng.random(n) >= rate
+        return np.ones(shape)
+    keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)
 
 

@@ -244,11 +244,6 @@ class TaggerModel:
         if not sentence.tokens:
             raise ValueError("cannot run the tagger on an empty sentence")
         forms = [token.form for token in sentence.tokens]
-
-        def masks(width: int) -> np.ndarray:
-            # one draw per token, in token order: the seeded rng stream depends on it
-            return np.stack([dropout_mask(width, dropout, rng) for _ in forms])
-
         if all(form in self.rows for form in forms):
             reps = tape.row(self.embeddings, [self.rows[form] for form in forms])
         else:
@@ -256,11 +251,15 @@ class TaggerModel:
         if self.c2t is not None:
             chars = tape.stack([self.c2t.forward_on_tape(tape, form) for form in forms])
             reps = tape.concat([reps, chars])
+        # one (T, width) mask per layer, the input layer's drawn first, each
+        # filled token by token: seeded runs and archives depend on this order
         if dropout > 0.0:
-            reps = tape.mul_const(reps, masks(self.width))
+            reps = tape.mul_const(reps, dropout_mask((len(forms), self.width), dropout, rng))
         layer1 = tape.concat([tape.lstm(self.l1f, reps), tape.lstm(self.l1b, reps, reverse=True)])
         if dropout > 0.0:
-            layer1 = tape.mul_const(layer1, masks(2 * self.hidden))
+            layer1 = tape.mul_const(
+                layer1, dropout_mask((len(forms), 2 * self.hidden), dropout, rng)
+            )
         return tape.concat([tape.lstm(self.l2f, layer1), tape.lstm(self.l2b, layer1, reverse=True)])
 
     def packed_states(self, sentences: list[Sentence]) -> Iterator[tuple[list[int], np.ndarray]]:

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 
@@ -98,6 +99,30 @@ def write_raw_archive(path, manifest, payload=b""):
     blob = json.dumps(manifest).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
     return str(path)
+
+
+def test_tensor_larger_than_the_file_is_rejected_before_it_is_allocated(tmp_path):
+    blob = b'{"format_version":1,"meta":{},"tensors":[{"name":"w","shape":[1099511627776]}]}'
+    head = MAGIC + struct.pack("<Q", len(blob)) + blob
+    (tmp_path / "big.svm").write_bytes(head + b"\0" * (100 - len(head)))
+    path = str(tmp_path / "big.svm")
+    with pytest.raises(ArchiveError, match=re.escape(f"{path}: truncated tensor 'w'")):
+        load_archive(path)
+
+
+def test_archive_read_from_a_pipe_loads_like_the_file(tmp_path, tensors):
+    path = str(tmp_path / "m.svm")
+    save_archive(path, "mimick", {"n": 1}, tensors)
+    read_end, write_end = os.pipe()
+    os.write(write_end, (tmp_path / "m.svm").read_bytes())
+    os.close(write_end)
+    try:
+        piped = load_archive(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    manifest, loaded = load_archive(path)
+    assert piped[0] == manifest
+    assert {k: v.tobytes() for k, v in piped[1].items()} == {k: v.tobytes() for k, v in loaded.items()}
 
 
 def manifest_with(**fields):

@@ -68,6 +68,16 @@ class TestParse:
         with pytest.raises(ConlluParseError, match="token id"):
             parse_conllu(bad)
 
+    @pytest.mark.parametrize("mark", ["\u2028", "\x85", "\x0b", "\x1c"])
+    def test_form_with_a_unicode_line_break_parses_from_a_string_like_a_file(self, tmp_path, mark):
+        text = SAMPLE.replace("Dogs\tdog", f"Do{mark}gs\tdog")
+        (tmp_path / "c.conllu").write_text(text, encoding="utf-8")
+        with open(tmp_path / "c.conllu", encoding="utf-8") as handle:
+            from_file = parse_conllu(handle)
+        from_text = parse_conllu(text)
+        assert from_text == from_file
+        assert from_text[0].tokens[0].form == f"Do{mark}gs"
+
     def test_feats_order_insensitive(self):
         a = parse_conllu("1\tw\t_\tX\t_\tA=x|B=y\t_\t_\t_\t_\n")
         b = parse_conllu("1\tw\t_\tX\t_\tB=y|A=x\t_\t_\t_\t_\n")

@@ -156,6 +156,91 @@ def test_read_embeddings_fills_one_matrix_in_file_order(case, stream):
     assert (table.unk is None) if not unk else (table.unk.tobytes() == np.array(unk[0]).tobytes())
 
 
+# spellings float() accepts, with a finite or a non-finite value, or rejects
+number_spellings = [
+    "1_0", "1e400", "Infinity", "-0", "1e-400", "\u0661\u0662", "0x10", "", "abc",
+    "+2.5", ".5", "5.", "1E3", "1..2",
+]
+
+
+def float_or_none(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+@st.composite
+def spelled_tables(draw):
+    """A table's text and its (word, fields) rows, <UNK> possibly among
+    them; each value field is a spelling from number_spellings or a finite
+    float written with 17 or 6 digits, and an empty field makes a double space."""
+    dim = draw(st.integers(1, 3))
+    words = draw(st.lists(st.text("abc", min_size=1, max_size=3), max_size=5, unique=True))
+    if draw(st.booleans()):
+        words.insert(draw(st.integers(0, len(words))), "<UNK>")
+    field = st.one_of(
+        st.sampled_from(number_spellings),
+        finite_values.map(lambda v: "%.17g" % v),
+        finite_values.map(lambda v: "%.6f" % v),
+    )
+    rows = [(w, draw(st.lists(field, min_size=dim, max_size=dim))) for w in words]
+    lines = [f"{len(rows)} {dim}"] + [" ".join([w] + fields) for w, fields in rows]
+    return "\n".join(lines) + "\n", rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled_tables(), st.booleans())
+def test_values_parse_as_float_does_or_fail_on_its_first_line(case, stream):
+    text, rows = case
+    values = [[float_or_none(f) for f in fields] for _, fields in rows]
+    unparseable = [2 + i for i, row in enumerate(values) if None in row]
+    non_finite = [2 + i for i, row in enumerate(values) if None not in row and not np.isfinite(row).all()]
+    source = io.StringIO(text) if stream else text
+    if unparseable:
+        with pytest.raises(EmbeddingParseError, match=f"^line {unparseable[0]}: unparseable number$"):
+            read_embeddings(source)
+    elif non_finite:
+        with pytest.raises(EmbeddingParseError, match=f"^line {non_finite[0]}: value is nan or infinite$"):
+            read_embeddings(source)
+    else:
+        table = read_embeddings(source)
+        entries = [v for (w, _), v in zip(rows, values) if w != "<UNK>"]
+        expected = np.array(entries, dtype=np.float64).reshape(-1, table.dim)
+        assert table.matrix().tobytes() == expected.tobytes()
+        unk = [v for (w, _), v in zip(rows, values) if w == "<UNK>"]
+        assert (table.unk is None) if not unk else (table.unk.tobytes() == np.array(unk[0]).tobytes())
+
+
+@pytest.mark.parametrize(
+    "text", ["2 1\ndog 1\ndog x\n", "2 1\n<UNK> 1\n<UNK> 1..2\n", "3 2\ndog 1 2\ncat 3 4\ncat  6\n"]
+)
+def test_a_bad_number_is_reported_before_a_repeated_word(text):
+    with pytest.raises(EmbeddingParseError, match=f"^line {text.count(chr(10))}: unparseable number$"):
+        read_embeddings(text)
+
+
+@pytest.mark.parametrize("mark", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1e"])
+def test_word_with_a_unicode_line_break_reads_back_from_a_string_and_a_file(tmp_path, mark):
+    table = EmbeddingTable(2, [(f"a{mark}b", np.array([1.5, -2.0])), ("c", np.array([0.0, 3.0]))])
+    sink = io.StringIO()
+    write_embeddings(table, sink)
+    path = tmp_path / "t.txt"
+    path.write_text(sink.getvalue(), encoding="utf-8")
+    with open(path, encoding="utf-8") as handle:
+        from_file = read_embeddings(handle)
+    for back in (read_embeddings(sink.getvalue()), from_file):
+        assert back.words() == table.words()
+        assert back.matrix().tobytes() == table.matrix().tobytes()
+
+
+@pytest.mark.parametrize("word", ["a\rb", "a\r", "\r", "a\nb"])
+def test_word_with_a_text_line_break_cannot_be_written(word):
+    table = EmbeddingTable(1, [(word, np.array([1.0]))])
+    with pytest.raises(ValueError, match="text format"):
+        write_embeddings(table, io.StringIO())
+
+
 class TestTableStorage:
     def test_matrix_is_the_rows_and_vectors_are_views(self):
         table = EmbeddingTable(2, {"a": [1.0, 2.0], "b": [3.0, 4.0]})

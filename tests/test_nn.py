@@ -332,6 +332,15 @@ class TestDropoutMask:
         b = dropout_mask(50, 0.3, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
+    def test_shaped_mask_is_its_rows_drawn_in_turn(self):
+        shaped_rng, row_rng = np.random.default_rng(4), np.random.default_rng(4)
+        mask = dropout_mask((5, 7), 0.3, shaped_rng)
+        rows = np.stack([dropout_mask(7, 0.3, row_rng) for _ in range(5)])
+        assert mask.shape == (5, 7)
+        assert mask.tobytes() == rows.tobytes()
+        assert shaped_rng.random() == row_rng.random()
+        assert np.array_equal(dropout_mask((2, 3), 0.0, shaped_rng), np.ones((2, 3)))
+
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
             dropout_mask(5, 1.0, np.random.default_rng(0))
