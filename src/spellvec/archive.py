@@ -45,9 +45,8 @@ def save_archive(path: str, kind: str, meta: dict, tensors: dict[str, np.ndarray
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [MAGIC, struct.pack("<Q", len(blob)), blob]
-    for arr in tensors.values():
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    parts += (np.ascontiguousarray(arr, dtype="<f8") for arr in tensors.values())
+    atomic_write_bytes(path, parts)
 
 
 def load_archive(path: str, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:

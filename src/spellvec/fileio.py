@@ -4,7 +4,7 @@ text-line reading shared by the parsers."""
 import io
 import os
 import tempfile
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 
 def text_lines(source: IO[str] | str) -> Iterator[str]:
@@ -16,14 +16,15 @@ def text_lines(source: IO[str] | str) -> Iterator[str]:
     return (line.rstrip("\n") for line in source)
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write through a synced temp file renamed over path, then sync the
-    directory, so a crash leaves the old file or the new one, never a torn one."""
+def atomic_write_bytes(path: str, parts: Iterable) -> None:
+    """Write the bytes-like parts through a synced temp file renamed over path, then
+    sync the directory, so a crash leaves the old file or the new one, never a torn one."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -39,4 +40,4 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])

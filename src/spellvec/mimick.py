@@ -87,6 +87,8 @@ class CharBiLstm:
         hidden: int,
         rng: np.random.Generator | None = None,
     ):
+        if char_dim < 1:
+            raise DimensionError(f"char_dim must be positive, got {char_dim}")
         self.chars = chars
         self.char_dim = char_dim
         self.hidden = hidden

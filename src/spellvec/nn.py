@@ -370,21 +370,6 @@ class Tape:
 
         return self._emit(out, backward)
 
-    def softmax(self, a: Tensor) -> Tensor:
-        """Probability vector; computed with max-subtraction for stability."""
-        _require_vector("softmax", a)
-        if a.data.shape[0] == 0:
-            raise DimensionError("softmax: empty input")
-        shifted = a.data - a.data.max()
-        e = np.exp(shifted)
-        out = Tensor(e / e.sum())
-
-        def backward(g):
-            s = out.data
-            a.grad += s * (g - np.dot(g, s))
-
-        return self._emit(out, backward)
-
     def log_softmax(self, a: Tensor) -> Tensor:
         """Log-probabilities over the last axis of a vector or matrix."""
         if a.data.ndim not in (1, 2):
@@ -594,8 +579,8 @@ class MomentumSgd:
     """param <- param - v, after v <- momentum * v + lr * grad."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr

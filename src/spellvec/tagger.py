@@ -9,7 +9,7 @@ Word representations start from a pre-trained table and differ only in how
 out-of-vocabulary forms are initialized (the four variants below, each a
 lookup_many policy). The training forms' vectors are the rows of one
 trainable matrix, the only rows an archive holds; any other form reads the
-variant's lookup, memoised per model and one batch per call, so tagging never
+variant's lookup, one batch per call and kept nowhere, so tagging never
 changes the model. The char2tag and both variants append a task-trained
 character BiLSTM output.
 
@@ -173,10 +173,9 @@ class CharToTag(CharBiLstm):
 class TaggerModel:
     """The sentence BiLSTM and heads over word representations.
 
-    The memo of looked-up vectors for forms outside the training rows
-    (`_lookups`) is never saved and never evicted: it grows by one vector
-    per distinct unseen form for the model's lifetime, so a long-lived
-    tagging process holds every form it has tagged."""
+    Tagging, sentence_forward and joint_loss read the model and write
+    nothing into it: a form outside the training rows is looked up afresh on
+    every call."""
 
     def __init__(
         self,
@@ -208,7 +207,6 @@ class TaggerModel:
         }
         self.rows: dict[str, int] = {}  # training form -> row of self.embeddings
         self.embeddings = Tensor(np.zeros((0, rep.table.dim)))
-        self._lookups: dict[str, np.ndarray] = {}  # other forms; never saved
 
     # ------------------------------------------------------------------
     # word representations
@@ -221,11 +219,11 @@ class TaggerModel:
 
     def word_vectors(self, forms: list[str]) -> np.ndarray:
         """The forms' (len(forms), d) vectors: a training form's row, else its
-        lookup, memoised; the forms not yet memoised are looked up in one batch."""
-        unseen = [f for f in dict.fromkeys(forms) if f not in self.rows and f not in self._lookups]
-        self._lookups.update(zip(unseen, self.rep.vectors(unseen)))
+        lookup. The distinct other forms are looked up in one batch, once."""
+        unseen = [f for f in dict.fromkeys(forms) if f not in self.rows]
+        looked_up = dict(zip(unseen, self.rep.vectors(unseen)))
         rows = self.embeddings.data
-        vectors = [rows[self.rows[f]] if f in self.rows else self._lookups[f] for f in forms]
+        vectors = [rows[self.rows[f]] if f in self.rows else looked_up[f] for f in forms]
         return np.array(vectors).reshape(len(forms), self.rep.table.dim)
 
     # ------------------------------------------------------------------
@@ -441,7 +439,7 @@ def attribute_distribution(model: TaggerModel, h: np.ndarray, attr: str) -> np.n
         head = model.attr_heads[attr]
     else:
         raise SchemaError(f"unknown attribute {attr!r}")
-    # Tape.softmax's expressions, so the same bits
+    # shifted so the largest logit is 0: exp cannot overflow, and the sum is >= 1
     logits = head.scores(h)
     shifted = logits - logits.max()
     e = np.exp(shifted)

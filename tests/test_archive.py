@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,37 @@ def test_round_trip_bit_exact(tmp_path, tensors):
     for name in tensors:
         assert np.array_equal(loaded[name], tensors[name])
         assert loaded[name].shape == tensors[name].shape
+
+
+def test_saving_copies_no_tensor(tmp_path):
+    rng = np.random.default_rng(0)
+    tensors = {f"t{i}": rng.normal(size=(256, 512)) for i in range(10)}  # 10.5 MB
+    path = str(tmp_path / "big.svm")
+    tracemalloc.start()
+    try:
+        save_archive(path, "mimick", {}, tensors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert (tmp_path / "big.svm").stat().st_size > 10 * 256 * 512 * 8
+
+
+def test_tensors_of_any_layout_are_written_row_major_little_endian(tmp_path):
+    tensors = {
+        "transposed": np.arange(6.0).reshape(2, 3).T,
+        "strided": np.arange(10.0)[::3],
+        "big_endian": np.array([1.5, -2.0], dtype=">f8"),
+        "ints": np.arange(4).reshape(2, 2),
+        "empty": np.zeros((0, 3)),
+    }
+    path = tmp_path / "m.svm"
+    save_archive(str(path), "mimick", {}, tensors)
+    payload = b"".join(np.array(arr, dtype="<f8", order="C").tobytes() for arr in tensors.values())
+    assert path.read_bytes().endswith(payload)
+    _, loaded = load_archive(str(path))
+    for name, arr in tensors.items():
+        assert np.array_equal(loaded[name], arr) and loaded[name].shape == arr.shape, name
 
 
 def test_identical_models_serialize_identically(tmp_path, tensors):

@@ -643,3 +643,47 @@ def test_mimick_divergence_warning_compares_with_epoch_one(
         assert line.startswith(f"warning: epoch {warned}: mean train loss "), line
     MimickModel.load(str(out))
     assert len((tmp_path / "m.svm.trace.tsv").read_text().splitlines()) == len(losses) + 1
+
+
+def mimick_for_the_tagger_corpus(tmp_path):
+    """A spelling-model archive as wide as build_tagger_corpus's table."""
+    path = tmp_path / "mimick.svm"
+    MimickModel(CharVocabulary("abcdefghijklmnopqrstuvwxyz"), dim=6, char_dim=2, hidden=2,
+                rng=np.random.default_rng(0)).save(str(path))
+    return path
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train-mimick", ["--char-dim", "0"], "char_dim must be positive, got 0"),
+    ("train-tagger", ["--variant", "char2tag", "--char-dim", "0"],
+     "char_dim must be positive, got 0"),
+    ("train-tagger", ["--variant", "both", "--char-dim", "-2"],
+     "char_dim must be positive, got -2"),
+    ("train-mimick", ["--lr", "nan"], "learning rate must be positive and finite, got nan"),
+    ("train-mimick", ["--lr", "inf"], "learning rate must be positive and finite, got inf"),
+    ("train-tagger", ["--lr", "nan"], "learning rate must be positive and finite, got nan"),
+    ("train-tagger", ["--lr", "inf"], "learning rate must be positive and finite, got inf"),
+])
+def test_a_setting_no_model_can_train_with_fails_with_one_line(
+    tmp_path, emb_path, capsys, command, flags, message
+):
+    out = tmp_path / "out.svm"
+    if command == "train-mimick":
+        argv = [command, str(emb_path), str(out), *MIMICK_FLAGS, *flags]
+    else:
+        emb, train, _ = build_tagger_corpus(tmp_path)
+        argv = [command, "--train", str(train), "--embeddings", str(emb), "--out", str(out),
+                "--mimick", str(mimick_for_the_tagger_corpus(tmp_path)), *TAGGER_FLAGS, *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_a_no_char_tagger_builds_no_encoder_and_takes_any_char_dim(tmp_path):
+    emb, train, _ = build_tagger_corpus(tmp_path)
+    out = tmp_path / "tagger.svm"
+    assert main(["train-tagger", "--train", str(train), "--embeddings", str(emb), "--out",
+                 str(out), "--variant", "no-char", *TAGGER_FLAGS, "--char-dim", "0"]) == 0
+    assert TaggerModel.load(str(out)).c2t is None

@@ -24,7 +24,7 @@ def test_atomic_write_syncs_the_file_before_the_rename_and_the_directory_after(
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
     path = tmp_path / "out.bin"
-    atomic_write_bytes(str(path), b"payload")
+    atomic_write_bytes(str(path), [b"pay", memoryview(b"lo"), bytearray(b"ad")])
     assert events == [("file fsync", 7), ("replace",), ("dir fsync",)]
     assert path.read_bytes() == b"payload"
 
@@ -33,12 +33,21 @@ def test_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch
     path = tmp_path / "out.bin"
     path.write_bytes(b"old")
 
+    def parts():  # one part is written, then the next one fails to arrive
+        yield b"new"
+        raise ValueError("part gone")
+
+    with pytest.raises(ValueError, match="part gone"):
+        atomic_write_bytes(str(path), parts())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    assert path.read_bytes() == b"old"
+
     def fail(fd):
         raise OSError("disk gone")
 
     monkeypatch.setattr(os, "fsync", fail)
     with pytest.raises(OSError, match="disk gone"):
-        atomic_write_bytes(str(path), b"new")
+        atomic_write_bytes(str(path), [b"new", b"er"])
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
     assert path.read_bytes() == b"old"
 

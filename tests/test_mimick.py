@@ -16,7 +16,7 @@ from spellvec.mimick import (
     nearest_neighbors,
     train_mimick,
 )
-from spellvec.nn import Tape, gradient_check
+from spellvec.nn import DimensionError, Tape, gradient_check
 
 
 def straight_line_forward(model, word):
@@ -68,6 +68,14 @@ class TestForward:
         model = small_model(seed=4)
         got = model.forward("gface")
         assert np.allclose(got, straight_line_forward(model, "gface"), atol=1e-12)
+
+    @pytest.mark.parametrize("char_dim", [0, -2])
+    def test_a_char_dim_below_one_is_rejected_before_anything_is_drawn(self, char_dim):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DimensionError, match=f"char_dim must be positive, got {char_dim}"):
+            MimickModel(CharVocabulary("abc"), dim=4, char_dim=char_dim, rng=rng)
+        assert rng.bit_generator.state == state
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):

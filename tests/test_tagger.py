@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import numpy as np
@@ -111,6 +112,18 @@ class TestAttributeDistribution:
         logits = head.o_w.data @ np.tanh(head.w_h.data @ h + head.b_h.data) + head.b_w.data
         naive = np.exp(logits) / np.exp(logits).sum()
         assert np.allclose(attribute_distribution(model, h, "Case"), naive, atol=1e-12)
+
+    def test_logits_near_a_thousand_stay_finite_and_a_shift_changes_nothing(self):
+        model = tiny_model(seed=3)
+        bias = model.attr_heads["Case"].b_w.data
+        h = np.random.default_rng(4).normal(size=6)
+        dist = attribute_distribution(model, h, "Case")
+        bias += 17.5
+        assert np.allclose(attribute_distribution(model, h, "Case"), dist, atol=1e-12)
+        bias[:] = [1000.0, -1000.0, 999.0]
+        dist = attribute_distribution(model, h, "Case")
+        assert np.all(np.isfinite(dist)) and abs(dist.sum() - 1.0) <= 1e-12
+        assert dist[0] > 0 and dist[2] > 0 and dist[1] < 1e-12
 
     def test_unknown_attribute_rejected(self):
         with pytest.raises(SchemaError):
@@ -288,7 +301,9 @@ class TestVariants:
         model, calls, original = self.counting_mimick_model(monkeypatch)
         model.init_rows(["aa"])
         s = sentence(("zz", "A", {}), ("aa", "A", {}), ("za", "A", {}), ("zz", "A", {}))
-        assert tag(model, s) == tape_tags(model, s)
+        expected = tape_tags(model, s)
+        calls.clear()
+        assert tag(model, s) == expected
         assert calls == [["zz", "za"]]
 
     def test_init_rows_infers_the_forms_outside_the_table_in_one_call(self, monkeypatch):
@@ -677,11 +692,11 @@ class TestTrainedRows:
         first = tag_corpus(model, corpus)
         assert batches == [unseen]
         assert tag_corpus(model, corpus) == first
-        assert len(batches) == 1
+        assert batches == [unseen, unseen]
         for form in unseen:
             assert np.array_equal(model.word_vectors([form])[0], original([form])[0]), form
 
-    def test_an_unseen_form_is_looked_up_once_per_model(self, monkeypatch):
+    def test_an_unseen_form_is_looked_up_once_per_call(self, monkeypatch):
         rng = np.random.default_rng(1)
         table = tiny_table(rng, ["aa"], dim=3, with_unk=False)
         mimick = MimickModel(CharVocabulary("az"), dim=3, char_dim=2, hidden=2, rng=rng)
@@ -693,7 +708,7 @@ class TestTrainedRows:
         model.init_rows(["aa"])
         s = sentence(("zz", "A", {}), ("aa", "A", {}), ("zz", "A", {}))
         assert tag(model, s) == tag(model, s)
-        assert calls == [["zz"]]
+        assert calls == [["zz"], ["zz"]]
         assert np.array_equal(model.word_vectors(["zz"])[0], original(["zz"])[0])
         assert model.parameters()["rows"].data.shape == (1, 3)
 
@@ -825,13 +840,27 @@ class TestBatchedTagging:
                 for head, got in zip(heads, scores):
                     assert np.array_equal(got[b], head.logits(tape, on_tape).data), i
 
-    def test_attribute_distribution_has_the_bits_of_the_tape_softmax(self):
+    def test_attribute_distribution_has_the_bits_of_the_written_out_softmax(self):
         model, corpus = mixed_corpus_model("no-char")
         for h in sentence_forward(model, corpus[0]):
             for attr, head in [(POS_HEAD, model.pos_head), *model.attr_heads.items()]:
-                tape = Tape()
-                expected = tape.softmax(head.logits(tape, Tensor(h))).data
-                assert np.array_equal(attribute_distribution(model, h, attr), expected), attr
+                logits = head.logits(Tape(), Tensor(h)).data
+                e = np.exp(logits - logits.max())
+                assert np.array_equal(attribute_distribution(model, h, attr), e / e.sum()), attr
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tagging_writes_nothing_into_the_model(self, variant):
+        model, corpus = mixed_corpus_model(variant)
+        outside = [s for s in corpus if any(t.form not in model.rows for t in s.tokens)]
+        assert len(outside) >= 3
+        before = pickle.dumps(model)
+        tag_corpus(model, corpus)
+        for s in outside[:3]:
+            tag(model, s)
+            sentence_forward(model, s)
+            sentence_forward(model, s, "train", rng=np.random.default_rng(0))
+            joint_loss(model, s)
+        assert pickle.dumps(model) == before
 
     def test_an_empty_sentence_is_rejected(self):
         model, corpus = mixed_corpus_model("no-char")
