@@ -23,6 +23,7 @@ from .nn import (
     Tape,
     Tensor,
     embedding_init,
+    flatten,
     glorot_uniform,
     length_slices,
     matvec_rows,
@@ -71,6 +72,8 @@ class MimickTrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.dev_fraction < 0.5:
             raise ValueError(f"dev fraction must be in [0, 0.5), got {self.dev_fraction}")
+        if not 0.0 <= self.unk_char_rate < 1.0:
+            raise ValueError(f"unk char rate must be in [0, 1), got {self.unk_char_rate}")
 
 
 class CharBiLstm:
@@ -108,9 +111,10 @@ class CharBiLstm:
     def encode(self, tape: Tape, indices: list[int]) -> Tensor:
         if not indices:
             raise ValueError("cannot embed an empty word")
-        chars = tape.row(self.char_emb, indices)
-        forward, backward = tape.lstm(self.fwd, chars), tape.lstm(self.bwd, chars, reverse=True)
-        return tape.concat([tape.row(forward, -1), tape.row(backward, 0)])
+        states = tape.bilstm(self.fwd, self.bwd, tape.row(self.char_emb, indices))
+        # the forward state after the last character, the backward one after the first
+        h = self.hidden
+        return tape.take(states, (np.repeat([-1, 0], h), np.arange(2 * h)))
 
     def packed_encodings(self, words: list[str]) -> Iterator[tuple[list[int], np.ndarray]]:
         """The encodings of words without a tape, in packed passes of at most
@@ -162,6 +166,7 @@ class MimickModel(CharBiLstm):
             self.o_t = Tensor(glorot_uniform(rng, dim, hidden))
         self.b_h = Tensor(np.zeros(hidden))
         self.b_t = Tensor(np.zeros(dim))
+        flatten(self.parameters())
 
     def parameters(self) -> dict[str, Tensor]:
         params = super().parameters()

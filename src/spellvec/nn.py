@@ -25,6 +25,7 @@ __all__ = [
     "length_slices",
     "matvec_rows",
     "packed_bilstm",
+    "flatten",
     "MomentumSgd",
     "GradCheckReport",
     "gradient_check",
@@ -45,7 +46,7 @@ class Tensor:
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.data.shape)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -271,83 +272,103 @@ class Tape:
         """Element `index` of a vector; for a matrix and one index per row,
         the vector of the picked element of each row."""
         if a.data.ndim == 1:
-            out = Tensor(a.data[index])
+            return self.take(a, index)
+        if a.data.ndim == 2 and np.ndim(index) == 1 and len(index) == a.data.shape[0]:
+            return self.take(a, (np.arange(a.data.shape[0]), np.asarray(index, dtype=np.intp)))
+        raise DimensionError(f"pick: cannot pick {index!r} from shape {a.data.shape}")
 
-            def backward(g):
-                a.grad[index] += g
+    def take(self, a: Tensor, index) -> Tensor:
+        """The elements of a at a numpy integer or advanced index that names
+        no element twice, in the index's shape."""
+        out = Tensor(a.data[index])
 
-        elif a.data.ndim == 2 and np.ndim(index) == 1 and len(index) == a.data.shape[0]:
-            rows = np.arange(a.data.shape[0])
-            cols = np.asarray(index, dtype=np.intp)
-            out = Tensor(a.data[rows, cols])
+        def backward(g):
+            a.grad[index] += g
 
-            def backward(g):
-                a.grad[rows, cols] += g
-
-        else:
-            raise DimensionError(f"pick: cannot pick {index!r} from shape {a.data.shape}")
         return self._emit(out, backward)
 
     # ------------------------------------------------------------------
     # recurrence
 
-    def lstm(self, cell: LstmCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
-        """One LSTM sequence from zero state: the rows of xs (T, input) are
-        read first to last (last to first if reverse) and the (T, hidden)
-        states are returned in input order, as one record.
+    def bilstm(self, fwd: LstmCellParams, bwd: LstmCellParams, xs: Tensor) -> Tensor:
+        """One BiLSTM over one sequence from zero state, as one record: fwd
+        reads the rows of xs (T, input) first to last, bwd last to first, and
+        row t of the (T, 2 * hidden) result is fwd's state after row t, then
+        bwd's.
 
-        The input projection of all steps is one GEMM; the backward pass is
-        hand-written backpropagation through time whose weight gradient is
-        one GEMM over [inputs | previous states].
+        Per direction, the input projection of all steps is one GEMM and a
+        step is one recurrent mat-vec; one gate update serves both
+        directions. The backward pass is hand-written backpropagation through
+        time over both directions at once, with one mat-vec per direction
+        and step, then per direction one weight-gradient GEMM over [inputs |
+        previous states] and one input-gradient GEMM.
         """
-        n, h = cell.input_size, cell.hidden_size
+        n, h = fwd.input_size, fwd.hidden_size
+        if (bwd.input_size, bwd.hidden_size) != (n, h):
+            raise DimensionError(
+                f"bilstm: directions differ: ({n}, {h}) and ({bwd.input_size}, {bwd.hidden_size})"
+            )
         if xs.data.ndim != 2 or xs.data.shape[0] == 0 or xs.data.shape[1] != n:
-            raise DimensionError(f"lstm: input shape {xs.data.shape} != (T, {n}) with T >= 1")
-        w = cell.w.data
-        w_h = w[:, n:]
-        x = xs.data[::-1] if reverse else xs.data
-        steps = x.shape[0]
-        pre = x @ w[:, :n].T + cell.b.data
-        # per step: sigmoid(i, f, o) and tanh(candidate), in gate order
-        acts = np.empty((steps, 4, h))
+            raise DimensionError(f"bilstm: input shape {xs.data.shape} != (T, {n}) with T >= 1")
+        cells = (fwd, bwd)
+        # per direction, the inputs in the order it reads them
+        xs_read = (xs.data, xs.data[::-1])
+        steps = xs.data.shape[0]
+        pre = np.empty((steps, 2, 4 * h))
+        for k, (cell, x) in enumerate(zip(cells, xs_read)):
+            pre[:, k] = x @ cell.w.data[:, :n].T + cell.b.data
+        w_h = [cell.w.data[:, n:] for cell in cells]
+        # per step and direction: sigmoid(i, f, o) and tanh(candidate), in gate order
+        acts = np.empty((steps, 2, 4, h))
         # row 0 of hs and cs is the zero start state
-        hs = np.zeros((steps + 1, h))
-        cs = np.zeros((steps + 1, h))
-        tanh_cs = np.empty((steps, h))
+        hs = np.zeros((steps + 1, 2, h))
+        cs = np.zeros((steps + 1, 2, h))
+        tanh_cs = np.empty((steps, 2, h))
+        a = np.empty((2, 4 * h))
+        a_f, a_b, gates = a[0], a[1], a.reshape(2, 4, h)
         for t in range(steps):
-            a = (pre[t] + w_h @ hs[t]).reshape(4, h)
-            _lstm_update(a, cs[t], acts[t], cs[t + 1], tanh_cs[t], hs[t + 1])
-        states = hs[1:]
-        out = Tensor(states[::-1] if reverse else states)
+            np.matmul(w_h[0], hs[t, 0], out=a_f)
+            np.matmul(w_h[1], hs[t, 1], out=a_b)
+            a += pre[t]
+            _lstm_update(gates, cs[t], acts[t], cs[t + 1], tanh_cs[t], hs[t + 1])
+        # bwd's step t read input row T - 1 - t
+        out = Tensor(np.concatenate([hs[1:, 0], hs[:0:-1, 1]], axis=1))
 
         def backward(g):
-            g = g[::-1] if reverse else g
-            i, f, o, cand = acts[:, 0], acts[:, 1], acts[:, 2], acts[:, 3]
+            # per step, the gradient of each direction's state of that step
+            g_steps = np.empty((steps, 2, h))
+            g_steps[:, 0] = g[:, :h]
+            g_steps[:, 1] = g[::-1, h:]
+            i, f, o, cand = acts[:, :, 0], acts[:, :, 1], acts[:, :, 2], acts[:, :, 3]
             # d(pre-activation)/dc for the i, f and candidate rows; /dh for o
-            coef = np.stack(
-                [cand * i * (1.0 - i), cs[:-1] * f * (1.0 - f), tanh_cs * o * (1.0 - o),
-                 i * (1.0 - cand * cand)],
-                axis=1,
-            )
+            coef = np.empty_like(acts)
+            np.multiply(cand * i, 1.0 - i, out=coef[:, :, 0])
+            np.multiply(cs[:-1] * f, 1.0 - f, out=coef[:, :, 1])
+            np.multiply(tanh_cs * o, 1.0 - o, out=coef[:, :, 2])
+            np.multiply(i, 1.0 - cand * cand, out=coef[:, :, 3])
             dc_dh = o * (1.0 - tanh_cs * tanh_cs)
-            w_h_t = w_h.T
-            da = np.empty((steps, 4, h))
-            dh_next = np.zeros(h)
-            dc = np.zeros(h)
-            f_next = np.zeros(h)
+            w_h_t = [w.T for w in w_h]
+            da = np.empty((2, steps, 4, h))
+            da_rows = da.reshape(2, steps, 4 * h)
+            dh_next = np.zeros((2, h))
+            dh_f, dh_b = dh_next
+            dc = np.zeros((2, h))
+            f_next = np.zeros((2, h))
             for t in range(steps - 1, -1, -1):
-                dh = g[t] + dh_next
+                dh = g_steps[t] + dh_next
                 dc = dc * f_next + dh * dc_dh[t]
-                d = da[t]
-                np.multiply(dc, coef[t], out=d)
-                d[2] = dh * coef[t, 2]
-                dh_next = w_h_t @ d.ravel()
+                d = da[:, t]
+                np.multiply(dc[:, None], coef[t], out=d)
+                np.multiply(dh, coef[t, :, 2], out=d[:, 2])
+                np.matmul(w_h_t[0], da_rows[0, t], out=dh_f)
+                np.matmul(w_h_t[1], da_rows[1, t], out=dh_b)
                 f_next = f[t]
-            da = da.reshape(steps, 4 * h)
-            cell.w.grad += da.T @ np.concatenate([x, hs[:-1]], axis=1)
-            cell.b.grad += da.sum(axis=0)
-            dx = da @ w[:, :n]
-            xs.grad += dx[::-1] if reverse else dx
+            for k, (cell, x) in enumerate(zip(cells, xs_read)):
+                cell.w.grad += da_rows[k].T @ np.concatenate([x, hs[:-1, k]], axis=1)
+                cell.b.grad += da_rows[k].sum(axis=0)
+            # bwd's input gradient first, as if each direction were its own record
+            xs.grad += (da_rows[1] @ bwd.w.data[:, :n])[::-1]
+            xs.grad += da_rows[0] @ fwd.w.data[:, :n]
 
         return self._emit(out, backward)
 
@@ -447,8 +468,8 @@ class LstmCellParams:
                 self.w.data[rows] = glorot_uniform(rng, h, input_size + h)
                 if gate == "f":
                     self.b.data[rows] = 1.0
-            setattr(self, f"w_{gate}", _row_block(self.w, rows))
-            setattr(self, f"b_{gate}", _row_block(self.b, rows))
+            setattr(self, f"w_{gate}", _RowBlock(self.w, rows))
+            setattr(self, f"b_{gate}", _RowBlock(self.b, rows))
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = {}
@@ -458,11 +479,40 @@ class LstmCellParams:
         return out
 
 
-def _row_block(t: Tensor, rows: slice) -> Tensor:
-    """A Tensor whose data and grad are views of rows of t's."""
-    block = Tensor(t.data[rows])
-    block.grad = t.grad[rows]
-    return block
+class _RowBlock(Tensor):
+    """Rows of a parent tensor: data and grad are views of the parent's."""
+
+    __slots__ = ("parent", "rows")
+
+    def __init__(self, parent: Tensor, rows: slice):
+        self.parent, self.rows = parent, rows
+        self.view_parent()
+
+    def view_parent(self) -> None:
+        self.data = self.parent.data[self.rows]
+        self.grad = self.parent.grad[self.rows]
+
+
+def flatten(params: dict[str, Tensor]) -> None:
+    """Move the tensors that hold the parameters' memory (a row block's
+    parent, else the parameter itself) into one flat data buffer and one
+    flat zeroed gradient buffer, in the parameters' order, keeping their
+    values, and point the row blocks among params at their parents' new
+    memory: every parameter is then a view of the two buffers, so that
+    MomentumSgd steps them as one."""
+    owners = list({id(t): t for t in (getattr(p, "parent", p) for p in params.values())}.values())
+    total = sum(t.data.size for t in owners)
+    data, grad = np.empty(total), np.zeros(total)
+    start = 0
+    for t in owners:
+        end = start + t.data.size
+        block = data[start:end].reshape(t.data.shape)
+        block[...] = t.data
+        t.data, t.grad = block, grad[start:end].reshape(block.shape)
+        start = end
+    for p in params.values():
+        if isinstance(p, _RowBlock):
+            p.view_parent()
 
 
 def lstm_step(
@@ -492,7 +542,7 @@ def _lstm_update(a, c_prev, act, c, tanh_c, h) -> None:
     """One LSTM state update from the gate pre-activations a (..., 4, hidden),
     in gate order: writes sigmoid(i, f, o) and tanh(candidate) to act, the new
     cell state to c (which may be c_prev), tanh(c) to tanh_c and the new
-    hidden state to h. Tape.lstm and packed_bilstm both step through here,
+    hidden state to h. Tape.bilstm and packed_bilstm both step through here,
     so their gate arithmetic is the same."""
     sigmoid(a[..., :3, :], out=act[..., :3, :])
     np.tanh(a[..., 3, :], out=act[..., 3, :])
@@ -528,15 +578,15 @@ def packed_bilstm(
 
     groups are (B_L, L, input) arrays of sequences of one length L, longest
     first. For each group the result holds the (B_L, L, 2 * hidden) states in
-    input order, forward half first: row t of a sequence is the concatenation
-    of row t of Tape.lstm(fwd, xs) and of Tape.lstm(bwd, xs, reverse=True).
+    input order, forward half first: row t of a sequence is row t of
+    Tape.bilstm(fwd, bwd, xs).
 
     Both directions advance together. As in PyTorch's pack_padded_sequence,
     step t advances only the prefix of sequences longer than t: one mat-vec
     per direction and sequence against the stacked recurrent weights, then one
     gate update over all of them. The input projection is one (L, input) GEMM
-    per sequence and direction. These are the BLAS calls Tape.lstm makes for
-    one sequence, so a sequence's states have Tape.lstm's bits whatever else
+    per sequence and direction. These are the BLAS calls Tape.bilstm makes for
+    one sequence, so a sequence's states have Tape.bilstm's bits whatever else
     is in the batch; one GEMM over all rows would not, as BLAS rounds rows
     differently for different row counts.
     """
@@ -575,8 +625,29 @@ def packed_bilstm(
 # optimizer
 
 
+# floats per pass of MomentumSgd.step: a block's operands stay in cache
+# between the step's four elementwise passes
+STEP_BLOCK = 2**16
+
+
+def _memory(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """The array whose memory the C-contiguous array a lies in (its owner if
+    that is a C-ordered array of a's dtype, else a) and a's offset in it."""
+    owner = a.base
+    if not (isinstance(owner, np.ndarray) and owner.dtype == a.dtype and owner.flags.c_contiguous):
+        owner = a
+    return owner, (a.ctypes.data - owner.ctypes.data) // a.itemsize
+
+
 class MomentumSgd:
-    """param <- param - v, after v <- momentum * v + lr * grad."""
+    """param <- param - v, after v <- momentum * v + lr * grad.
+
+    Parameters are stepped by the stretches of memory they cover, not one by
+    one: a flat store's (see flatten) is one stretch with one velocity
+    buffer, zeroed by one fill and stepped in blocks of STEP_BLOCK floats,
+    with the elementwise arithmetic of a per-tensor step. Parameters that
+    share memory are rejected, as a step would move it twice.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float):
         if not 0.0 < lr < np.inf:
@@ -585,19 +656,47 @@ class MomentumSgd:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
-        self._params = dict(params)
-        self._velocity = {name: np.zeros_like(p.data) for name, p in self._params.items()}
+        spans = []
+        for name, p in params.items():
+            if p.data.size == 0:
+                continue
+            if not (p.data.flags.c_contiguous and p.grad.flags.c_contiguous
+                    and p.grad.shape == p.data.shape):
+                raise ValueError(f"parameter {name!r} needs contiguous data and gradient")
+            spans.append((p.data.ctypes.data, name, p))
+        runs: list[list] = []  # [data owner, grad owner, start, grad start, end]
+        last, last_end = None, 0
+        for address, name, p in sorted(spans, key=lambda span: span[0]):
+            if last is not None and address < last_end:
+                raise ValueError(f"parameters {last!r} and {name!r} share memory")
+            last, last_end = name, address + p.data.nbytes
+            (owner, start), (grad_owner, grad_start) = _memory(p.data), _memory(p.grad)
+            run = runs[-1] if runs else None
+            if (run and run[0] is owner and run[1] is grad_owner and run[4] == start
+                    and grad_start - start == run[3] - run[2]):
+                run[4] = start + p.data.size
+            else:
+                runs.append([owner, grad_owner, start, grad_start, start + p.data.size])
+        self._runs = [
+            (owner.reshape(-1)[start:end], grads.reshape(-1)[grad_start : grad_start + end - start],
+             np.zeros(end - start))
+            for owner, grads, start, grad_start, end in runs
+        ]
+        self._scratch = np.empty(min(STEP_BLOCK, max((v.size for *_, v in self._runs), default=0)))
 
     def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.zero_grad()
+        for _, grad, _ in self._runs:
+            grad.fill(0.0)
 
     def step(self) -> None:
-        for name, p in self._params.items():
-            v = self._velocity[name]
-            v *= self.momentum
-            v += self.lr * p.grad
-            p.data -= v
+        for data, grad, velocity in self._runs:
+            for start in range(0, data.size, STEP_BLOCK):
+                v = velocity[start : start + STEP_BLOCK]
+                lr_grad = self._scratch[: v.size]
+                v *= self.momentum
+                np.multiply(grad[start : start + STEP_BLOCK], self.lr, out=lr_grad)
+                v += lr_grad
+                data[start : start + STEP_BLOCK] -= v
 
 
 # ----------------------------------------------------------------------

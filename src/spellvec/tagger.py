@@ -47,6 +47,7 @@ from .nn import (
     Tape,
     Tensor,
     dropout_mask,
+    flatten,
     glorot_uniform,
     length_slices,
     packed_bilstm,
@@ -213,9 +214,11 @@ class TaggerModel:
 
     def init_rows(self, forms: list[str]) -> None:
         """One trainable row per distinct form, first appearance first, each
-        starting from the table under the variant's backoff policy."""
+        starting from the table under the variant's backoff policy; the rows
+        and the network then move into one flat store, to be trained."""
         self.rows = {form: i for i, form in enumerate(dict.fromkeys(forms))}
         self.embeddings = Tensor(self.rep.vectors(list(self.rows)))
+        flatten(self.parameters())
 
     def word_vectors(self, forms: list[str]) -> np.ndarray:
         """The forms' (len(forms), d) vectors: a training form's row, else its
@@ -253,12 +256,12 @@ class TaggerModel:
         # filled token by token: seeded runs and archives depend on this order
         if dropout > 0.0:
             reps = tape.mul_const(reps, dropout_mask((len(forms), self.width), dropout, rng))
-        layer1 = tape.concat([tape.lstm(self.l1f, reps), tape.lstm(self.l1b, reps, reverse=True)])
+        layer1 = tape.bilstm(self.l1f, self.l1b, reps)
         if dropout > 0.0:
             layer1 = tape.mul_const(
                 layer1, dropout_mask((len(forms), 2 * self.hidden), dropout, rng)
             )
-        return tape.concat([tape.lstm(self.l2f, layer1), tape.lstm(self.l2b, layer1, reverse=True)])
+        return tape.bilstm(self.l2f, self.l2b, layer1)
 
     def packed_states(self, sentences: list[Sentence]) -> Iterator[tuple[list[int], np.ndarray]]:
         """Grad-free sentence-BiLSTM states, bit-identical to states_on_tape()

@@ -480,27 +480,34 @@ def test_7_commands_byte_identical_across_runs(tmp_path):
         lambda r: (["nn", str(emb), "qok", "--k", "4", "--model", str(tmp_path / "mx.svm")], True),
         [],
     )
-    tagger_flags = ["--epochs", "1", "--hidden", "4", "--seed", "9"]
-    run_twice(
-        "train-tagger",
-        lambda r: (
-            ["train-tagger", "--train", str(train), "--dev", str(dev), "--embeddings", str(emb),
-             "--out", str(tmp_path / f"t{r}.svm"), "--variant", "mimick",
-             "--mimick", str(tmp_path / "mx.svm"), *tagger_flags],
-            False,
-        ),
-        ["t{}.svm", "t{}.svm.trace.tsv"],
-    )
-    run_twice(
-        "tag",
-        lambda r: (["tag", str(tmp_path / "tx.svm"), str(dev), str(tmp_path / f"p{r}.conllu")], False),
-        ["p{}.conllu"],
-    )
+    tagger_flags = ["--epochs", "1", "--hidden", "4", "--char-dim", "3", "--char-hidden", "4",
+                    "--seed", "9"]
+    # char2tag and both run the character BiLSTM on the tape as well
+    for variant in ("mimick", "char2tag", "both"):
+        run_twice(
+            f"train-tagger {variant}",
+            lambda r: (
+                ["train-tagger", "--train", str(train), "--dev", str(dev), "--embeddings", str(emb),
+                 "--out", str(tmp_path / f"{variant}-t{r}.svm"), "--variant", variant,
+                 "--mimick", str(tmp_path / "mx.svm"), *tagger_flags],
+                False,
+            ),
+            [f"{variant}-t{{}}.svm", f"{variant}-t{{}}.svm.trace.tsv"],
+        )
+        run_twice(
+            f"tag {variant}",
+            lambda r: (
+                ["tag", str(tmp_path / f"{variant}-tx.svm"), str(dev),
+                 str(tmp_path / f"{variant}-p{r}.conllu")],
+                False,
+            ),
+            [f"{variant}-p{{}}.conllu"],
+        )
     run_twice(
         "eval",
         lambda r: (
-            ["eval", str(dev), str(tmp_path / "px.conllu"), "--train", str(train),
-             "--compare", str(dev)],
+            ["eval", str(dev), str(tmp_path / "mimick-px.conllu"), "--train", str(train),
+             "--compare", str(tmp_path / "both-px.conllu")],
             True,
         ),
         [],

@@ -16,7 +16,7 @@ from spellvec.mimick import (
     nearest_neighbors,
     train_mimick,
 )
-from spellvec.nn import DimensionError, Tape, gradient_check
+from spellvec.nn import DimensionError, Tape, Tensor, gradient_check
 
 
 def straight_line_forward(model, word):
@@ -163,6 +163,21 @@ class TestTraining:
         _, first = train_mimick(table, cfg)
         _, second = train_mimick(table, cfg)
         assert first == second
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.2, 1.0, 1.5])
+    def test_unk_char_rate_outside_zero_to_one_rejected(self, rate):
+        # NaN or a negative rate would turn dropout off, a rate >= 1 make every character UNK
+        with pytest.raises(ValueError, match=r"^unk char rate must be in \[0, 1\), got "):
+            MimickTrainConfig(unk_char_rate=rate)
+        assert MimickTrainConfig(unk_char_rate=0.0).unk_char_rate == 0.0
+
+    def test_a_training_word_is_eight_tape_records(self):
+        # as train_mimick builds it: char rows, BiLSTM, end states, MLP, loss
+        model = small_model(seed=3)
+        tape = Tape()
+        out = model.forward_on_tape(tape, model.chars.encode("cafe"))
+        tape.sum_squares(tape.sub(out, Tensor(np.ones(model.dim))))
+        assert len(tape) == 8
 
     def test_tiny_vocabulary_rejected(self):
         table = EmbeddingTable(2, [("a", np.zeros(2))])

@@ -279,6 +279,93 @@ class TestMomentumSgd:
         with pytest.raises(ValueError):
             MomentumSgd({"p": p}, lr=0.1, momentum=1.0)
 
+    def test_parameters_sharing_memory_are_rejected(self):
+        # a step would move the shared memory twice
+        cell = LstmCellParams(2, 3)
+        with pytest.raises(ValueError, match="parameters 'w' and 'w_i' share memory"):
+            MomentumSgd({"w": cell.w, "w_i": cell.w_i}, lr=0.1, momentum=0.9)
+        p = Tensor([1.0, 2.0])
+        with pytest.raises(ValueError, match="parameters 'a' and 'b' share memory"):
+            MomentumSgd({"a": p, "b": p}, lr=0.1, momentum=0.9)
+        with pytest.raises(ValueError, match="'c.w_f' and 'w_f'"):
+            MomentumSgd({**cell.parameters("c."), "w_f": cell.w_f}, lr=0.1, momentum=0.9)
+
+    def test_flat_store_steps_as_one_buffer_with_per_tensor_bits(self):
+        # more than two blocks of floats, in tensors that straddle block edges
+        rng = np.random.default_rng(12)
+        cell = LstmCellParams(300, 120, rng)
+        params = {**cell.parameters(), "emb": Tensor(rng.normal(size=(9, 7))),
+                  "bias": Tensor(rng.normal(size=5))}
+        nn.flatten(params)
+        assert sum(p.data.size for p in params.values()) > 2 * nn.STEP_BLOCK
+        opt = MomentumSgd(params, lr=0.03, momentum=0.9)
+        expected = {k: p.data.copy() for k, p in params.items()}
+        velocity = {k: np.zeros_like(v) for k, v in expected.items()}
+        for _ in range(3):
+            opt.zero_grad()
+            assert not any(np.any(p.grad) for p in params.values())
+            for k, p in params.items():
+                p.grad[...] = rng.normal(size=p.shape)
+                velocity[k] *= 0.9
+                velocity[k] += 0.03 * p.grad
+                expected[k] -= velocity[k]
+            opt.step()
+        for k, p in params.items():
+            assert p.data.tobytes() == expected[k].tobytes(), k
+
+    def test_a_subset_of_a_buffer_steps_only_its_own_memory(self):
+        cell = LstmCellParams(2, 3, np.random.default_rng(13))
+        start = cell.w.data.copy()
+        opt = MomentumSgd({"w_f": cell.w_f, "w_c": cell.w_c}, lr=0.5, momentum=0.0)
+        cell.w.grad[...] = 1.0
+        opt.step()
+        moved = np.zeros(12, dtype=bool)
+        moved[3:6] = moved[9:12] = True
+        assert np.array_equal(cell.w.data[moved], start[moved] - 0.5)
+        assert np.array_equal(cell.w.data[~moved], start[~moved])
+        opt.zero_grad()
+        assert not np.any(cell.w.grad[moved]) and np.all(cell.w.grad[~moved] == 1.0)
+
+
+def one_store(params):
+    """The buffer holding every parameter's data, which they must tile, and
+    the one holding every gradient."""
+    first = next(iter(params.values()))
+    store, grads = first.data.base, first.grad.base
+    assert all(p.data.base is store and p.grad.base is grads for p in params.values())
+    assert store.size == grads.size == sum(p.data.size for p in params.values())
+    return store
+
+
+class TestFlatten:
+    def test_parameters_become_views_of_one_buffer_with_their_values(self):
+        rng = np.random.default_rng(14)
+        cell = LstmCellParams(3, 2, rng)
+        emb = Tensor(rng.normal(size=(4, 3)))
+        params = {**cell.parameters(), "emb": emb}
+        before = {k: p.data.copy() for k, p in params.items()}
+        emb.grad[...] = 1.0
+        nn.flatten(params)
+        one_store(params)
+        assert cell.w.data.base is emb.data.base
+        for k, p in params.items():
+            assert np.array_equal(p.data, before[k]), k
+            assert not np.any(p.grad), k
+        # the gate views kept by the cell write into the store
+        assert cell.parameters()["w_f"] is params["w_f"]
+        cell.w_f.data[...] = 7.0
+        assert np.all(cell.w.data[2:4] == 7.0)
+
+    def test_models_train_from_one_store(self):
+        from spellvec.mimick import CharVocabulary, MimickModel
+
+        model = MimickModel(CharVocabulary("abc"), dim=4, char_dim=3, hidden=2,
+                            rng=np.random.default_rng(15))
+        params = model.parameters()
+        store = one_store(params)
+        opt = MomentumSgd(params, lr=0.1, momentum=0.9)
+        assert len(opt._runs) == 1 and opt._runs[0][0].size == store.size
+
 
 class TestDropoutMask:
     def test_rate_zero_is_identity(self):
@@ -315,9 +402,9 @@ def test_every_exported_name_resolves():
 
 
 def lstm_step_chain(cell, x, reverse, weights):
-    """Reference for Tape.lstm: the rows of x run through lstm_step one at a
-    time; returns the states in input order, the per-row input gradients and
-    the gate gradients of the loss sum(weights * states)."""
+    """Reference for one direction of Tape.bilstm: the rows of x run through
+    lstm_step one at a time; returns the states in input order, the per-row
+    input gradients and the gate gradients of the loss sum(weights * states)."""
     for p in cell.parameters().values():
         p.zero_grad()
     rows = [Tensor(r) for r in x]
@@ -335,78 +422,103 @@ def lstm_step_chain(cell, x, reverse, weights):
     return np.stack([s.data for s in states]), np.stack([r.grad for r in rows]), grads
 
 
-def lstm_kernel(cell, x, reverse, weights):
-    for p in cell.parameters().values():
+def bilstm_kernel(fwd, bwd, x, weights):
+    """Tape.bilstm's states and the gradients of sum(weights * states):
+    the input's, then each direction's gate gradients."""
+    for p in [*fwd.parameters().values(), *bwd.parameters().values()]:
         p.zero_grad()
     xs = Tensor(x)
     tape = Tape()
-    states = tape.lstm(cell, xs, reverse)
+    states = tape.bilstm(fwd, bwd, xs)
     tape.backward(tape.sum(tape.mul_const(states, weights)))
-    grads = {k: p.grad.copy() for k, p in cell.parameters().items()}
+    grads = [{k: p.grad.copy() for k, p in cell.parameters().items()} for cell in (fwd, bwd)]
     return states.data.copy(), xs.grad.copy(), grads
+
+
+def bilstm_params(fwd, bwd):
+    return {**fwd.parameters("fwd."), **bwd.parameters("bwd.")}
 
 
 class TestLstmKernel:
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("steps", [1, 2, 7])
     def test_matches_lstm_step_chain(self, steps, reverse):
+        """Each direction's half of Tape.bilstm, with the loss on that half only."""
         rng = np.random.default_rng(10 * steps + reverse)
-        cell = LstmCellParams(3, 5, rng)
-        cell.b_o.data[...] = rng.normal(size=5)
+        cells = [LstmCellParams(3, 5, rng), LstmCellParams(3, 5, rng)]
+        for cell in cells:
+            cell.b_o.data[...] = rng.normal(size=5)
         x = rng.normal(size=(steps, 3))
         weights = rng.normal(size=(steps, 5))
-        got = lstm_kernel(cell, x, reverse, weights)
-        expected = lstm_step_chain(cell, x, reverse, weights)
-        assert np.allclose(got[0], expected[0], rtol=0.0, atol=1e-12)
-        assert np.allclose(got[1], expected[1], rtol=0.0, atol=1e-12)
-        assert list(got[2]) == list(expected[2])
+        half = slice(5, 10) if reverse else slice(0, 5)
+        loss_weights = np.zeros((steps, 10))
+        loss_weights[:, half] = weights
+        states, x_grad, grads = bilstm_kernel(*cells, x, loss_weights)
+        expected = lstm_step_chain(cells[reverse], x, reverse, weights)
+        assert np.allclose(states[:, half], expected[0], rtol=0.0, atol=1e-12)
+        assert np.allclose(x_grad, expected[1], rtol=0.0, atol=1e-12)
+        assert list(grads[reverse]) == list(expected[2])
         for name in expected[2]:
             # from the zero state, one step gives the forget gate no gradient
             assert np.any(expected[2][name] != 0.0) or (steps, name[-1]) == (1, "f"), name
-            assert np.allclose(got[2][name], expected[2][name], rtol=0.0, atol=1e-12), name
+            assert np.allclose(grads[reverse][name], expected[2][name], rtol=0.0, atol=1e-12), name
+            assert not np.any(grads[not reverse][name]), name
 
     def test_reverse_reads_rows_last_to_first(self):
         rng = np.random.default_rng(3)
-        cell = LstmCellParams(2, 3, rng)
+        fwd, bwd = LstmCellParams(2, 3, rng), LstmCellParams(2, 3, rng)
         x = rng.normal(size=(4, 2))
-        backward = Tape().lstm(cell, Tensor(x), reverse=True).data
-        flipped = Tape().lstm(cell, Tensor(x[::-1].copy())).data
-        assert np.array_equal(backward, flipped[::-1])
+        states = Tape().bilstm(fwd, bwd, Tensor(x)).data
+        swapped = Tape().bilstm(bwd, fwd, Tensor(x[::-1].copy())).data
+        assert np.array_equal(states[:, 3:], swapped[::-1, :3])
+        assert np.array_equal(states[:, :3], swapped[::-1, 3:])
 
     def test_gradient_check_including_length_one(self):
         rng = np.random.default_rng(17)
         for steps in (1, 1, 2, 3, 5):
-            for reverse in (False, True):
-                cell = LstmCellParams(3, 2, rng)
-                params = cell.parameters()
-                params["xs"] = Tensor(rng.normal(size=(steps, 3)))
+            fwd, bwd = LstmCellParams(3, 2, rng), LstmCellParams(3, 2, rng)
+            params = bilstm_params(fwd, bwd)
+            params["xs"] = Tensor(rng.normal(size=(steps, 3)))
 
-                def forward():
-                    t = Tape()
-                    return t, t.sum_squares(t.lstm(cell, params["xs"], reverse))
+            def forward():
+                t = Tape()
+                return t, t.sum_squares(t.bilstm(fwd, bwd, params["xs"]))
 
-                report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
-                assert report.passed, (steps, reverse, report)
+            report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
+            assert report.passed, (steps, report)
 
     def test_one_record_per_sequence(self):
-        cell = LstmCellParams(3, 2, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
         tape = Tape()
-        tape.lstm(cell, Tensor(np.ones((6, 3))))
+        tape.bilstm(LstmCellParams(3, 2, rng), LstmCellParams(3, 2, rng), Tensor(np.ones((6, 3))))
         assert len(tape) == 1
 
     def test_input_width_mismatch(self):
         cell = LstmCellParams(3, 2)
         with pytest.raises(DimensionError):
-            Tape().lstm(cell, Tensor(np.zeros((4, 2))))
+            Tape().bilstm(cell, cell, Tensor(np.zeros((4, 2))))
         with pytest.raises(DimensionError):
-            Tape().lstm(cell, Tensor(np.zeros(3)))
+            Tape().bilstm(cell, cell, Tensor(np.zeros(3)))
         with pytest.raises(DimensionError):
-            Tape().lstm(cell, Tensor(np.zeros((0, 3))))
+            Tape().bilstm(cell, cell, Tensor(np.zeros((0, 3))))
+        with pytest.raises(DimensionError, match="directions differ"):
+            Tape().bilstm(cell, LstmCellParams(3, 4), Tensor(np.zeros((4, 3))))
+
+    def test_input_gradient_adds_to_what_is_there(self):
+        rng = np.random.default_rng(18)
+        fwd, bwd = LstmCellParams(3, 4, rng), LstmCellParams(3, 4, rng)
+        x, weights, base = (rng.normal(size=shape) for shape in ((5, 3), (5, 8), (5, 3)))
+        _, alone, _ = bilstm_kernel(fwd, bwd, x, weights)
+        xs = Tensor(x)
+        xs.grad[...] = base
+        tape = Tape()
+        tape.backward(tape.sum(tape.mul_const(tape.bilstm(fwd, bwd, xs), weights)))
+        assert np.allclose(xs.grad, base + alone, rtol=0.0, atol=1e-12)
 
 
 class TestPackedBilstm:
-    """The grad-free packed pass gives each direction of every sequence the
-    bits of Tape.lstm, whatever else is in the batch."""
+    """The grad-free packed pass gives every sequence the bits of
+    Tape.bilstm, whatever else is in the batch."""
 
     @pytest.mark.parametrize("hidden,width", [(3, 4), (128, 64)])
     def test_each_direction_equals_the_tape_row_for_row(self, hidden, width):
@@ -421,9 +533,7 @@ class TestPackedBilstm:
         for group, group_states in zip(groups, states):
             assert group_states.shape == (len(group), len(sequences[group[0]]), 2 * hidden)
             for i, got in zip(group, group_states):
-                xs = Tensor(sequences[i])
-                assert np.array_equal(got[:, :hidden], Tape().lstm(fwd, xs).data), i
-                assert np.array_equal(got[:, hidden:], Tape().lstm(bwd, xs, reverse=True).data), i
+                assert np.array_equal(got, Tape().bilstm(fwd, bwd, Tensor(sequences[i])).data), i
 
     def test_length_slices_sort_longest_first_and_cut(self):
         assert length_slices([2, 5, 2, 1, 5], 3) == [[[1, 4], [0]], [[2], [3]]]
@@ -448,33 +558,33 @@ class TestStackedGateStorage:
 
     def test_in_place_gate_edit_is_seen_by_kernel(self):
         rng = np.random.default_rng(5)
-        cell = LstmCellParams(3, 4)
+        cell, other = LstmCellParams(3, 4), LstmCellParams(3, 4)
         x = rng.normal(size=(3, 3))
-        before = Tape().lstm(cell, Tensor(x)).data
+        before = Tape().bilstm(cell, other, Tensor(x)).data
         cell.w_f.data[...] = rng.normal(size=(4, 7))
         cell.w_c.data[...] = rng.normal(size=(4, 7))
         cell.b_i.data[1] = 2.0
-        after = Tape().lstm(cell, Tensor(x)).data
+        after = Tape().bilstm(cell, other, Tensor(x)).data
         assert not np.array_equal(before, after)
         assert np.array_equal(cell.w.data[4:8], cell.w_f.data)
         expected, _, _ = lstm_step_chain(cell, x, False, np.ones((3, 4)))
-        assert np.allclose(after, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(after[:, :4], expected, rtol=0.0, atol=1e-12)
 
     def test_optimizer_step_updates_the_stacked_weights(self):
         rng = np.random.default_rng(6)
-        cell = LstmCellParams(2, 3, rng)
+        cell, other = LstmCellParams(2, 3, rng), LstmCellParams(2, 3, rng)
         opt = MomentumSgd(cell.parameters(), lr=0.1, momentum=0.9)
         x = Tensor(rng.normal(size=(4, 2)))
         start = cell.w.data.copy()
         opt.zero_grad()
         tape = Tape()
-        tape.backward(tape.sum_squares(tape.lstm(cell, x)))
+        tape.backward(tape.sum_squares(tape.bilstm(cell, other, x)))
         assert np.array_equal(cell.w_o.grad, cell.w.grad[6:9])
         grad = cell.w.grad.copy()
         opt.step()
         assert np.allclose(cell.w.data, start - 0.1 * grad, rtol=0.0, atol=1e-15)
         expected, _, _ = lstm_step_chain(cell, x.data, False, np.ones((4, 3)))
-        assert np.allclose(Tape().lstm(cell, x).data, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(Tape().bilstm(cell, other, x).data[:, :3], expected, rtol=0.0, atol=1e-12)
 
     def test_restore_parameters_is_seen_by_kernel(self):
         from spellvec.mimick import restore_parameters
@@ -491,8 +601,8 @@ class TestStackedGateStorage:
         )
         x = rng.normal(size=(3, 2))
         expected, _, _ = lstm_step_chain(cell, x, True, np.ones((3, 3)))
-        assert np.allclose(Tape().lstm(cell, Tensor(x), reverse=True).data, expected,
-                           rtol=0.0, atol=1e-12)
+        states = Tape().bilstm(LstmCellParams(2, 3), cell, Tensor(x)).data
+        assert np.allclose(states[:, 3:], expected, rtol=0.0, atol=1e-12)
 
 
 MATRIX_OP_CASES = {
@@ -502,6 +612,7 @@ MATRIX_OP_CASES = {
     "row": lambda t, ps: t.sum_squares(t.row(ps["m"], [2, 0, 2, 1])),
     "log_softmax": lambda t, ps: t.sum_squares(t.log_softmax(ps["m"])),
     "pick": lambda t, ps: t.sum_squares(t.pick(ps["m"], [3, 0, 3])),
+    "take": lambda t, ps: t.sum_squares(t.take(ps["m"], ([2, 0, 2, 1], [3, 3, 0, 1]))),
 }
 
 
@@ -601,38 +712,35 @@ class TestSaturatedGates:
         states = packed_bilstm(fwd, bwd, [np.stack([sequences[i] for i in g]) for g in groups])
         for group, group_states in zip(groups, states):
             for i, got in zip(group, group_states):
-                xs = Tensor(sequences[i])
-                assert np.array_equal(got[:, :3], Tape().lstm(fwd, xs).data), i
-                assert np.array_equal(got[:, 3:], Tape().lstm(bwd, xs, reverse=True).data), i
+                assert np.array_equal(got, Tape().bilstm(fwd, bwd, Tensor(sequences[i])).data), i
 
     @pytest.mark.parametrize("magnitude", [60.0, 1e3, 1e300])
     def test_tape_gradients_are_finite(self, magnitude):
         rng = np.random.default_rng(41)
-        cell = LstmCellParams(3, 4, rng)
-        saturate(cell, rng, "ifoc", magnitude)
+        fwd, bwd = LstmCellParams(3, 4, rng), LstmCellParams(3, 4, rng)
+        saturate(fwd, rng, "ifoc", magnitude)
+        saturate(bwd, rng, "ifoc", magnitude)
         xs = Tensor(np.clip(rng.normal(size=(6, 3)), -4.0, 4.0))
-        for reverse in (False, True):
-            for p in [*cell.parameters().values(), xs]:
-                p.zero_grad()
-            tape = Tape()
-            states = tape.lstm(cell, xs, reverse)
-            tape.backward(tape.sum_squares(states))
-            assert np.all(np.isfinite(states.data))
+        tape = Tape()
+        states = tape.bilstm(fwd, bwd, xs)
+        tape.backward(tape.sum_squares(states))
+        assert np.all(np.isfinite(states.data))
+        for cell in (fwd, bwd):
             assert np.all(np.isfinite(cell.w.grad)) and np.all(np.isfinite(cell.b.grad))
-            assert np.all(np.isfinite(xs.grad))
+        assert np.all(np.isfinite(xs.grad))
 
     def test_gradient_check(self):
         rng = np.random.default_rng(42)
         for steps in (1, 3, 5):
-            for reverse in (False, True):
-                cell = LstmCellParams(3, 2, rng)
-                saturate(cell, rng, "ifo", 60.0)
-                params = cell.parameters()
-                params["xs"] = Tensor(np.clip(rng.normal(size=(steps, 3)), -4.0, 4.0))
+            fwd, bwd = LstmCellParams(3, 2, rng), LstmCellParams(3, 2, rng)
+            saturate(fwd, rng, "ifo", 60.0)
+            saturate(bwd, rng, "ifo", 60.0)
+            params = bilstm_params(fwd, bwd)
+            params["xs"] = Tensor(np.clip(rng.normal(size=(steps, 3)), -4.0, 4.0))
 
-                def forward():
-                    t = Tape()
-                    return t, t.sum_squares(t.lstm(cell, params["xs"], reverse))
+            def forward():
+                t = Tape()
+                return t, t.sum_squares(t.bilstm(fwd, bwd, params["xs"]))
 
-                report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
-                assert report.passed, (steps, reverse, report)
+            report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
+            assert report.passed, (steps, report)

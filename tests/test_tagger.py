@@ -260,6 +260,20 @@ class TestJointLoss:
 
 
 class TestVariants:
+    def test_init_rows_moves_rows_and_network_into_one_store(self):
+        model = tiny_model(seed=4)
+        network = {k: p.data.copy() for k, p in model.network_parameters().items()}
+        model.init_rows(["bb", "aa", "bb"])
+        params = model.parameters()
+        store, grads = model.embeddings.data.base, model.embeddings.grad.base
+        assert store is not None and grads is not None
+        assert all(p.data.base is store and p.grad.base is grads for p in params.values())
+        assert store.size == grads.size == sum(p.data.size for p in params.values())
+        for name, value in network.items():
+            assert np.array_equal(params[name].data, value), name
+        expected_rows = np.stack([model.rep.table.vector(w) for w in ("bb", "aa")])
+        assert np.array_equal(params["rows"].data, expected_rows)
+
     def test_mimick_variant_initializes_oov_rows_from_mimick(self):
         rng = np.random.default_rng(0)
         table = tiny_table(rng, ["aa"], dim=3, with_unk=False)
