@@ -10,6 +10,7 @@ float64 exactly; a nan or infinite value is rejected when read.
 from __future__ import annotations
 
 import os
+from itertools import islice
 from stat import S_ISREG
 from typing import IO, Iterable
 
@@ -24,6 +25,13 @@ UNK_LOWERCASE = "unk-with-lowercase-backoff"
 MIMICK_DIRECT = "mimick-direct"
 TABLE_ONLY = "table-only"
 POLICIES = (UNK_LOWERCASE, MIMICK_DIRECT, TABLE_ONLY)
+
+# lines per np.loadtxt call in read_embeddings: a chunk's temporaries stay
+# near 1 MB at d = 64
+READ_CHUNK = 1024
+# what np.loadtxt reads differently from float(): "\r" and "\n" end its
+# line, and it strips "\x1c"-"\x1f" from a field's ends as whitespace
+_LOADTXT_ONLY = ("\r", "\n", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 class EmbeddingParseError(ValueError):
@@ -158,7 +166,8 @@ def parse_header(line: str | None) -> tuple[int, int]:
         count, dim = int(header[0]), int(header[1])
     except ValueError:
         raise EmbeddingParseError(1, f"expected integer header 'V d', got {line!r}") from None
-    if count < 0 or dim < 1:
+    # numpy shapes no float64 matrix, not even an empty one, wider than this
+    if count < 0 or not 1 <= dim <= (2**63 - 1) // 8:
         raise EmbeddingParseError(1, f"invalid header counts {count} {dim}")
     return count, dim
 
@@ -176,65 +185,129 @@ def _size_bound(source: IO[str] | str) -> int:
     return stat.st_size if S_ISREG(stat.st_mode) else 0
 
 
+class _Rows:
+    """The rows of a table being read: its entries' words and the matrix
+    their values fill in file order, and the <UNK> row."""
+
+    def __init__(self, count: int, dim: int, size: int):
+        self.count, self.dim = count, dim
+        # a row line holds at least a space and a digit per value, so a
+        # header that claims more rows than the input can hold claims no
+        # memory for them
+        self.matrix = np.empty((min(count, size // (2 * dim)), dim))
+        self.words: list[str] = []
+        self.seen: set[str] = set()
+        self.unk: np.ndarray | None = None
+        self.unk_row = count  # entries before the <UNK> row
+
+    def make_room(self, rows: int) -> None:
+        """Grow the matrix, if it must, to take `rows` more entries; past the
+        size bound (a stream or a compressed file) it at least doubles."""
+        filled = len(self.words)
+        if filled + rows > len(self.matrix):
+            grown = np.empty((min(self.count, max(filled + rows, 2 * filled + 1)), self.dim))
+            grown[:filled] = self.matrix[:filled]
+            self.matrix = grown
+
+    def add_chunk(self, lines: list[str]) -> bool:
+        """Add the rows of lines, their values parsed by one np.loadtxt call,
+        and return True; or add nothing and return False, leaving the chunk to
+        add_lines, if it repeats a word, holds a value field that is empty or
+        has a character of _LOADTXT_ONLY, or np.loadtxt refuses it or reads
+        it to another shape."""
+        parts = [line.partition(" ") for line in lines]
+        words = [part[0] for part in parts]
+        values = [part[2] for part in parts]
+        fresh = set(words)
+        if len(fresh) != len(words) or not self.seen.isdisjoint(fresh):
+            return False
+        has_unk = UNK_TOKEN in fresh
+        if has_unk and self.unk is not None:
+            return False
+        # np.loadtxt skips an empty line, and warns if it finds no others
+        if "" in values:
+            return False
+        text = "".join(values)
+        if any(char in text for char in _LOADTXT_ONLY):
+            return False
+        try:
+            block = np.loadtxt(values, delimiter=" ", comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            return False
+        if block.shape != (len(lines), self.dim):
+            return False
+        if has_unk:
+            at = words.index(UNK_TOKEN)
+            self.unk, self.unk_row = block[at].copy(), len(self.words) + at
+            block = np.delete(block, at, axis=0)
+            del words[at]
+        self.make_room(len(words))
+        self.matrix[len(self.words) : len(self.words) + len(words)] = block
+        self.words += words
+        self.seen.update(words)
+        return True
+
+    def add_lines(self, lines: list[str], first_line: int) -> None:
+        """Add the rows of lines, the first on line first_line, one at a time:
+        the definition of a valid row, and of the error its first bad line
+        raises."""
+        for line_no, line in enumerate(lines, first_line):
+            fields = line.split(" ")
+            if len(fields) != self.dim + 1:
+                raise EmbeddingParseError(
+                    line_no, f"expected 1 word and {self.dim} values, got {len(fields)} fields"
+                )
+            row = len(self.words)
+            self.make_room(1)
+            try:  # numpy converts each str by float()'s rules
+                self.matrix[row] = fields[1:]
+            except ValueError:
+                raise EmbeddingParseError(line_no, "unparseable number") from None
+            word = fields[0]
+            if word == UNK_TOKEN:
+                if self.unk is not None:
+                    raise EmbeddingParseError(line_no, f"duplicate {UNK_TOKEN} row")
+                self.unk, self.unk_row = self.matrix[row].copy(), row
+            elif word in self.seen:
+                raise EmbeddingParseError(line_no, f"duplicate word {word!r}")
+            else:
+                self.seen.add(word)
+                self.words.append(word)
+
+
 def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
-    """Parse the text format line by line straight into the table's matrix."""
+    """Parse the text format READ_CHUNK lines at a time straight into the
+    table's matrix. A chunk's values go through np.loadtxt, whose C reader
+    gives the bits float() gives; a chunk it refuses is parsed row by row, so
+    the accepted spellings are float()'s, and the first bad line in file order
+    is the one reported."""
     size = _size_bound(source)
     lines = text_lines(source)
     count, dim = parse_header(next(lines, None))
-
-    # each row's values are parsed into the matrix's next free row, which an
-    # entry keeps and the <UNK> row is copied out of, so the entries fill the
-    # first rows in file order and the table adopts a view of them with no
-    # copy; a row line holds at least a space and a digit per value, so a
-    # header that claims more rows than the input can hold claims no memory
-    # for them
-    matrix = np.empty((min(count, size // (2 * dim)), dim))
-    words: list[str] = []
-    seen: set[str] = set()
-    unk = None
-    unk_row = count  # entries before the <UNK> row
-    for offset in range(count):
-        line_no = 2 + offset
-        line = next(lines, None)
-        if line is None:
-            raise EmbeddingParseError(line_no, f"expected {count} rows, file ends after {offset}")
-        fields = line.split(" ")
-        if len(fields) != dim + 1:
-            raise EmbeddingParseError(
-                line_no, f"expected 1 word and {dim} values, got {len(fields)} fields"
-            )
-        row = len(words)
-        if row == len(matrix):  # past the size bound: a stream or a compressed file
-            grown = np.empty((min(count, 2 * row + 1), dim))
-            grown[:row] = matrix
-            matrix = grown
-        try:  # numpy converts each str by float()'s rules
-            matrix[row] = fields[1:]
-        except ValueError:
-            raise EmbeddingParseError(line_no, "unparseable number") from None
-        word = fields[0]
-        if word == UNK_TOKEN:
-            if unk is not None:
-                raise EmbeddingParseError(line_no, f"duplicate {UNK_TOKEN} row")
-            unk, unk_row = matrix[row].copy(), row
-        elif word in seen:
-            raise EmbeddingParseError(line_no, f"duplicate word {word!r}")
-        else:
-            seen.add(word)
-            words.append(word)
-    matrix = matrix[: len(words)]
+    rows = _Rows(count, dim, size)
+    for start in range(0, count, READ_CHUNK):
+        want = min(READ_CHUNK, count - start)
+        chunk = list(islice(lines, want))
+        if len(chunk) < want or not rows.add_chunk(chunk):
+            rows.add_lines(chunk, 2 + start)
+        if len(chunk) < want:
+            read = start + len(chunk)
+            raise EmbeddingParseError(2 + read, f"expected {count} rows, file ends after {read}")
+    # the entries fill the first rows in file order, and the table adopts a
+    # view of them with no copy
+    matrix = rows.matrix[: len(rows.words)]
     # the first non-finite row's line: entry i is on line 2 + i, one further
     # down once past the <UNK> row
     finite = np.isfinite(matrix).all(axis=1)
-    bad = [2 + i + (i >= unk_row) for i in np.flatnonzero(~finite)[:1].tolist()]
-    if unk is not None and not np.isfinite(unk).all():
-        bad.append(2 + unk_row)
+    bad = [2 + i + (i >= rows.unk_row) for i in np.flatnonzero(~finite)[:1].tolist()]
+    if rows.unk is not None and not np.isfinite(rows.unk).all():
+        bad.append(2 + rows.unk_row)
     if bad:
         raise EmbeddingParseError(min(bad), "value is nan or infinite")
     for extra, line in enumerate(lines):
         if line.strip():
             raise EmbeddingParseError(count + 2 + extra, "content past the declared row count")
-    return EmbeddingTable.over(words, matrix, unk)
+    return EmbeddingTable.over(rows.words, matrix, rows.unk)
 
 
 def write_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:

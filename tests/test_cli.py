@@ -419,6 +419,21 @@ def test_a_parse_error_names_the_file(tmp_path, capsys, kind, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [argv for _, argv in READER_ARGVS if argv[0] in ("nn", "infer")])
+def test_a_header_dimension_numpy_cannot_shape_is_a_line_1_error(tmp_path, capsys, argv):
+    text = "3 4611686018427387904\nw 1 2\n"
+    bad = tmp_path / "huge.txt"
+    bad.write_text(text, encoding="utf-8")
+    message = "line 1: invalid header counts 3 4611686018427387904"
+    with open(bad, encoding="utf-8") as handle:
+        for source in (text, handle, io.StringIO(text)):
+            with pytest.raises(EmbeddingParseError, match=f"^{message}$"):
+                read_embeddings(source)
+    paths = reader_paths(tmp_path, bad)
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {bad}: {message}"
+
+
 @pytest.mark.parametrize("argv", [argv for _, argv in READER_ARGVS] + [
     ["infer", "{model}", "{emb}", "{bad}", "{out}"],
 ])

@@ -1,12 +1,14 @@
 import gzip
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spellvec import embeddings
 from spellvec.embeddings import (
     MIMICK_DIRECT,
     TABLE_ONLY,
@@ -83,6 +85,19 @@ class TestReadEmbeddings:
                 with pytest.raises(EmbeddingParseError, match="^line 3: .*file ends after 1$"):
                     read_embeddings(source)
 
+    @pytest.mark.parametrize("dim", [100_000_000_000, (2**63 - 1) // 8])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_header_claiming_a_huge_dimension_claims_no_memory(self, tmp_path, dim, count):
+        # one row line: a full chunk, or one short of the declared rows
+        text = f"{count} {dim}\nw 1 2\n"
+        (tmp_path / "t.txt").write_text(text, encoding="utf-8")
+        with open(tmp_path / "t.txt", encoding="utf-8") as handle:
+            for source in (text, handle, io.StringIO(text)):
+                with pytest.raises(
+                    EmbeddingParseError, match=f"^line 2: expected 1 word and {dim} values, got 3 fields$"
+                ):
+                    read_embeddings(source)
+
     def test_compressed_file_larger_than_its_size_parses(self, tmp_path):
         rows = [f"w{i} " + " ".join(["0.5"] * 8) for i in range(300)]
         text = "300 8\n" + "\n".join(rows) + "\n"
@@ -135,31 +150,46 @@ def table_texts(draw):
     return "\n".join(lines) + "\n", rows, bad_line
 
 
+# lines per chunk the reader is tested with, so that a table's <UNK> row,
+# repeated words and bad values fall at every place in a chunk
+CHUNK_SIZES = (1, 2, 3, embeddings.READ_CHUNK)
+
+
+def read_in_chunks(source, chunk):
+    """read_embeddings(source), reading chunk lines at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embeddings, "READ_CHUNK", chunk)
+        return read_embeddings(source)
+
+
 @settings(max_examples=200, deadline=None)
 @given(table_texts(), st.booleans())
 def test_read_embeddings_fills_one_matrix_in_file_order(case, stream):
     text, rows, bad_line = case
-    source = io.StringIO(text) if stream else text
-    if bad_line is not None:
-        with pytest.raises(EmbeddingParseError, match=f"^line {bad_line}: value is nan or infinite$"):
-            read_embeddings(source)
-        return
-    table = read_embeddings(source)
-    entries = [(w, r) for w, r in rows if w != "<UNK>"]
-    matrix = table.matrix()
-    assert matrix is table.matrix()
-    assert table.words() == [w for w, _ in entries]
-    assert matrix.tobytes() == np.array([r for _, r in entries]).reshape(-1, table.dim).tobytes()
-    for word, _ in entries:
-        assert np.shares_memory(table.vector(word), matrix)
-    unk = [r for w, r in rows if w == "<UNK>"]
-    assert (table.unk is None) if not unk else (table.unk.tobytes() == np.array(unk[0]).tobytes())
+    for chunk in CHUNK_SIZES:
+        source = io.StringIO(text) if stream else text
+        if bad_line is not None:
+            with pytest.raises(EmbeddingParseError, match=f"^line {bad_line}: value is nan or infinite$"):
+                read_in_chunks(source, chunk)
+            continue
+        table = read_in_chunks(source, chunk)
+        entries = [(w, r) for w, r in rows if w != "<UNK>"]
+        matrix = table.matrix()
+        assert matrix is table.matrix()
+        assert table.words() == [w for w, _ in entries]
+        assert matrix.tobytes() == np.array([r for _, r in entries]).reshape(-1, table.dim).tobytes()
+        for word, _ in entries:
+            assert np.shares_memory(table.vector(word), matrix)
+        unk = [r for w, r in rows if w == "<UNK>"]
+        assert (table.unk is None) if not unk else (table.unk.tobytes() == np.array(unk[0]).tobytes())
 
 
-# spellings float() accepts, with a finite or a non-finite value, or rejects
+# spellings float() accepts, with a finite or a non-finite value, or rejects;
+# np.loadtxt also takes the whitespace-wrapped ones, with float()'s values,
+# refuses "1_0" and "\u0661\u0662", and takes "1\x1c", which float() rejects
 number_spellings = [
     "1_0", "1e400", "Infinity", "-0", "1e-400", "\u0661\u0662", "0x10", "", "abc",
-    "+2.5", ".5", "5.", "1E3", "1..2",
+    "+2.5", ".5", "5.", "1E3", "1..2", "\x0c1", "1\xa0", "\u20281", "1\x1c",
 ]
 
 
@@ -196,20 +226,21 @@ def test_values_parse_as_float_does_or_fail_on_its_first_line(case, stream):
     values = [[float_or_none(f) for f in fields] for _, fields in rows]
     unparseable = [2 + i for i, row in enumerate(values) if None in row]
     non_finite = [2 + i for i, row in enumerate(values) if None not in row and not np.isfinite(row).all()]
-    source = io.StringIO(text) if stream else text
-    if unparseable:
-        with pytest.raises(EmbeddingParseError, match=f"^line {unparseable[0]}: unparseable number$"):
-            read_embeddings(source)
-    elif non_finite:
-        with pytest.raises(EmbeddingParseError, match=f"^line {non_finite[0]}: value is nan or infinite$"):
-            read_embeddings(source)
-    else:
-        table = read_embeddings(source)
-        entries = [v for (w, _), v in zip(rows, values) if w != "<UNK>"]
-        expected = np.array(entries, dtype=np.float64).reshape(-1, table.dim)
-        assert table.matrix().tobytes() == expected.tobytes()
-        unk = [v for (w, _), v in zip(rows, values) if w == "<UNK>"]
-        assert (table.unk is None) if not unk else (table.unk.tobytes() == np.array(unk[0]).tobytes())
+    for chunk in CHUNK_SIZES:
+        source = io.StringIO(text) if stream else text
+        if unparseable:
+            with pytest.raises(EmbeddingParseError, match=f"^line {unparseable[0]}: unparseable number$"):
+                read_in_chunks(source, chunk)
+        elif non_finite:
+            with pytest.raises(EmbeddingParseError, match=f"^line {non_finite[0]}: value is nan or infinite$"):
+                read_in_chunks(source, chunk)
+        else:
+            table = read_in_chunks(source, chunk)
+            entries = [v for (w, _), v in zip(rows, values) if w != "<UNK>"]
+            expected = np.array(entries, dtype=np.float64).reshape(-1, table.dim)
+            assert table.matrix().tobytes() == expected.tobytes()
+            unk = [v for (w, _), v in zip(rows, values) if w == "<UNK>"]
+            assert (table.unk is None) if not unk else (table.unk.tobytes() == np.array(unk[0]).tobytes())
 
 
 @pytest.mark.parametrize(
@@ -218,6 +249,55 @@ def test_values_parse_as_float_does_or_fail_on_its_first_line(case, stream):
 def test_a_bad_number_is_reported_before_a_repeated_word(text):
     with pytest.raises(EmbeddingParseError, match=f"^line {text.count(chr(10))}: unparseable number$"):
         read_embeddings(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1\ndog 1\ndog 2\ncat x\n", "line 3: duplicate word 'dog'"),
+        ("3 1\n<UNK> 1\n<UNK> 2\ncat 1..2\n", "line 3: duplicate <UNK> row"),
+    ],
+)
+def test_a_repeated_word_is_reported_before_a_later_bad_number(text, message):
+    # in one chunk, and in two with chunks of 1 or 2 lines
+    for chunk in CHUNK_SIZES:
+        with pytest.raises(EmbeddingParseError, match=f"^{message}$"):
+            read_in_chunks(text, chunk)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 1\ndog \n", "2 1\ndog \ncat \n", "1 1\r\ndog \r\n"],
+)
+def test_parsing_emits_no_warning(text):
+    # every row line's value fields hold no data, so np.loadtxt would skip
+    # them all and warn; a StringIO's default newline="\n" keeps the "\r"s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in (text, io.StringIO(text)):
+            with pytest.raises(EmbeddingParseError, match="^line 2: unparseable number$"):
+                read_embeddings(source)
+
+
+def test_a_valid_table_takes_one_reader_call_per_chunk(monkeypatch):
+    loadtxt, calls, reparsed = np.loadtxt, [], []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "READ_CHUNK", 4)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.setattr(embeddings._Rows, "add_lines", lambda *args: reparsed.append(args))
+    words = [f"w{i}" for i in range(9)]
+    words.insert(5, "<UNK>")
+    text = "10 2\n" + "".join(f"{w} {i}.5 -{i}\n" for i, w in enumerate(words))
+    table = read_embeddings(text)
+    assert [len(lines) for lines in calls] == [4, 4, 2]
+    assert reparsed == []
+    assert table.words() == [w for w in words if w != "<UNK>"]
+    assert table.unk.tolist() == [5.5, -5.0]
+    assert table.matrix().tolist() == [[i + 0.5, -i] for i in range(10) if i != 5]
 
 
 @pytest.mark.parametrize("mark", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1e"])
