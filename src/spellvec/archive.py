@@ -101,6 +101,8 @@ def _read_archive(
             and all(type(d) is int for d in spec["shape"])
         ):
             raise ArchiveError(f"{path}: tensor entry {spec!r} is not {{name: str, shape: [int]}}")
+        if spec["name"] in tensors:
+            raise ArchiveError(f"{path}: duplicate tensor {spec['name']!r}")
         shape = tuple(spec["shape"])
         if any(d < 0 for d in shape):
             raise ArchiveError(f"{path}: tensor {spec['name']!r} has negative shape {list(shape)}")

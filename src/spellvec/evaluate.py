@@ -17,7 +17,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .conllu import Sentence
-from .embeddings import EmbeddingTable, OovLookupError, lookup_many, pow2_scaled
+from .embeddings import TABLE_ONLY, EmbeddingTable, lookup_many, pow2_scaled
 from .fileio import text_lines
 
 
@@ -209,17 +209,19 @@ def spearman(
 ) -> tuple[float, int]:
     """Spearman rank correlation between model cosine similarities and human
     scores; pairs unresolvable under the policy are excluded and the count of
-    resolvable pairs is reported."""
+    resolvable pairs is reported. The dataset's distinct words are resolved
+    in one lookup_many call; under table-only, those outside the table are
+    left out, and so are their pairs."""
     if not dataset:
         raise ValueError("empty similarity dataset")
-    sims, scores = [], []
-    for w1, w2, score in dataset:
-        try:
-            (v1, v2), _ = lookup_many(table, policy, [w1, w2], mimick)
-        except OovLookupError:
-            continue
-        sims.append(cosine(v1, v2))
-        scores.append(score)
+    words = list(dict.fromkeys(w for w1, w2, _ in dataset for w in (w1, w2)))
+    if policy == TABLE_ONLY:
+        words = [w for w in words if w in table]
+    vectors, _ = lookup_many(table, policy, words, mimick)
+    row = {w: i for i, w in enumerate(words)}
+    pairs = [(w1, w2, score) for w1, w2, score in dataset if w1 in row and w2 in row]
+    sims = [cosine(vectors[row[w1]], vectors[row[w2]]) for w1, w2, _ in pairs]
+    scores = [score for _, _, score in pairs]
     if len(sims) < 2:
         raise ValueError(f"only {len(sims)} resolvable pairs; need at least 2")
     rho = _pearson(average_ranks(sims), average_ranks(scores))

@@ -23,7 +23,6 @@ from .nn import (
     Tape,
     Tensor,
     embedding_init,
-    flatten,
     glorot_uniform,
     length_slices,
     matvec_rows,
@@ -166,7 +165,6 @@ class MimickModel(CharBiLstm):
             self.o_t = Tensor(glorot_uniform(rng, dim, hidden))
         self.b_h = Tensor(np.zeros(hidden))
         self.b_t = Tensor(np.zeros(dim))
-        flatten(self.parameters())
 
     def parameters(self) -> dict[str, Tensor]:
         params = super().parameters()

@@ -480,26 +480,34 @@ class LstmCellParams:
 
 
 class _RowBlock(Tensor):
-    """Rows of a parent tensor: data and grad are views of the parent's."""
+    """Rows of a parent tensor: data and grad are views of the parent's
+    current buffers, so they follow the parent wherever flatten moves it."""
 
     __slots__ = ("parent", "rows")
 
     def __init__(self, parent: Tensor, rows: slice):
         self.parent, self.rows = parent, rows
-        self.view_parent()
 
-    def view_parent(self) -> None:
-        self.data = self.parent.data[self.rows]
-        self.grad = self.parent.grad[self.rows]
+    @property
+    def data(self) -> np.ndarray:
+        return self.parent.data[self.rows]
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self.parent.grad[self.rows]
+
+    @grad.setter
+    def grad(self, value) -> None:
+        # `view.grad += g` adds in place, then assigns the sum back here
+        self.parent.grad[self.rows] = value
 
 
-def flatten(params: dict[str, Tensor]) -> None:
+def flatten(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
     """Move the tensors that hold the parameters' memory (a row block's
-    parent, else the parameter itself) into one flat data buffer and one
-    flat zeroed gradient buffer, in the parameters' order, keeping their
-    values, and point the row blocks among params at their parents' new
-    memory: every parameter is then a view of the two buffers, so that
-    MomentumSgd steps them as one."""
+    parent, else the parameter itself), each once, into one flat data buffer
+    and one flat zeroed gradient buffer, in the parameters' order, keeping
+    their values; returns the two buffers. Row blocks view their parents'
+    new memory, so every parameter is then a view of the two buffers."""
     owners = list({id(t): t for t in (getattr(p, "parent", p) for p in params.values())}.values())
     total = sum(t.data.size for t in owners)
     data, grad = np.empty(total), np.zeros(total)
@@ -510,9 +518,7 @@ def flatten(params: dict[str, Tensor]) -> None:
         block[...] = t.data
         t.data, t.grad = block, grad[start:end].reshape(block.shape)
         start = end
-    for p in params.values():
-        if isinstance(p, _RowBlock):
-            p.view_parent()
+    return data, grad
 
 
 def lstm_step(
@@ -630,23 +636,18 @@ def packed_bilstm(
 STEP_BLOCK = 2**16
 
 
-def _memory(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """The array whose memory the C-contiguous array a lies in (its owner if
-    that is a C-ordered array of a's dtype, else a) and a's offset in it."""
-    owner = a.base
-    if not (isinstance(owner, np.ndarray) and owner.dtype == a.dtype and owner.flags.c_contiguous):
-        owner = a
-    return owner, (a.ctypes.data - owner.ctypes.data) // a.itemsize
-
-
 class MomentumSgd:
     """param <- param - v, after v <- momentum * v + lr * grad.
 
-    Parameters are stepped by the stretches of memory they cover, not one by
-    one: a flat store's (see flatten) is one stretch with one velocity
-    buffer, zeroed by one fill and stepped in blocks of STEP_BLOCK floats,
-    with the elementwise arithmetic of a per-tensor step. Parameters that
-    share memory are rejected, as a step would move it twice.
+    Building the optimizer moves the parameters into one flat store (see
+    flatten), which zeroes their gradients. It keeps the store's data and
+    gradient buffers and one velocity buffer: zero_grad is one fill, and step
+    runs over the store in blocks of STEP_BLOCK floats, with the elementwise
+    arithmetic of a per-tensor step.
+
+    Each owner tensor is moved once, so memory that several parameters name
+    (a gate view and its w, or one tensor under two names) is stepped once.
+    A gate view (w_i ... b_c) is stepped together with its whole parent.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float):
@@ -656,47 +657,21 @@ class MomentumSgd:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
-        spans = []
-        for name, p in params.items():
-            if p.data.size == 0:
-                continue
-            if not (p.data.flags.c_contiguous and p.grad.flags.c_contiguous
-                    and p.grad.shape == p.data.shape):
-                raise ValueError(f"parameter {name!r} needs contiguous data and gradient")
-            spans.append((p.data.ctypes.data, name, p))
-        runs: list[list] = []  # [data owner, grad owner, start, grad start, end]
-        last, last_end = None, 0
-        for address, name, p in sorted(spans, key=lambda span: span[0]):
-            if last is not None and address < last_end:
-                raise ValueError(f"parameters {last!r} and {name!r} share memory")
-            last, last_end = name, address + p.data.nbytes
-            (owner, start), (grad_owner, grad_start) = _memory(p.data), _memory(p.grad)
-            run = runs[-1] if runs else None
-            if (run and run[0] is owner and run[1] is grad_owner and run[4] == start
-                    and grad_start - start == run[3] - run[2]):
-                run[4] = start + p.data.size
-            else:
-                runs.append([owner, grad_owner, start, grad_start, start + p.data.size])
-        self._runs = [
-            (owner.reshape(-1)[start:end], grads.reshape(-1)[grad_start : grad_start + end - start],
-             np.zeros(end - start))
-            for owner, grads, start, grad_start, end in runs
-        ]
-        self._scratch = np.empty(min(STEP_BLOCK, max((v.size for *_, v in self._runs), default=0)))
+        self._data, self._grad = flatten(params)
+        self._velocity = np.zeros(self._data.size)
+        self._scratch = np.empty(min(STEP_BLOCK, self._data.size))
 
     def zero_grad(self) -> None:
-        for _, grad, _ in self._runs:
-            grad.fill(0.0)
+        self._grad.fill(0.0)
 
     def step(self) -> None:
-        for data, grad, velocity in self._runs:
-            for start in range(0, data.size, STEP_BLOCK):
-                v = velocity[start : start + STEP_BLOCK]
-                lr_grad = self._scratch[: v.size]
-                v *= self.momentum
-                np.multiply(grad[start : start + STEP_BLOCK], self.lr, out=lr_grad)
-                v += lr_grad
-                data[start : start + STEP_BLOCK] -= v
+        for start in range(0, self._data.size, STEP_BLOCK):
+            v = self._velocity[start : start + STEP_BLOCK]
+            lr_grad = self._scratch[: v.size]
+            v *= self.momentum
+            np.multiply(self._grad[start : start + STEP_BLOCK], self.lr, out=lr_grad)
+            v += lr_grad
+            self._data[start : start + STEP_BLOCK] -= v
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .nn import (
     Tape,
     Tensor,
     dropout_mask,
-    flatten,
     glorot_uniform,
     length_slices,
     packed_bilstm,
@@ -214,11 +213,9 @@ class TaggerModel:
 
     def init_rows(self, forms: list[str]) -> None:
         """One trainable row per distinct form, first appearance first, each
-        starting from the table under the variant's backoff policy; the rows
-        and the network then move into one flat store, to be trained."""
+        starting from the table under the variant's backoff policy."""
         self.rows = {form: i for i, form in enumerate(dict.fromkeys(forms))}
         self.embeddings = Tensor(self.rep.vectors(list(self.rows)))
-        flatten(self.parameters())
 
     def word_vectors(self, forms: list[str]) -> np.ndarray:
         """The forms' (len(forms), d) vectors: a training form's row, else its

@@ -182,6 +182,15 @@ def test_malformed_manifest_raises_archive_error(tmp_path, manifest, message):
         load_archive(path)
 
 
+def test_a_tensor_named_twice_is_rejected(tmp_path):
+    # the later payload would otherwise replace the earlier one
+    manifest = manifest_with(tensors=[{"name": "a", "shape": [2]}, {"name": "a", "shape": [2]}])
+    payload = np.array([1.0, 2.0, 3.0, 4.0], dtype="<f8").tobytes()
+    path = write_raw_archive(tmp_path / "twice.svm", manifest, payload)
+    with pytest.raises(ArchiveError, match=f"^{re.escape(path)}: duplicate tensor 'a'$"):
+        load_archive(path)
+
+
 def tiny_mimick():
     return MimickModel(CharVocabulary("ab"), dim=2, char_dim=2, hidden=2,
                        rng=np.random.default_rng(0))

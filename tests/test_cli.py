@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import spellvec
 from synthetic import make_stems, suffix_sentences, suffix_table
-from spellvec.archive import load_archive
+from spellvec.archive import MAGIC, load_archive
 from spellvec.cli import MIMICK_DEFAULTS, TAGGER_DEFAULTS, build_parser, main
 from spellvec.conllu import parse_conllu, serialize_conllu
 from spellvec.embeddings import (
@@ -205,6 +206,26 @@ class TestInfer:
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: {words}: line 2: word '<UNK>' is reserved for the UNK vector"
         )
+        assert not out.exists()
+
+    def test_an_archive_naming_a_tensor_twice_fails_with_one_line(
+        self, tmp_path, emb_path, mimick_model_path, capsys
+    ):
+        manifest, tensors = load_archive(str(mimick_model_path))
+        manifest["tensors"].append({"name": "b_t", "shape": list(tensors["b_t"].shape)})
+        blob = json.dumps(manifest).encode("utf-8")
+        payload = b"".join(a.astype("<f8").tobytes() for a in [*tensors.values(), tensors["b_t"]])
+        archive = tmp_path / "twice.svm"
+        archive.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
+        words = tmp_path / "words.txt"
+        words.write_text("zzz\n", encoding="utf-8")
+        out = tmp_path / "oov.txt"
+        assert main(["infer", str(archive), str(emb_path), str(words), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error")] == [
+            f"error: {archive}: duplicate tensor 'b_t'"
+        ]
+        assert err.splitlines()[-1].startswith("error") and "Traceback" not in err
         assert not out.exists()
 
 

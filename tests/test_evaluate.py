@@ -288,6 +288,20 @@ class TestSpearman:
         rho, n = spearman(dataset, table, MIMICK_DIRECT, mimick=Stub())
         assert n == 3
 
+    def test_the_distinct_words_are_resolved_in_one_mimick_pass(self):
+        class Stub:
+            calls = []
+
+            def forward_many(self, words):
+                self.calls.append(list(words))
+                return np.array([[1.0, float(len(word))] for word in words])
+
+        table = self.table()
+        dataset = [("w0", "zz", 5.0), ("qqq", "w1", 4.0), ("zz", "qqq", 3.0), ("w2", "w3", 1.0)]
+        rho, n = spearman(dataset, table, MIMICK_DIRECT, mimick=Stub())
+        assert Stub.calls == [["zz", "qqq"]]
+        assert n == 4
+
     def test_too_few_pairs_rejected(self):
         table = self.table()
         with pytest.raises(ValueError, match="resolvable"):

@@ -240,8 +240,8 @@ class TestGradientCheck:
 class TestMomentumSgd:
     def test_zero_momentum_is_vanilla_sgd(self):
         p = Tensor([1.0, 2.0])
-        p.grad[:] = [0.5, -1.0]
         opt = MomentumSgd({"p": p}, lr=0.1, momentum=0.0)
+        p.grad[:] = [0.5, -1.0]
         opt.step()
         assert np.allclose(p.data, [1.0 - 0.05, 2.0 + 0.1], atol=1e-15)
 
@@ -279,16 +279,31 @@ class TestMomentumSgd:
         with pytest.raises(ValueError):
             MomentumSgd({"p": p}, lr=0.1, momentum=1.0)
 
-    def test_parameters_sharing_memory_are_rejected(self):
-        # a step would move the shared memory twice
-        cell = LstmCellParams(2, 3)
-        with pytest.raises(ValueError, match="parameters 'w' and 'w_i' share memory"):
-            MomentumSgd({"w": cell.w, "w_i": cell.w_i}, lr=0.1, momentum=0.9)
+    def test_building_zeroes_the_gradients(self):
+        cell = LstmCellParams(2, 3, np.random.default_rng(11))
         p = Tensor([1.0, 2.0])
-        with pytest.raises(ValueError, match="parameters 'a' and 'b' share memory"):
-            MomentumSgd({"a": p, "b": p}, lr=0.1, momentum=0.9)
-        with pytest.raises(ValueError, match="'c.w_f' and 'w_f'"):
-            MomentumSgd({**cell.parameters("c."), "w_f": cell.w_f}, lr=0.1, momentum=0.9)
+        cell.w.grad[...] = p.grad[...] = 1.0
+        MomentumSgd({**cell.parameters(), "p": p}, lr=0.1, momentum=0.9)
+        assert not np.any(cell.w.grad) and not np.any(cell.b.grad) and not np.any(p.grad)
+
+    def test_memory_named_by_several_parameters_is_stepped_exactly_once(self):
+        # a gate view plus its w, one tensor under two names, a cell plus one
+        # of its views again: each owner's memory moves by one step
+        rng = np.random.default_rng(16)
+        cell, p = LstmCellParams(2, 3, rng), Tensor([1.0, 2.0])
+        for params, owners in (
+            ({"w": cell.w, "w_i": cell.w_i}, [cell.w]),
+            ({"a": p, "b": p}, [p]),
+            ({**cell.parameters("c."), "w_f": cell.w_f}, [cell.w, cell.b]),
+        ):
+            opt = MomentumSgd(params, lr=0.5, momentum=0.9)
+            start = [t.data.copy() for t in owners]
+            for t in owners:
+                t.grad[...] = 1.0
+            opt.step()
+            for t, before in zip(owners, start):
+                assert np.array_equal(t.data, before - 0.5)
+            assert opt._data.size == sum(t.data.size for t in owners)
 
     def test_flat_store_steps_as_one_buffer_with_per_tensor_bits(self):
         # more than two blocks of floats, in tensors that straddle block edges
@@ -296,7 +311,6 @@ class TestMomentumSgd:
         cell = LstmCellParams(300, 120, rng)
         params = {**cell.parameters(), "emb": Tensor(rng.normal(size=(9, 7))),
                   "bias": Tensor(rng.normal(size=5))}
-        nn.flatten(params)
         assert sum(p.data.size for p in params.values()) > 2 * nn.STEP_BLOCK
         opt = MomentumSgd(params, lr=0.03, momentum=0.9)
         expected = {k: p.data.copy() for k, p in params.items()}
@@ -313,18 +327,19 @@ class TestMomentumSgd:
         for k, p in params.items():
             assert p.data.tobytes() == expected[k].tobytes(), k
 
-    def test_a_subset_of_a_buffer_steps_only_its_own_memory(self):
+    def test_a_gate_view_is_stepped_with_its_whole_parent(self):
         cell = LstmCellParams(2, 3, np.random.default_rng(13))
         start = cell.w.data.copy()
         opt = MomentumSgd({"w_f": cell.w_f, "w_c": cell.w_c}, lr=0.5, momentum=0.0)
         cell.w.grad[...] = 1.0
         opt.step()
-        moved = np.zeros(12, dtype=bool)
-        moved[3:6] = moved[9:12] = True
-        assert np.array_equal(cell.w.data[moved], start[moved] - 0.5)
-        assert np.array_equal(cell.w.data[~moved], start[~moved])
+        assert np.array_equal(cell.w.data, start - 0.5)
+        # every gate view, passed or not, sees the stepped parent
+        for k, gate in enumerate(LstmCellParams.GATES):
+            view = getattr(cell, f"w_{gate}")
+            assert np.array_equal(view.data, start[3 * k : 3 * k + 3] - 0.5), gate
         opt.zero_grad()
-        assert not np.any(cell.w.grad[moved]) and np.all(cell.w.grad[~moved] == 1.0)
+        assert not np.any(cell.w.grad) and not np.any(cell.w_i.grad)
 
 
 def one_store(params):
@@ -362,9 +377,24 @@ class TestFlatten:
         model = MimickModel(CharVocabulary("abc"), dim=4, char_dim=3, hidden=2,
                             rng=np.random.default_rng(15))
         params = model.parameters()
-        store = one_store(params)
+        before = {k: p.data.copy() for k, p in params.items()}
         opt = MomentumSgd(params, lr=0.1, momentum=0.9)
-        assert len(opt._runs) == 1 and opt._runs[0][0].size == store.size
+        assert one_store(params) is opt._data
+        for k, p in params.items():
+            assert np.array_equal(p.data, before[k]), k
+
+    def test_a_bare_character_bilstm_trains_from_one_store(self):
+        from spellvec.mimick import CharBiLstm, CharVocabulary
+
+        encoder = CharBiLstm(CharVocabulary("abc"), char_dim=3, hidden=2,
+                             rng=np.random.default_rng(17))
+        params = encoder.parameters()
+        opt = MomentumSgd(params, lr=0.1, momentum=0.9)
+        tape = Tape()
+        tape.backward(tape.sum_squares(encoder.encode(tape, encoder.chars.encode("abca"))))
+        opt.step()
+        assert one_store(params) is opt._data
+        assert np.any(encoder.fwd.w.grad) and np.any(encoder.char_emb.grad)
 
 
 class TestDropoutMask:

@@ -18,7 +18,7 @@ from spellvec.conllu import (
 )
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import CharVocabulary, MimickModel
-from spellvec.nn import Tape, Tensor, dropout_mask, gradient_check, length_slices
+from spellvec.nn import MomentumSgd, Tape, Tensor, dropout_mask, gradient_check, length_slices
 from spellvec.tagger import (
     POS_HEAD,
     VARIANTS,
@@ -260,11 +260,12 @@ class TestJointLoss:
 
 
 class TestVariants:
-    def test_init_rows_moves_rows_and_network_into_one_store(self):
+    def test_the_optimizer_moves_rows_and_network_into_one_store(self):
         model = tiny_model(seed=4)
         network = {k: p.data.copy() for k, p in model.network_parameters().items()}
         model.init_rows(["bb", "aa", "bb"])
         params = model.parameters()
+        MomentumSgd(params, lr=0.1, momentum=0.9)
         store, grads = model.embeddings.data.base, model.embeddings.grad.base
         assert store is not None and grads is not None
         assert all(p.data.base is store and p.grad.base is grads for p in params.values())
