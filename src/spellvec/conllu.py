@@ -17,9 +17,6 @@ import numpy as np
 
 from .fileio import text_lines
 
-_ID_WORD = re.compile(r"\d+")
-_ID_RANGE = re.compile(r"\d+-\d+")
-_ID_EMPTY = re.compile(r"\d+\.\d+")
 _SENT_ID = re.compile(r"#\s*sent_id\s*=\s*(.+)")
 
 N_COLUMNS = 10
@@ -65,7 +62,7 @@ def parse_conllu(source: IO[str] | str) -> list[Sentence]:
         sent_id = None
 
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             flush()
             continue
         if line.startswith("#"):
@@ -76,22 +73,23 @@ def parse_conllu(source: IO[str] | str) -> list[Sentence]:
         columns = line.split("\t")
         if len(columns) != N_COLUMNS:
             raise ConlluParseError(line_no, f"expected {N_COLUMNS} columns, got {len(columns)}")
+        # IDs are runs of Unicode decimal digits (Nd, what the regex \d matches)
         token_id = columns[0]
-        if _ID_RANGE.fullmatch(token_id) or _ID_EMPTY.fullmatch(token_id):
+        if not token_id.isdecimal():
+            first, sep, second = token_id.partition("-" if "-" in token_id else ".")
+            if not (sep and first.isdecimal() and second.isdecimal()):
+                raise ConlluParseError(line_no, f"malformed token id {token_id!r}")
             continue  # multiword range or empty node: keep only syntactic words
-        if not _ID_WORD.fullmatch(token_id):
-            raise ConlluParseError(line_no, f"malformed token id {token_id!r}")
         form = columns[1]
         if not form:
             raise ConlluParseError(line_no, "empty FORM")
-        tokens.append(Token(form, columns[3], _parse_feats(line_no, columns[5])))
+        feats = {} if columns[5] == "_" else _parse_feats(line_no, columns[5])
+        tokens.append(Token(form, columns[3], feats))
     flush()
     return sentences
 
 
 def _parse_feats(line_no: int, feats: str) -> dict[str, str]:
-    if feats == "_":
-        return {}
     attrs: dict[str, str] = {}
     for pair in feats.split("|"):
         name, sep, value = pair.partition("=")

@@ -136,13 +136,15 @@ class EmbeddingTable:
         """The entry vectors, each row whose largest magnitude is beyond
         2**±500 times the power of two 2**-e that brings it into [0.5, 1), so
         no norm or dot product overflows; their norms; and each e (0 for a row
-        left as it is, and a table of such rows is not copied); cached."""
+        left as it is, and a table of such rows is not copied); cached, with
+        the indices of the zero-norm rows in _zero_norm."""
         if self._scaled is None:
             matrix = self.matrix()
             exponents = np.frexp(np.abs(matrix).max(axis=1))[1]
             exponents[np.abs(exponents) <= 500] = 0
             rows = np.ldexp(matrix, -exponents[:, None]) if exponents.any() else matrix
-            self._scaled = (rows, np.linalg.norm(rows, axis=1), exponents)
+            norms = np.linalg.norm(rows, axis=1)
+            self._scaled, self._zero_norm = (rows, norms, exponents), np.flatnonzero(norms == 0.0)
         return self._scaled
 
 
@@ -314,21 +316,18 @@ def write_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:
     """Emit the text format deterministically, UNK row (if any) first."""
     total = len(table) + (1 if table.unk is not None else 0)
     sink.write(f"{total} {table.dim}\n")
+    values = " %.17g" * table.dim + "\n"
     if table.unk is not None:
-        sink.write(_format_row(UNK_TOKEN, table.unk))
+        sink.write(UNK_TOKEN + values % tuple(table.unk.tolist()))
     for word, vec in table.items():
-        sink.write(_format_row(word, vec))
+        check_word(word)
+        sink.write(word + values % tuple(vec.tolist()))
 
 
 def check_word(word: str) -> None:
     """Raise ValueError unless word can be written as a row's word."""
     if not word or " " in word or "\n" in word or "\r" in word:
         raise ValueError(f"word {word!r} cannot be represented in the text format")
-
-
-def _format_row(word: str, vec: np.ndarray) -> str:
-    check_word(word)
-    return word + (" %.17g" * len(vec)) % tuple(vec.tolist()) + "\n"
 
 
 def lookup(

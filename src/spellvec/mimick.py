@@ -328,12 +328,15 @@ def nearest_neighbors(
     if not 1 <= k <= len(table):
         raise ValueError(f"k must be in [1, {len(table)}], got {k}")
     rows, norms, _ = table._scaled_rows()
-    sims = np.full(len(table), -np.inf)
-    nonzero = norms > 0.0
+    zero = table._zero_norm
     # einsum, unlike BLAS, scores identical rows identically, so the stable
     # sort keeps ties in table order
-    dots = np.einsum("ij,j->i", rows, query)
-    sims[nonzero] = dots[nonzero] / (norms[nonzero] * qnorm)
+    sims = np.einsum("ij,j->i", rows, query)
+    denominators = norms * qnorm
+    # a zero-norm row is divided by 1, not 0, so nothing warns, then ranked last
+    denominators[zero] = 1.0
+    sims /= denominators
+    sims[zero] = -np.inf
     neg = -sims
     kth = np.partition(neg, k - 1)[k - 1]
     # every row that can be among the first k of a full stable sort: those tied

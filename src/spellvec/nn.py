@@ -11,7 +11,7 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -70,17 +70,15 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
         raise DimensionError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
-def sigmoid(x, out=None) -> np.ndarray:
+def sigmoid(x) -> np.ndarray:
     """The logistic function, computed as 0.5 * tanh(0.5 * x) + 0.5: the one
     sigmoid of every LSTM gate, on the tape and off it.
 
     Halving is exact, so the result is within 2**-53 of the slower softplus
     form exp(-softplus(-x)), exactly 0.5 at 0 and exactly 0 or 1 once
-    |x| > 38; nothing overflows. The result is written to out if given.
+    |x| > 38; nothing overflows.
     """
-    if out is None:
-        out = np.empty(np.shape(x))
-    np.multiply(x, 0.5, out=out)
+    out = np.multiply(x, 0.5)
     np.tanh(out, out=out)
     out *= 0.5
     out += 0.5
@@ -296,12 +294,11 @@ class Tape:
         row t of the (T, 2 * hidden) result is fwd's state after row t, then
         bwd's.
 
-        Per direction, the input projection of all steps is one GEMM and a
-        step is one recurrent mat-vec; one gate update serves both
-        directions. The backward pass is hand-written backpropagation through
-        time over both directions at once, with one mat-vec per direction
-        and step, then per direction one weight-gradient GEMM over [inputs |
-        previous states] and one input-gradient GEMM.
+        The forward pass is packed_bilstm's (_bilstm_sweep), keeping every
+        step's gates. The backward pass is hand-written backpropagation
+        through time over both directions at once, with one mat-vec per
+        direction and step, then per direction one weight-gradient GEMM over
+        [inputs | previous states] and one input-gradient GEMM.
         """
         n, h = fwd.input_size, fwd.hidden_size
         if (bwd.input_size, bwd.hidden_size) != (n, h):
@@ -310,28 +307,11 @@ class Tape:
             )
         if xs.data.ndim != 2 or xs.data.shape[0] == 0 or xs.data.shape[1] != n:
             raise DimensionError(f"bilstm: input shape {xs.data.shape} != (T, {n}) with T >= 1")
-        cells = (fwd, bwd)
-        # per direction, the inputs in the order it reads them
-        xs_read = (xs.data, xs.data[::-1])
-        steps = xs.data.shape[0]
-        pre = np.empty((steps, 2, 4 * h))
-        for k, (cell, x) in enumerate(zip(cells, xs_read)):
-            pre[:, k] = x @ cell.w.data[:, :n].T + cell.b.data
-        w_h = [cell.w.data[:, n:] for cell in cells]
-        # per step and direction: sigmoid(i, f, o) and tanh(candidate), in gate order
-        acts = np.empty((steps, 2, 4, h))
-        # row 0 of hs and cs is the zero start state
-        hs = np.zeros((steps + 1, 2, h))
-        cs = np.zeros((steps + 1, 2, h))
-        tanh_cs = np.empty((steps, 2, h))
-        a = np.empty((2, 4 * h))
-        a_f, a_b, gates = a[0], a[1], a.reshape(2, 4, h)
-        for t in range(steps):
-            np.matmul(w_h[0], hs[t, 0], out=a_f)
-            np.matmul(w_h[1], hs[t, 1], out=a_b)
-            a += pre[t]
-            _lstm_update(gates, cs[t], acts[t], cs[t + 1], tanh_cs[t], hs[t + 1])
-        # bwd's step t read input row T - 1 - t
+        cells, steps = (fwd, bwd), xs.data.shape[0]
+        # after each step: sigmoid(i, f, o), tanh(candidate), the cell state and its tanh
+        history = np.zeros((steps + 1, 6, 1, 2, h))
+        hs = _bilstm_sweep(fwd, bwd, [xs.data[None]], history)[:, 0]
+        # row 0 of hs is the zero start state; bwd's step t read input row T - 1 - t
         out = Tensor(np.concatenate([hs[1:, 0], hs[:0:-1, 1]], axis=1))
 
         def backward(g):
@@ -339,21 +319,20 @@ class Tape:
             g_steps = np.empty((steps, 2, h))
             g_steps[:, 0] = g[:, :h]
             g_steps[:, 1] = g[::-1, h:]
-            i, f, o, cand = acts[:, :, 0], acts[:, :, 1], acts[:, :, 2], acts[:, :, 3]
+            i, f, o, cand, _, tanh_cs = history[1:, :, 0].swapaxes(0, 1)
+            c_prev = history[:-1, 4, 0]
             # d(pre-activation)/dc for the i, f and candidate rows; /dh for o
-            coef = np.empty_like(acts)
+            coef = np.empty((steps, 2, 4, h))
             np.multiply(cand * i, 1.0 - i, out=coef[:, :, 0])
-            np.multiply(cs[:-1] * f, 1.0 - f, out=coef[:, :, 1])
+            np.multiply(c_prev * f, 1.0 - f, out=coef[:, :, 1])
             np.multiply(tanh_cs * o, 1.0 - o, out=coef[:, :, 2])
             np.multiply(i, 1.0 - cand * cand, out=coef[:, :, 3])
             dc_dh = o * (1.0 - tanh_cs * tanh_cs)
-            w_h_t = [w.T for w in w_h]
+            w_h_t = [cell.w.data[:, n:].T for cell in cells]
             da = np.empty((2, steps, 4, h))
             da_rows = da.reshape(2, steps, 4 * h)
-            dh_next = np.zeros((2, h))
-            dh_f, dh_b = dh_next
-            dc = np.zeros((2, h))
-            f_next = np.zeros((2, h))
+            dh_f, dh_b = dh_next = np.zeros((2, h))
+            dc, f_next = np.zeros((2, 2, h))
             for t in range(steps - 1, -1, -1):
                 dh = g_steps[t] + dh_next
                 dc = dc * f_next + dh * dc_dh[t]
@@ -363,7 +342,8 @@ class Tape:
                 np.matmul(w_h_t[0], da_rows[0, t], out=dh_f)
                 np.matmul(w_h_t[1], da_rows[1, t], out=dh_b)
                 f_next = f[t]
-            for k, (cell, x) in enumerate(zip(cells, xs_read)):
+            # per direction, the inputs in the order it read them
+            for k, (cell, x) in enumerate(zip(cells, (xs.data, xs.data[::-1]))):
                 cell.w.grad += da_rows[k].T @ np.concatenate([x, hs[:-1, k]], axis=1)
                 cell.b.grad += da_rows[k].sum(axis=0)
             # bwd's input gradient first, as if each direction were its own record
@@ -544,19 +524,6 @@ def lstm_step(
     return h, c
 
 
-def _lstm_update(a, c_prev, act, c, tanh_c, h) -> None:
-    """One LSTM state update from the gate pre-activations a (..., 4, hidden),
-    in gate order: writes sigmoid(i, f, o) and tanh(candidate) to act, the new
-    cell state to c (which may be c_prev), tanh(c) to tanh_c and the new
-    hidden state to h. Tape.bilstm and packed_bilstm both step through here,
-    so their gate arithmetic is the same."""
-    sigmoid(a[..., :3, :], out=act[..., :3, :])
-    np.tanh(a[..., 3, :], out=act[..., 3, :])
-    np.add(act[..., 1, :] * c_prev, act[..., 0, :] * act[..., 3, :], out=c)
-    np.tanh(c, out=tanh_c)
-    np.multiply(act[..., 2, :], tanh_c, out=h)
-
-
 def matvec_rows(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """w @ x for each vector x on the last axis of xs, for w (m, n) and xs
     (..., n); a stack of weights (..., m, n) broadcasts against xs's leading axes.
@@ -577,6 +544,68 @@ def length_slices(lengths: list[int], size: int) -> list[list[list[int]]]:
     ]
 
 
+def _bilstm_sweep(fwd: LstmCellParams, bwd: LstmCellParams, groups, history=None) -> np.ndarray:
+    """The (L + 1, B, 2, hidden) states of a BiLSTM over groups as in
+    packed_bilstm, step first (row 0 the zero start state, the backward
+    direction's step t at row t + 1): the one step loop of Tape.bilstm and
+    packed_bilstm. Per sequence and direction, one input-projection GEMM and
+    one BLAS mat-vec per step (one GEMM over many rows rounds differently).
+    Each gate-buffer slot (i, f, o, candidate, cell, its tanh) is contiguous
+    over the running sequences and both directions; the buffer is rebuilt
+    only when that prefix shrinks. The i, f and o slots are halved, tanh'd
+    with the candidate and halved and shifted by 0.5 (sigmoid's operations),
+    and one product of the adjacent (i, f) and (candidate, cell) slots gives
+    f * c and i * candidate. history is for one sequence: if given, row t + 1
+    of history (L + 1, 6, 1, 2, hidden) receives the buffer after step t, and
+    each direction's mat-vec runs on its own weights (stacking copies them).
+    """
+    n, h = fwd.input_size, fwd.hidden_size
+    ends = list(accumulate(len(g) for g in groups))
+    batch, steps = ends[-1], groups[0].shape[1]
+    # the backward direction reads each sequence's rows last to first
+    pre = np.empty((batch, steps, 2, 4 * h))
+    for g, end in zip(groups, ends):
+        for k, (cell, x) in enumerate(((fwd, g), (bwd, g[:, ::-1]))):
+            pre[end - len(g) : end, : g.shape[1], k] = x @ cell.w.data[:, :n].T + cell.b.data
+    running = []
+    for g, end in zip(groups[::-1], ends[::-1]):
+        running += [end] * (g.shape[1] - len(running))
+    hs = np.zeros((steps + 1, batch, 2, h))
+    mv = np.empty((batch, 2, 4 * h))
+    w_f, w_b = fwd.w.data[:, n:], bwd.w.data[:, n:]
+    w_h = np.stack([w_f, w_b]) if history is None else None
+    (mv_f, mv_b), h_f, h_b = mv[0], hs[:, 0, 0], hs[:, 0, 1]
+    gates = np.zeros((6, batch, 2, h))
+    k = None
+    for t in range(steps):
+        if running[t] != k:
+            k = running[t]
+            cells, gates = gates[4, :k], np.empty((6, k, 2, h))
+            gates[4] = cells
+            i_f, o, cand_c, c, tanh_c = gates[:2], gates[2], gates[3:5], gates[4], gates[5]
+            a, ifo, a_in_gate_order = gates[:4], gates[:3], gates[:4].transpose(1, 2, 0, 3)
+            i_cand, f_c = prod = np.empty((2, k, 2, h))
+            mv_k, mv_gates = mv[:k, ..., None], mv[:k].reshape(k, 2, 4, h)
+            pre_k, hs_k, hs_in = pre[:k].reshape(k, steps, 2, 4, h), hs[:, :k], hs[:, :k, ..., None]
+        if history is None:
+            np.matmul(w_h, hs_in[t], out=mv_k)
+        else:
+            np.matmul(w_f, h_f[t], out=mv_f)
+            np.matmul(w_b, h_b[t], out=mv_b)
+        np.add(mv_gates, pre_k[:, t], out=a_in_gate_order)
+        ifo *= 0.5
+        np.tanh(a, out=a)
+        ifo *= 0.5
+        ifo += 0.5
+        np.multiply(i_f, cand_c, out=prod)
+        np.add(i_cand, f_c, out=c)
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=hs_k[t + 1])
+        if history is not None:
+            history[t + 1] = gates
+    return hs
+
+
 def packed_bilstm(
     fwd: LstmCellParams, bwd: LstmCellParams, groups: list[np.ndarray]
 ) -> list[np.ndarray]:
@@ -585,45 +614,16 @@ def packed_bilstm(
     groups are (B_L, L, input) arrays of sequences of one length L, longest
     first. For each group the result holds the (B_L, L, 2 * hidden) states in
     input order, forward half first: row t of a sequence is row t of
-    Tape.bilstm(fwd, bwd, xs).
-
-    Both directions advance together. As in PyTorch's pack_padded_sequence,
-    step t advances only the prefix of sequences longer than t: one mat-vec
-    per direction and sequence against the stacked recurrent weights, then one
-    gate update over all of them. The input projection is one (L, input) GEMM
-    per sequence and direction. These are the BLAS calls Tape.bilstm makes for
-    one sequence, so a sequence's states have Tape.bilstm's bits whatever else
-    is in the batch; one GEMM over all rows would not, as BLAS rounds rows
-    differently for different row counts.
+    Tape.bilstm(fwd, bwd, xs), bit for bit, whatever else is in the batch (both
+    run _bilstm_sweep, which advances only the sequences still running, as
+    PyTorch's pack_padded_sequence does).
     """
-    n, h = fwd.input_size, fwd.hidden_size
-    lengths = [g.shape[1] for g in groups]
-    ends = np.cumsum([g.shape[0] for g in groups])
-    starts = ends - [g.shape[0] for g in groups]
-    total = int(ends[-1])
-    # per sequence and step, the forward then the backward direction
-    pre = np.empty((total, lengths[0], 2, 4 * h))
-    for g, start, end in zip(groups, starts, ends):
-        pre[start:end, : g.shape[1], 0] = g @ fwd.w.data[:, :n].T + fwd.b.data
-        pre[start:end, : g.shape[1], 1] = g[:, ::-1] @ bwd.w.data[:, :n].T + bwd.b.data
-    w_h = np.stack([fwd.w.data[:, n:], bwd.w.data[:, n:]])
-    states = np.empty((total, lengths[0], 2, h))
-    hs = np.zeros((total, 2, h))
-    cs = np.zeros((total, 2, h))
-    acts = np.empty((total, 2, 4, h))
-    tanh_cs = np.empty((total, 2, h))
-    running = len(groups)
-    for t in range(lengths[0]):
-        while lengths[running - 1] <= t:
-            running -= 1
-        k = ends[running - 1]
-        a = pre[:k, t] + matvec_rows(w_h, hs[:k])
-        _lstm_update(a.reshape(k, 2, 4, h), cs[:k], acts[:k], cs[:k], tanh_cs[:k], hs[:k])
-        states[:k, t] = hs[:k]
+    hs = _bilstm_sweep(fwd, bwd, groups)
+    starts = [0, *accumulate(len(g) for g in groups)]
     # the backward direction's step t read input row L - 1 - t
     return [
-        np.concatenate([states[start:end, :L, 0], states[start:end, L - 1 :: -1, 1]], axis=-1)
-        for L, start, end in zip(lengths, starts, ends)
+        np.concatenate([hs[1 : L + 1, a:b, 0], hs[L:0:-1, a:b, 1]], axis=-1).swapaxes(0, 1)
+        for L, a, b in zip([g.shape[1] for g in groups], starts, starts[1:])
     ]
 
 

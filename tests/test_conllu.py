@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spellvec.conllu import (
     ConlluParseError,
@@ -67,6 +71,33 @@ class TestParse:
         bad = "x\tdog\t_\tNOUN\t_\t_\t_\t_\t_\t_\n"
         with pytest.raises(ConlluParseError, match="token id"):
             parse_conllu(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="07\u0661\u0662\u00b2-.x ", max_size=6))
+    @example("\u0661\u0662")
+    @example("\u00b2")
+    @example("1-")
+    @example("1-2-3")
+    @example("1.")
+    @example("\u0661-\u0662")
+    @example("1.2-3")
+    def test_token_ids_follow_the_unicode_digit_rules(self, token_id):
+        """A word ID is one run of Unicode decimal digits (Nd, what \\d
+        matches), a multiword range or an empty node two runs around one "-"
+        or "."; the last two are skipped and any other ID names its line."""
+        line = f"{token_id}\tdog\t_\tNOUN\t_\t_\t_\t_\t_\t_"
+        if re.fullmatch(r"\d+", token_id):
+            assert parse_conllu(f"# c\n{line}\n") == [Sentence([Token("dog", "NOUN")])]
+        elif re.fullmatch(r"\d+-\d+|\d+\.\d+", token_id):
+            assert parse_conllu(f"{line}\n") == []
+        else:
+            with pytest.raises(ConlluParseError, match="line 2: malformed token id"):
+                parse_conllu(f"# c\n{line}\n")
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t" * 9, "\x0b\u3000"])
+    def test_a_whitespace_line_ends_a_sentence(self, blank):
+        word = "1\tdog\t_\tNOUN\t_\t_\t_\t_\t_\t_"
+        assert [len(s) for s in parse_conllu(f"{word}\n{blank}\n{word}\n")] == [1, 1]
 
     @pytest.mark.parametrize("mark", ["\u2028", "\x85", "\x0b", "\x1c"])
     def test_form_with_a_unicode_line_break_parses_from_a_string_like_a_file(self, tmp_path, mark):

@@ -565,6 +565,32 @@ class TestPackedBilstm:
             for i, got in zip(group, group_states):
                 assert np.array_equal(got, Tape().bilstm(fwd, bwd, Tensor(sequences[i])).data), i
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.integers(1, 5),
+        hidden=st.integers(1, 5),
+        lengths=st.lists(st.integers(1, 7), min_size=1, max_size=9),
+        slice_size=st.integers(1, 9),
+        saturated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(width=1, hidden=1, lengths=[1], slice_size=1, saturated=False, seed=0)
+    @example(width=3, hidden=2, lengths=[1, 1, 4, 1], slice_size=9, saturated=True, seed=1)
+    def test_states_equal_the_tape_for_any_lengths(
+        self, width, hidden, lengths, slice_size, saturated, seed
+    ):
+        rng = np.random.default_rng(seed)
+        fwd, bwd = LstmCellParams(width, hidden, rng), LstmCellParams(width, hidden, rng)
+        if saturated:
+            saturate(fwd, rng, "ifo", 1e3)
+            saturate(bwd, rng, "ifo", 1e3)
+        sequences = [np.clip(rng.normal(size=(n, width)), -4.0, 4.0) for n in lengths]
+        for groups in length_slices(lengths, slice_size):
+            states = packed_bilstm(fwd, bwd, [np.stack([sequences[i] for i in g]) for g in groups])
+            for group, group_states in zip(groups, states):
+                for i, got in zip(group, group_states):
+                    assert np.array_equal(got, Tape().bilstm(fwd, bwd, Tensor(sequences[i])).data)
+
     def test_length_slices_sort_longest_first_and_cut(self):
         assert length_slices([2, 5, 2, 1, 5], 3) == [[[1, 4], [0]], [[2], [3]]]
         assert length_slices([3, 3], 5) == [[[0, 1]]]
@@ -704,11 +730,17 @@ class TestSigmoid:
         assert np.all((0.0 <= got) & (got <= 1.0))
         assert np.all(np.abs(got - reference) <= 2.0**-53)
         assert np.all(np.abs(mirrored - (1.0 - got)) <= 2.0**-53)
-        # the gate update's sigmoid rows have Tape.sigmoid's bits
+        # the i, f and o gates of a BiLSTM step have Tape.sigmoid's bits: with
+        # zero weights a step's pre-activations are the bias
         a = np.stack([x, -x, x, np.zeros_like(x)])
-        act, state = np.empty_like(a), np.zeros((4, len(x)))
-        nn._lstm_update(a, state[0], act, state[1], state[2], state[3])
-        assert np.array_equal(act[:3], Tape().sigmoid(Tensor(a[:3])).data)
+        cell = LstmCellParams(1, len(x))
+        cell.b.data[...] = a.ravel()
+        history = np.zeros((2, 6, 1, 2, len(x)))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            nn._bilstm_sweep(cell, cell, [np.zeros((1, 1, 1))], history)
+        expected = Tape().sigmoid(Tensor(a[:3])).data
+        for direction in (0, 1):
+            assert np.array_equal(history[1, :3, 0, direction], expected)
 
     def test_exact_at_zero_and_beyond_38(self):
         assert np.array_equal(sigmoid(np.array([0.0, -0.0])), [0.5, 0.5])
