@@ -10,7 +10,8 @@ Byte layout:
 
 The manifest holds format_version, kind, free-form metadata, and the
 ordered tensor name/shape list. Save/load round-trips are bit-exact and
-identical models serialize to identical bytes.
+identical models serialize to identical bytes. A tensor holding NaN or an
+infinity is neither written nor read.
 """
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ class ArchiveError(ValueError):
     pass
 
 
+def _require_finite(path: str, name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ArchiveError(f"{path}: tensor {name!r} holds a non-finite value")
+
+
 def save_archive(path: str, kind: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
+    for name, arr in tensors.items():
+        _require_finite(path, name, arr)
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -116,6 +124,7 @@ def _read_archive(
             arr = arr.reshape(shape)
         except ValueError as err:
             raise ArchiveError(f"{path}: tensor {spec['name']!r}: {err}") from None
+        _require_finite(path, spec["name"], arr)
         tensors[spec["name"]] = arr.astype(np.float64, copy=False)
         offset += size
     if offset != file_size:

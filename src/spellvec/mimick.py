@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -25,13 +25,11 @@ from .nn import (
     embedding_init,
     glorot_uniform,
     length_slices,
-    matvec_rows,
-    packed_bilstm,
 )
 
 UNK_CHAR_INDEX = 0
 
-# words per packed inference pass: bounds the pass's buffers, which hold
+# words per grad-free inference pass: bounds the pass's buffers, which hold
 # both directions at once
 INFER_SLICE = 64
 
@@ -79,8 +77,9 @@ class CharBiLstm:
     """Character embedding read by forward and backward LSTMs; a word is
     encoded as the concatenation of the two final states.
 
-    encode runs one word on a tape, for training; encode_many runs many words
-    in one grad-free packed pass, for inference, with the same bits."""
+    encode is the one forward: training runs it on a recording tape, one
+    word at a time; encode_many runs it on a grad-free tape over packed
+    passes of many words, with the same bits."""
 
     def __init__(
         self,
@@ -100,6 +99,11 @@ class CharBiLstm:
             self.char_emb = Tensor(embedding_init(rng, chars.size, char_dim))
         self.fwd = LstmCellParams(char_dim, hidden, rng)
         self.bwd = LstmCellParams(char_dim, hidden, rng)
+        # the (B, 1, 2 * hidden) encodings in the BiLSTM's (B, L, 2 * hidden) states: the
+        # forward state after the last character, the backward one after the first
+        self._final_states = (
+            slice(None), np.repeat([[-1, 0]], hidden, axis=1), np.arange(2 * hidden)[None]
+        )
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         params = {f"{prefix}char_emb": self.char_emb}
@@ -107,40 +111,30 @@ class CharBiLstm:
         params.update(self.bwd.parameters(f"{prefix}bwd."))
         return params
 
-    def encode(self, tape: Tape, indices: list[int]) -> Tensor:
-        if not indices:
-            raise ValueError("cannot embed an empty word")
-        states = tape.bilstm(self.fwd, self.bwd, tape.row(self.char_emb, indices))
-        # the forward state after the last character, the backward one after the first
-        h = self.hidden
-        return tape.take(states, (np.repeat([-1, 0], h), np.arange(2 * h)))
+    def encode(self, tape: Tape, groups: list[list[list[int]]]) -> Tensor:
+        """The (B, 1, 2 * hidden) encodings, in group order, of words given as
+        character indices in groups of one length, longest first (see
+        length_slices)."""
+        states = tape.bilstm(self.fwd, self.bwd, [tape.row(self.char_emb, g) for g in groups])
+        return tape.concat([tape.take(s, self._final_states) for s in states], axis=0)
 
-    def packed_encodings(self, words: list[str]) -> Iterator[tuple[list[int], np.ndarray]]:
-        """The encodings of words without a tape, in packed passes of at most
-        INFER_SLICE words, longest first: per pass, the indices of its words
-        and their (n, 2 * hidden) encodings. Each is bit-identical to encode()
-        of its word, whatever else is in the batch; unseen characters
-        collapse to UNK."""
+    def _packed(self, forward, words: list[str], width: int) -> np.ndarray:
+        """The (len(words), width) rows of forward(tape, groups) for words, on
+        a grad-free tape in passes of at most INFER_SLICE words, longest
+        first; unseen characters collapse to UNK. A word's row has its bits
+        alone, whatever else is in the batch."""
         if not all(words):
             raise ValueError("cannot embed an empty word")
-        h = self.hidden
+        out, tape = np.empty((len(words), width)), Tape(grad=False)
         for groups in length_slices([len(word) for word in words], INFER_SLICE):
-            states = packed_bilstm(self.fwd, self.bwd, [
-                self.char_emb.data[[self.chars.encode(words[i]) for i in group]]
-                for group in groups
-            ])
-            # the forward state after the last character, the backward one after the first
-            yield [i for group in groups for i in group], np.concatenate(
-                [np.concatenate([s[:, -1, :h], s[:, 0, h:]], axis=1) for s in states]
-            )
+            out[[i for g in groups for i in g]] = forward(
+                tape, [[self.chars.encode(words[i]) for i in g] for g in groups]
+            ).data[:, 0]
+        return out
 
     def encode_many(self, words: list[str]) -> np.ndarray:
-        """The (len(words), 2 * hidden) encodings of words, without a tape; row
-        i is bit-identical to encode() of words[i]."""
-        out = np.empty((len(words), 2 * self.hidden))
-        for rows, encodings in self.packed_encodings(words):
-            out[rows] = encodings
-        return out
+        """The (len(words), 2 * hidden) encodings of words: encode, grad-free."""
+        return self._packed(self.encode, words, 2 * self.hidden)
 
 
 class MimickModel(CharBiLstm):
@@ -171,19 +165,16 @@ class MimickModel(CharBiLstm):
         params.update({"t_h": self.t_h, "b_h": self.b_h, "o_t": self.o_t, "b_t": self.b_t})
         return params
 
-    def forward_on_tape(self, tape: Tape, indices: list[int]) -> Tensor:
-        z = self.encode(tape, indices)
+    def forward_on_tape(self, tape: Tape, groups: list[list[list[int]]]) -> Tensor:
+        """The (B, 1, dim) vectors of encode's words: the MLP runs once over
+        the B encodings, as B mat-vecs per layer (see Tape.affine)."""
+        z = self.encode(tape, groups)
         return tape.affine(self.o_t, tape.tanh(tape.affine(self.t_h, z, self.b_h)), self.b_t)
 
     def forward_many(self, words: list[str]) -> np.ndarray:
-        """The (len(words), dim) inferred embeddings of words, grad-free and
-        in the packed passes of packed_encodings. Row i is bit-identical to
-        forward_on_tape() of words[i], whatever else is in the batch."""
-        out = np.empty((len(words), self.dim))
-        for rows, encodings in self.packed_encodings(words):
-            hidden = np.tanh(matvec_rows(self.t_h.data, encodings) + self.b_h.data)
-            out[rows] = matvec_rows(self.o_t.data, hidden) + self.b_t.data
-        return out
+        """The (len(words), dim) inferred embeddings of words: forward_on_tape,
+        grad-free."""
+        return self._packed(self.forward_on_tape, words, self.dim)
 
     def forward(self, word: str) -> np.ndarray:
         """Infer the embedding of a word; unseen characters collapse to UNK."""
@@ -277,8 +268,8 @@ def train_mimick(
                     UNK_CHAR_INDEX if hit else idx for idx, hit in zip(indices, drop)
                 ]
             tape = Tape()
-            out = model.forward_on_tape(tape, indices)
-            loss = tape.sum_squares(tape.sub(out, Tensor(table.vector(word))))
+            out = model.forward_on_tape(tape, [[indices]])
+            loss = tape.sum_squares(tape.sub(out, Tensor(table.vector(word)[None, None])))
             value = float(loss.data)
             if not math.isfinite(value):
                 raise ValueError(f"epoch {epoch}: loss {value} on word {word!r}; training diverged")
@@ -300,7 +291,7 @@ def train_mimick(
 
 def infer_oov(model: MimickModel, table: EmbeddingTable, words: list[str]) -> EmbeddingTable:
     """Infer vectors for the requested words (in-vocabulary ones included),
-    in packed passes of at most INFER_SLICE words."""
+    in grad-free passes of at most INFER_SLICE words."""
     if model.dim != table.dim:
         raise DimensionError(f"model dimension {model.dim} != table dimension {table.dim}")
     words = list(dict.fromkeys(words))

@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Values live in Tensor nodes wrapping numpy arrays. Operations are methods on
-a Tape, which records them in execution order; Tape.backward replays the
-records in reverse, accumulating gradients into every reachable input.
-Reverse recording order is a valid topological order because every operand
-of an operation exists (and is therefore recorded) before the operation's
-output.
+Values live in Tensor nodes wrapping numpy arrays of any rank; a leading
+batch axis is part of the data. Operations are methods on a Tape, which
+records them in execution order; Tape.backward replays the records in
+reverse, accumulating gradients into every reachable input. Reverse
+recording order is a valid topological order because every operand of an
+operation exists (and is therefore recorded) before the operation's output.
+A grad-free Tape runs the same operations and records nothing.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "sigmoid",
     "lstm_step",
     "length_slices",
-    "matvec_rows",
-    "packed_bilstm",
     "flatten",
     "MomentumSgd",
     "GradCheckReport",
@@ -40,13 +39,14 @@ class DimensionError(ValueError):
 
 
 class Tensor:
-    """A float64 array paired with a gradient accumulator of the same shape."""
+    """A float64 array paired with a gradient accumulator of the same shape,
+    or with none (grad None) for grad=False."""
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data):
+    def __init__(self, data, grad: bool = True):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros(self.data.shape)
+        self.grad = np.zeros(self.data.shape) if grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -57,12 +57,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"<Tensor shape={self.data.shape}>"
-
-
-def _require_vector(op: str, *tensors: Tensor) -> None:
-    for t in tensors:
-        if t.data.ndim != 1:
-            raise DimensionError(f"{op}: expected vector, got shape {t.data.shape}")
 
 
 def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -88,22 +82,33 @@ def sigmoid(x) -> np.ndarray:
 class Tape:
     """Execution-ordered record of primitive operations for reverse replay.
 
-    One tape per forward pass. Tapes are per-thread and never shared.
+    A recording tape serves one forward pass. Tapes are per-thread and never
+    shared. A Tape(grad=False) computes the same operations with the same
+    bits, but records nothing and builds its outputs without gradient
+    buffers (as torch.no_grad does): inference runs the training forward on
+    one.
     """
 
-    def __init__(self):
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self._records: list[tuple[Tensor, object]] = []
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def _emit(self, out: Tensor, backward) -> Tensor:
-        self._records.append((out, backward))
+    def _emit(self, data: np.ndarray, backward) -> Tensor:
+        # an operation's output is already float64: Tensor()'s np.asarray would only cost
+        out = Tensor.__new__(Tensor)
+        out.data, out.grad = data, np.zeros(data.shape) if self.grad else None
+        if self.grad:
+            self._records.append((out, backward))
         return out
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(input) into .grad of every tensor reachable
         from the scalar loss node. Inputs not reached keep their zeros."""
+        if not self.grad:
+            raise ValueError("a grad-free tape has no record to replay")
         if loss.data.shape != ():
             raise ValueError(f"loss must be a scalar node, got shape {loss.data.shape}")
         loss.grad[...] = 1.0
@@ -115,41 +120,36 @@ class Tape:
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         _require_same_shape("add", a, b)
-        out = Tensor(a.data + b.data)
 
         def backward(g):
             a.grad += g
             b.grad += g
 
-        return self._emit(out, backward)
+        return self._emit(a.data + b.data, backward)
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
         _require_same_shape("sub", a, b)
-        out = Tensor(a.data - b.data)
 
         def backward(g):
             a.grad += g
             b.grad -= g
 
-        return self._emit(out, backward)
+        return self._emit(a.data - b.data, backward)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         _require_same_shape("mul", a, b)
-        out = Tensor(a.data * b.data)
 
         def backward(g):
             a.grad += g * b.data
             b.grad += g * a.data
 
-        return self._emit(out, backward)
+        return self._emit(a.data * b.data, backward)
 
     def scale(self, a: Tensor, factor: float) -> Tensor:
-        out = Tensor(a.data * factor)
-
         def backward(g):
             a.grad += g * factor
 
-        return self._emit(out, backward)
+        return self._emit(a.data * factor, backward)
 
     def mul_const(self, a: Tensor, factors: np.ndarray) -> Tensor:
         """Elementwise product with a constant array (dropout masks)."""
@@ -158,167 +158,148 @@ class Tape:
             raise DimensionError(
                 f"mul_const: shapes {a.data.shape} and {factors.shape} differ"
             )
-        out = Tensor(a.data * factors)
 
         def backward(g):
             a.grad += g * factors
 
-        return self._emit(out, backward)
+        return self._emit(a.data * factors, backward)
 
     def add_n(self, parts: list[Tensor]) -> Tensor:
         if not parts:
             raise DimensionError("add_n: empty input")
         for p in parts[1:]:
             _require_same_shape("add_n", parts[0], p)
-        out = Tensor(sum(p.data for p in parts))
 
         def backward(g):
             for p in parts:
                 p.grad += g
 
-        return self._emit(out, backward)
+        return self._emit(sum(p.data for p in parts), backward)
 
     # ------------------------------------------------------------------
     # structural
 
     def affine(self, w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-        """W @ x + b for W (m, n), x (n,), b (m,); for x (T, n), the (T, m)
-        matrix whose row t is W @ x[t] + b."""
-        if w.data.ndim != 2:
-            raise DimensionError(f"affine: W must be a matrix, got shape {w.data.shape}")
-        _require_vector("affine", b)
-        if x.data.ndim not in (1, 2):
-            raise DimensionError(f"affine: x must be a vector or a matrix, got shape {x.data.shape}")
-        m, n = w.data.shape
-        if x.data.shape[-1] != n or b.data.shape[0] != m:
+        """x @ W.T + b for W (m, n), b (m,) and x (..., n); for a vector x,
+        W @ x + b. Its bits follow from BLAS's choice per rank: a vector or a
+        (1, n) row is one mat-vec with the bits of W @ x, so (B, 1, n) is B
+        mat-vecs, and (..., T, n) with T > 1 is one GEMM per (T, n) matrix."""
+        shape = w.data.shape
+        if len(shape) != 2 or b.data.shape != shape[:1] or x.data.shape[-1:] != shape[1:]:
             raise DimensionError(
-                f"affine: W {w.data.shape} does not conform with "
+                f"affine: W {shape} is not a matrix that conforms with "
                 f"x {x.data.shape} and b {b.data.shape}"
             )
-        if x.data.ndim == 1:
-            out = Tensor(w.data @ x.data + b.data)
-
-            def backward(g):
-                w.grad += np.outer(g, x.data)
-                x.grad += w.data.T @ g
-                b.grad += g
-
-        else:
-            out = Tensor(x.data @ w.data.T + b.data)
-
-            def backward(g):
-                w.grad += g.T @ x.data
-                x.grad += g @ w.data
-                b.grad += g.sum(axis=0)
-
-        return self._emit(out, backward)
-
-    def concat(self, parts: list[Tensor]) -> Tensor:
-        """Join vectors, or matrices with equal row counts, on the last axis."""
-        if not parts:
-            raise DimensionError("concat: empty input")
-        shapes = [p.data.shape for p in parts]
-        if any(len(s) == 0 or s[:-1] != shapes[0][:-1] for s in shapes):
-            raise DimensionError(f"concat: shapes {shapes} do not join on the last axis")
-        sizes = [s[-1] for s in shapes]
-        out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+        m, n = shape
 
         def backward(g):
-            offset = 0
-            for p, size in zip(parts, sizes):
-                p.grad += g[..., offset : offset + size]
-                offset += size
+            rows, inputs = g.reshape(-1, m), x.data.reshape(-1, n)
+            x.grad += (rows @ w.data).reshape(x.data.shape)
+            if len(rows) == 1:  # the broadcast product has the bits of the GEMM and of np.outer
+                w.grad += rows.T * inputs
+                b.grad += rows[0]
+            else:
+                w.grad += rows.T @ inputs
+                b.grad += rows.sum(axis=0)
 
-        return self._emit(out, backward)
+        return self._emit(x.data @ w.data.T + b.data, backward)
 
-    def stack(self, parts: list[Tensor]) -> Tensor:
-        """The (len(parts), n) matrix whose rows are the vectors in parts."""
-        if not parts:
-            raise DimensionError("stack: empty input")
-        _require_vector("stack", *parts)
-        for p in parts[1:]:
-            _require_same_shape("stack", parts[0], p)
-        out = Tensor(np.stack([p.data for p in parts]))
+    def concat(self, parts: list[Tensor], axis: int = -1) -> Tensor:
+        """Join tensors on an axis (the last by default) along which all
+        their other dimensions agree; one part is returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
+        try:
+            out = np.concatenate([p.data for p in parts], axis=axis)
+        except ValueError as err:  # no parts, a scalar, or shapes that do not join
+            raise DimensionError(f"concat: {err}") from None
 
         def backward(g):
-            for p, g_row in zip(parts, g):
-                p.grad += g_row
+            index, start = [slice(None)] * g.ndim, 0
+            for p in parts:
+                index[axis] = slice(start, start + p.data.shape[axis])
+                p.grad += g[tuple(index)]
+                start = index[axis].stop
 
         return self._emit(out, backward)
 
-    def row(self, m: Tensor, index: int | list[int]) -> Tensor:
-        """Select row `index` of a matrix (embedding lookup); a list of
-        indices selects those rows, repeats allowed, as a matrix."""
+    def row(self, m: Tensor, index) -> Tensor:
+        """The rows of a matrix (embedding lookup) at an array-like of
+        indices, repeats allowed, in the index's shape plus the row axis."""
         if m.data.ndim != 2:
             raise DimensionError(f"row: expected matrix, got shape {m.data.shape}")
-        if isinstance(index, (int, np.integer)):
-            out = Tensor(m.data[index].copy())
+        rows = np.asarray(index, dtype=np.intp)
 
-            def backward(g):
-                m.grad[index] += g
+        def backward(g):
+            np.add.at(m.grad, rows.ravel(), g.reshape(rows.size, -1))
 
-        else:
-            rows = np.asarray(index, dtype=np.intp)
-            out = Tensor(m.data[rows])
-
-            def backward(g):
-                np.add.at(m.grad, rows, g)
-
-        return self._emit(out, backward)
-
-    def pick(self, a: Tensor, index: int | list[int]) -> Tensor:
-        """Element `index` of a vector; for a matrix and one index per row,
-        the vector of the picked element of each row."""
-        if a.data.ndim == 1:
-            return self.take(a, index)
-        if a.data.ndim == 2 and np.ndim(index) == 1 and len(index) == a.data.shape[0]:
-            return self.take(a, (np.arange(a.data.shape[0]), np.asarray(index, dtype=np.intp)))
-        raise DimensionError(f"pick: cannot pick {index!r} from shape {a.data.shape}")
+        return self._emit(m.data[rows], backward)
 
     def take(self, a: Tensor, index) -> Tensor:
         """The elements of a at a numpy integer or advanced index that names
         no element twice, in the index's shape."""
-        out = Tensor(a.data[index])
 
         def backward(g):
             a.grad[index] += g
 
-        return self._emit(out, backward)
+        return self._emit(a.data[index], backward)
 
     # ------------------------------------------------------------------
     # recurrence
 
-    def bilstm(self, fwd: LstmCellParams, bwd: LstmCellParams, xs: Tensor) -> Tensor:
-        """One BiLSTM over one sequence from zero state, as one record: fwd
-        reads the rows of xs (T, input) first to last, bwd last to first, and
-        row t of the (T, 2 * hidden) result is fwd's state after row t, then
-        bwd's.
+    def bilstm(
+        self, fwd: LstmCellParams, bwd: LstmCellParams, groups: list[Tensor]
+    ) -> list[Tensor]:
+        """A BiLSTM over sequences from zero state. groups are (B_L, L, input)
+        sequences of one length L, longest first (see length_slices); each
+        gives its (B_L, L, 2 * hidden) states. fwd reads a sequence's rows
+        first to last, bwd last to first, and row t of its states is fwd's
+        state after row t, then bwd's. _bilstm_sweep advances only the
+        sequences still running, as PyTorch's pack_padded_sequence does, so
+        a sequence has the same bits whatever else is in the batch.
 
-        The forward pass is packed_bilstm's (_bilstm_sweep), keeping every
-        step's gates. The backward pass is hand-written backpropagation
-        through time over both directions at once, with one mat-vec per
-        direction and step, then per direction one weight-gradient GEMM over
-        [inputs | previous states] and one input-gradient GEMM.
+        A recording tape takes one group of one sequence, as one record that
+        keeps every step's gates. Its backward pass is hand-written
+        backpropagation through time over both directions at once, with one
+        mat-vec per direction and step, then per direction one
+        weight-gradient GEMM over [inputs | previous states] and one
+        input-gradient GEMM.
         """
         n, h = fwd.input_size, fwd.hidden_size
         if (bwd.input_size, bwd.hidden_size) != (n, h):
             raise DimensionError(
                 f"bilstm: directions differ: ({n}, {h}) and ({bwd.input_size}, {bwd.hidden_size})"
             )
-        if xs.data.ndim != 2 or xs.data.shape[0] == 0 or xs.data.shape[1] != n:
-            raise DimensionError(f"bilstm: input shape {xs.data.shape} != (T, {n}) with T >= 1")
-        cells, steps = (fwd, bwd), xs.data.shape[0]
+        shapes, longest = [g.data.shape for g in groups], np.inf
+        for s in shapes or [()]:  # no group fails as an empty shape
+            if len(s) != 3 or 0 in s or s[2] != n or s[1] > longest:
+                raise DimensionError(
+                    f"bilstm: input shapes {shapes} are not (B, L, {n}) groups with "
+                    "B, L >= 1, longest first"
+                )
+            longest = s[1]
+        if self.grad and (len(shapes) != 1 or shapes[0][0] != 1):
+            raise DimensionError(f"bilstm: a recording tape takes one sequence, got {shapes}")
+        steps = shapes[0][1]
         # after each step: sigmoid(i, f, o), tanh(candidate), the cell state and its tanh
-        history = np.zeros((steps + 1, 6, 1, 2, h))
-        hs = _bilstm_sweep(fwd, bwd, [xs.data[None]], history)[:, 0]
-        # row 0 of hs is the zero start state; bwd's step t read input row T - 1 - t
-        out = Tensor(np.concatenate([hs[1:, 0], hs[:0:-1, 1]], axis=1))
+        history = np.zeros((steps + 1, 6, 1, 2, h)) if self.grad else None
+        hs = _bilstm_sweep(fwd, bwd, [g.data for g in groups], history)
+        starts, by_sequence = [0, *accumulate(s[0] for s in shapes)], hs.swapaxes(0, 1)
+        # row 0 of hs is the zero start state; bwd's step t read input row L - 1 - t
+        states = [
+            np.concatenate([by_sequence[a:b, 1 : L + 1, 0], by_sequence[a:b, L:0:-1, 1]], axis=-1)
+            for (_, L, _), a, b in zip(shapes, starts, starts[1:])
+        ]
+        if not self.grad:
+            return [self._emit(s, None) for s in states]
+        (xs,), hs, cells = groups, hs[:, 0], (fwd, bwd)
+        x = xs.data[0]
 
         def backward(g):
             # per step, the gradient of each direction's state of that step
             g_steps = np.empty((steps, 2, h))
-            g_steps[:, 0] = g[:, :h]
-            g_steps[:, 1] = g[::-1, h:]
+            g_steps[:, 0] = g[0, :, :h]
+            g_steps[:, 1] = g[0, ::-1, h:]
             i, f, o, cand, _, tanh_cs = history[1:, :, 0].swapaxes(0, 1)
             c_prev = history[:-1, 4, 0]
             # d(pre-activation)/dc for the i, f and candidate rows; /dh for o
@@ -343,63 +324,58 @@ class Tape:
                 np.matmul(w_h_t[1], da_rows[1, t], out=dh_b)
                 f_next = f[t]
             # per direction, the inputs in the order it read them
-            for k, (cell, x) in enumerate(zip(cells, (xs.data, xs.data[::-1]))):
-                cell.w.grad += da_rows[k].T @ np.concatenate([x, hs[:-1, k]], axis=1)
+            for k, (cell, inputs) in enumerate(zip(cells, (x, x[::-1]))):
+                cell.w.grad += da_rows[k].T @ np.concatenate([inputs, hs[:-1, k]], axis=1)
                 cell.b.grad += da_rows[k].sum(axis=0)
             # bwd's input gradient first, as if each direction were its own record
-            xs.grad += (da_rows[1] @ bwd.w.data[:, :n])[::-1]
-            xs.grad += da_rows[0] @ fwd.w.data[:, :n]
+            x_grad = xs.grad[0]
+            x_grad += (da_rows[1] @ bwd.w.data[:, :n])[::-1]
+            x_grad += da_rows[0] @ fwd.w.data[:, :n]
 
-        return self._emit(out, backward)
+        return [self._emit(states[0], backward)]
 
     # ------------------------------------------------------------------
     # nonlinearities and reductions
 
     def tanh(self, a: Tensor) -> Tensor:
-        out = Tensor(np.tanh(a.data))
+        out = np.tanh(a.data)
 
         def backward(g):
-            a.grad += g * (1.0 - out.data * out.data)
+            a.grad += g * (1.0 - out * out)
 
         return self._emit(out, backward)
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        out = Tensor(sigmoid(a.data))
+        out = sigmoid(a.data)
 
         def backward(g):
-            a.grad += g * out.data * (1.0 - out.data)
+            a.grad += g * out * (1.0 - out)
 
         return self._emit(out, backward)
 
     def log_softmax(self, a: Tensor) -> Tensor:
-        """Log-probabilities over the last axis of a vector or matrix."""
-        if a.data.ndim not in (1, 2):
-            raise DimensionError(f"log_softmax: expected vector or matrix, got shape {a.data.shape}")
-        if a.data.shape[-1] == 0:
-            raise DimensionError("log_softmax: empty input")
+        """Log-probabilities over the last axis."""
+        if a.data.ndim == 0 or a.data.shape[-1] == 0:
+            raise DimensionError(f"log_softmax: no values on the last axis of shape {a.data.shape}")
         shifted = a.data - a.data.max(axis=-1, keepdims=True)
-        out = Tensor(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
+        out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
         def backward(g):
-            a.grad += g - np.exp(out.data) * g.sum(axis=-1, keepdims=True)
+            a.grad += g - np.exp(out) * g.sum(axis=-1, keepdims=True)
 
         return self._emit(out, backward)
 
     def sum(self, a: Tensor) -> Tensor:
-        out = Tensor(a.data.sum())
-
         def backward(g):
             a.grad += g
 
-        return self._emit(out, backward)
+        return self._emit(a.data.sum(), backward)
 
     def sum_squares(self, a: Tensor) -> Tensor:
-        out = Tensor(np.sum(a.data * a.data))
-
         def backward(g):
             a.grad += 2.0 * a.data * g
 
-        return self._emit(out, backward)
+        return self._emit(np.sum(a.data * a.data), backward)
 
 
 # ----------------------------------------------------------------------
@@ -524,19 +500,10 @@ def lstm_step(
     return h, c
 
 
-def matvec_rows(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """w @ x for each vector x on the last axis of xs, for w (m, n) and xs
-    (..., n); a stack of weights (..., m, n) broadcasts against xs's leading axes.
-
-    One BLAS mat-vec per vector, so each result has the bits of w @ x computed
-    alone; one GEMM over all rows (xs @ w.T) rounds differently as B varies."""
-    return np.matmul(w, xs[..., None])[..., 0]
-
-
 def length_slices(lengths: list[int], size: int) -> list[list[list[int]]]:
     """The indices of sequences of the given lengths, longest first (input
     order within a length), cut into slices of at most size sequences, each
-    slice a list of groups of one length: the packing packed_bilstm reads."""
+    slice a list of groups of one length: the packing Tape.bilstm reads."""
     order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
     return [
         [list(group) for _, group in groupby(order[start : start + size], lengths.__getitem__)]
@@ -545,10 +512,10 @@ def length_slices(lengths: list[int], size: int) -> list[list[list[int]]]:
 
 
 def _bilstm_sweep(fwd: LstmCellParams, bwd: LstmCellParams, groups, history=None) -> np.ndarray:
-    """The (L + 1, B, 2, hidden) states of a BiLSTM over groups as in
-    packed_bilstm, step first (row 0 the zero start state, the backward
-    direction's step t at row t + 1): the one step loop of Tape.bilstm and
-    packed_bilstm. Per sequence and direction, one input-projection GEMM and
+    """The (L + 1, B, 2, hidden) states of a BiLSTM over the arrays of
+    Tape.bilstm's groups, step first (row 0 the zero start state, the
+    backward direction's step t at row t + 1): the one step loop of
+    Tape.bilstm. Per sequence and direction, one input-projection GEMM and
     one BLAS mat-vec per step (one GEMM over many rows rounds differently).
     Each gate-buffer slot (i, f, o, candidate, cell, its tanh) is contiguous
     over the running sequences and both directions; the buffer is rebuilt
@@ -604,27 +571,6 @@ def _bilstm_sweep(fwd: LstmCellParams, bwd: LstmCellParams, groups, history=None
         if history is not None:
             history[t + 1] = gates
     return hs
-
-
-def packed_bilstm(
-    fwd: LstmCellParams, bwd: LstmCellParams, groups: list[np.ndarray]
-) -> list[np.ndarray]:
-    """The states of a BiLSTM run over many sequences from zero state, grad-free.
-
-    groups are (B_L, L, input) arrays of sequences of one length L, longest
-    first. For each group the result holds the (B_L, L, 2 * hidden) states in
-    input order, forward half first: row t of a sequence is row t of
-    Tape.bilstm(fwd, bwd, xs), bit for bit, whatever else is in the batch (both
-    run _bilstm_sweep, which advances only the sequences still running, as
-    PyTorch's pack_padded_sequence does).
-    """
-    hs = _bilstm_sweep(fwd, bwd, groups)
-    starts = [0, *accumulate(len(g) for g in groups)]
-    # the backward direction's step t read input row L - 1 - t
-    return [
-        np.concatenate([hs[1 : L + 1, a:b, 0], hs[L:0:-1, a:b, 1]], axis=-1).swapaxes(0, 1)
-        for L, a, b in zip([g.shape[1] for g in groups], starts, starts[1:])
-    ]
 
 
 # ----------------------------------------------------------------------

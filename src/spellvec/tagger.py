@@ -13,10 +13,11 @@ variant's lookup, one batch per call and kept nowhere, so tagging never
 changes the model. The char2tag and both variants append a task-trained
 character BiLSTM output.
 
-Training runs on the tape. Tagging is grad-free and batched per corpus: each
-distinct form's word vector and character encoding once, then the sentences
-longest first, TAG_SLICE at a time, through packed passes of the sentence
-BiLSTM and one head product per sentence length, with the tape's bits.
+Training runs on a recording tape. Tagging runs the same forward on a
+grad-free tape, batched per corpus: each distinct form's word vector and
+character encoding once, then the sentences longest first, TAG_SLICE at a
+time, through packed passes of the sentence BiLSTM and the heads, with the
+bits of training's forward.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .nn import (
     dropout_mask,
     glorot_uniform,
     length_slices,
-    packed_bilstm,
 )
 
 VARIANTS = ("no-char", "mimick", "char2tag", "both")
@@ -124,8 +124,9 @@ class TaggerTrainConfig:
 
 class Head:
     """Per-attribute projection: O @ tanh(W @ h + b) + b_out, both layers
-    as wide as the attribute's value inventory. Given a (T, width) matrix of
-    states, each layer is one GEMM and the logits are (T, values)."""
+    as wide as the attribute's value inventory. Given (..., T, width)
+    states, each layer is one GEMM per sentence and the logits are
+    (..., T, values)."""
 
     def __init__(self, in_width: int, n_values: int, rng: np.random.Generator | None):
         if rng is None:
@@ -139,16 +140,6 @@ class Head:
 
     def logits(self, tape: Tape, h: Tensor) -> Tensor:
         return tape.affine(self.o_w, tape.tanh(tape.affine(self.w_h, h, self.b_h)), self.b_w)
-
-    def scores(self, h: np.ndarray) -> np.ndarray:
-        """logits() without a tape and with its BLAS calls: (values,) for a
-        (width,) state, (..., values) for (..., T, width) states, one GEMM
-        per sentence as Tape.affine does it."""
-
-        def affine(w: Tensor, x: np.ndarray, b: Tensor) -> np.ndarray:
-            return (w.data @ x if x.ndim == 1 else x @ w.data.T) + b.data
-
-        return affine(self.o_w, np.tanh(affine(self.w_h, h, self.b_h)), self.b_w)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {
@@ -167,7 +158,8 @@ class CharToTag(CharBiLstm):
         return 2 * self.hidden
 
     def forward_on_tape(self, tape: Tape, word: str) -> Tensor:
-        return self.encode(tape, self.chars.encode(word))
+        """The (1, 1, width) encoding of one word."""
+        return self.encode(tape, [[self.chars.encode(word)]])
 
 
 class TaggerModel:
@@ -236,33 +228,46 @@ class TaggerModel:
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """The (T, 2 * hidden) sentence-BiLSTM states, one row per token. A
+        """The (1, T, 2 * hidden) sentence-BiLSTM states, one row per token. A
         sentence with any form outside training reads its word vectors as one
-        constant matrix: no training row has a gradient to take."""
+        constant: no training row has a gradient to take."""
         if not sentence.tokens:
             raise ValueError("cannot run the tagger on an empty sentence")
         forms = [token.form for token in sentence.tokens]
         if all(form in self.rows for form in forms):
-            reps = tape.row(self.embeddings, [self.rows[form] for form in forms])
+            reps = tape.row(self.embeddings, [[self.rows[form] for form in forms]])
         else:
-            reps = Tensor(self.word_vectors(forms))
+            reps = Tensor(self.word_vectors(forms)[None])
         if self.c2t is not None:
-            chars = tape.stack([self.c2t.forward_on_tape(tape, form) for form in forms])
-            reps = tape.concat([reps, chars])
-        # one (T, width) mask per layer, the input layer's drawn first, each
-        # filled token by token: seeded runs and archives depend on this order
-        if dropout > 0.0:
-            reps = tape.mul_const(reps, dropout_mask((len(forms), self.width), dropout, rng))
-        layer1 = tape.bilstm(self.l1f, self.l1b, reps)
-        if dropout > 0.0:
-            layer1 = tape.mul_const(
-                layer1, dropout_mask((len(forms), 2 * self.hidden), dropout, rng)
-            )
-        return tape.bilstm(self.l2f, self.l2b, layer1)
+            chars = [self.c2t.forward_on_tape(tape, form) for form in forms]
+            reps = tape.concat([reps, tape.concat(chars, axis=1)])
+        return self.sentence_layers(tape, [reps], dropout, rng)[0]
 
-    def packed_states(self, sentences: list[Sentence]) -> Iterator[tuple[list[int], np.ndarray]]:
-        """Grad-free sentence-BiLSTM states, bit-identical to states_on_tape()
-        without dropout, in packed passes of at most TAG_SLICE sentences,
+    def sentence_layers(
+        self,
+        tape: Tape,
+        groups: list[Tensor],
+        dropout: float = 0.0,
+        rng: np.random.Generator | None = None,
+    ) -> list[Tensor]:
+        """The two sentence-BiLSTM layers over groups of (B_L, L, width) word
+        representations (see Tape.bilstm). With dropout, one mask of its
+        input's shape per layer and group, the input layer's drawn first, each
+        filled token by token: seeded runs and archives depend on this order."""
+
+        def drop(xs: list[Tensor]) -> list[Tensor]:
+            if dropout == 0.0:
+                return xs
+            return [tape.mul_const(x, dropout_mask(x.data.shape, dropout, rng)) for x in xs]
+
+        layer1 = tape.bilstm(self.l1f, self.l1b, drop(groups))
+        return tape.bilstm(self.l2f, self.l2b, drop(layer1))
+
+    def packed_states(
+        self, tape: Tape, sentences: list[Sentence]
+    ) -> Iterator[tuple[list[int], Tensor]]:
+        """The sentence-BiLSTM states of states_on_tape() without dropout, on a
+        grad-free tape, in packed passes of at most TAG_SLICE sentences,
         longest first. Yields, per pass and sentence length L, the indices of
         the sentences of that length and their (B_L, L, 2 * hidden) states."""
         tokens = [sentence.tokens for sentence in sentences]
@@ -276,8 +281,8 @@ class TaggerModel:
         if self.c2t is not None:
             reps = np.concatenate([reps, self.c2t.encode_many(distinct)], axis=1)
         for groups in length_slices([len(t) for t in tokens], TAG_SLICE):
-            layer1 = packed_bilstm(self.l1f, self.l1b, [reps[[ids[i] for i in g]] for g in groups])
-            yield from zip(groups, packed_bilstm(self.l2f, self.l2b, layer1))
+            layer_input = [Tensor(reps[[ids[i] for i in g]], grad=False) for g in groups]
+            yield from zip(groups, self.sentence_layers(tape, layer_input))
 
     # ------------------------------------------------------------------
     # loss
@@ -305,7 +310,8 @@ class TaggerModel:
 
     def _head_nll(self, tape: Tape, head: Head, states: Tensor, targets: list[int]) -> Tensor:
         log_probs = tape.log_softmax(head.logits(tape, states))
-        return tape.scale(tape.sum(tape.pick(log_probs, targets)), -1.0)
+        picked = tape.take(log_probs, (0, np.arange(len(targets)), targets))
+        return tape.scale(tape.sum(picked), -1.0)
 
     # ------------------------------------------------------------------
     # prediction
@@ -315,21 +321,22 @@ class TaggerModel:
         are emitted as attribute absence. Argmax ties resolve to the lowest
         inventory index."""
         out: list = [None] * len(sentences)
-        for group, states in self.packed_states(sentences):
-            pos = np.argmax(self.pos_head.scores(states), axis=-1)
-            choices = {
-                attr: np.argmax(head.scores(states), axis=-1)
-                for attr, head in self.attr_heads.items()
-            }
+        tape = Tape(grad=False)
+        for group, states in self.packed_states(tape, sentences):
+            # per sentence and token, as nested lists: cheaper to read than numpy scalars
+            pos, *indices = [
+                np.argmax(head.logits(tape, states).data, axis=-1).tolist()
+                for head in [self.pos_head, *self.attr_heads.values()]
+            ]
+            choices = list(zip(self.attr_heads, indices))
             for b, i in enumerate(group):
-                tagged = []
-                for t in range(states.shape[1]):
-                    attrs = {}
-                    for attr, index in choices.items():
-                        if index[b, t] != 0:
-                            attrs[attr] = self.schema.attrs[attr][index[b, t] - 1]
-                    tagged.append((self.schema.pos[pos[b, t]], attrs))
-                out[i] = tagged
+                out[i] = [
+                    (self.schema.pos[p], {
+                        attr: self.schema.attrs[attr][index[b][t] - 1]
+                        for attr, index in choices if index[b][t]
+                    })
+                    for t, p in enumerate(pos[b])
+                ]
         return out
 
     # ------------------------------------------------------------------
@@ -440,7 +447,7 @@ def attribute_distribution(model: TaggerModel, h: np.ndarray, attr: str) -> np.n
     else:
         raise SchemaError(f"unknown attribute {attr!r}")
     # shifted so the largest logit is 0: exp cannot overflow, and the sum is >= 1
-    logits = head.scores(h)
+    logits = head.logits(Tape(grad=False), Tensor(h, grad=False)).data
     shifted = logits - logits.max()
     e = np.exp(shifted)
     return e / e.sum()
@@ -456,19 +463,18 @@ def sentence_forward(
     """Per-token hidden states; dropout applies in train mode only."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "train" and dropout > 0.0:
-        if rng is None:
-            raise ValueError("train mode with dropout needs a random generator")
-        return [row.copy() for row in model.states_on_tape(Tape(), sentence, dropout, rng).data]
-    ((_, states),) = model.packed_states([sentence])
-    return list(states[0])
+    if mode == "eval":
+        dropout = 0.0
+    elif dropout > 0.0 and rng is None:
+        raise ValueError("train mode with dropout needs a random generator")
+    return list(model.states_on_tape(Tape(grad=False), sentence, dropout, rng).data[0])
 
 
 def joint_loss(
     model: TaggerModel, sentence: Sentence, mode: str = TaggerTrainConfig.loss_mode
 ) -> float:
     """Evaluation-mode joint negative log likelihood of the gold tags."""
-    return float(model.loss_on_tape(Tape(), sentence, mode).data)
+    return float(model.loss_on_tape(Tape(grad=False), sentence, mode).data)
 
 
 def tag(model: TaggerModel, sentence: Sentence) -> list[tuple[str, dict[str, str]]]:

@@ -71,12 +71,12 @@ def test_1_gradient_fidelity():
         rng = np.random.default_rng(100 + seed)
         model = MimickModel(CharVocabulary("abcdefg"), dim=5, char_dim=3, hidden=4, rng=rng)
         word = "".join(rng.choice(list("abcdefg"), size=rng.integers(1, 7)))
-        target = Tensor(rng.normal(size=5))
+        target = Tensor(rng.normal(size=(1, 1, 5)))
         indices = model.chars.encode(word)
 
         def forward():
             tape = Tape()
-            out = model.forward_on_tape(tape, indices)
+            out = model.forward_on_tape(tape, [[indices]])
             return tape, tape.sum_squares(tape.sub(out, target))
 
         result = gradient_check(forward, model.parameters(), eps=eps, tol=tol)

@@ -191,6 +191,21 @@ def test_a_tensor_named_twice_is_rejected(tmp_path):
         load_archive(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_value_is_neither_written_nor_read(tmp_path, tensors, value):
+    tensors["b"][1] = value
+    path = str(tmp_path / "m.svm")
+    message = f"^{re.escape(path)}: tensor 'b' holds a non-finite value$"
+    with pytest.raises(ArchiveError, match=message):
+        save_archive(path, "mimick", {}, tensors)
+    assert not os.path.exists(path)
+    specs = [{"name": name, "shape": list(arr.shape)} for name, arr in tensors.items()]
+    payload = b"".join(arr.astype("<f8").tobytes() for arr in tensors.values())
+    write_raw_archive(tmp_path / "m.svm", manifest_with(tensors=specs), payload)
+    with pytest.raises(ArchiveError, match=message):
+        load_archive(path)
+
+
 def tiny_mimick():
     return MimickModel(CharVocabulary("ab"), dim=2, char_dim=2, hidden=2,
                        rng=np.random.default_rng(0))

@@ -255,12 +255,17 @@ class TestNearestNeighbors:
         assert [ln.split("\t")[0] for ln in lines] == [w for w, _ in expected]
 
     def test_a_model_inferring_nan_fails_with_one_line(self, tmp_path, emb_path, capsys):
+        # an archive cannot hold NaN (see TestNonFiniteArchives), but finite
+        # weights can overflow to a non-finite vector
         model = MimickModel(CharVocabulary("abcdef"), dim=4, char_dim=2, hidden=2,
                             rng=np.random.default_rng(0))
-        model.b_t.data[0] = np.nan
+        model.t_h.data[...] = 0.0
+        model.b_h.data[...] = 10.0
+        model.o_t.data[0] = 1e308
         path = tmp_path / "nan.svm"
         model.save(str(path))
-        assert main(["nn", str(emb_path), "zzzzz", "--model", str(path)]) == 1
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["nn", str(emb_path), "zzzzz", "--model", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == "error: query vector must be finite"
@@ -679,6 +684,52 @@ def test_mimick_divergence_warning_compares_with_epoch_one(
         assert line.startswith(f"warning: epoch {warned}: mean train loss "), line
     MimickModel.load(str(out))
     assert len((tmp_path / "m.svm.trace.tsv").read_text().splitlines()) == len(losses) + 1
+
+
+def with_one_value(path, name, value, out):
+    """A copy at out of the archive at path, value written into tensor name."""
+    manifest, tensors = load_archive(str(path))
+    tensors[name].flat[0] = value
+    blob = json.dumps(manifest).encode("utf-8")
+    payload = b"".join(a.astype("<f8").tobytes() for a in tensors.values())
+    out.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
+    return out
+
+
+def fails_naming(capsys, path, tensor):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {path}: tensor {tensor!r} holds a non-finite value"
+    ]
+    return True
+
+
+class TestNonFiniteArchives:
+    """An archive holding NaN or an infinity fails every command that reads it."""
+
+    def test_infer(self, tmp_path, emb_path, mimick_model_path, capsys):
+        bad = with_one_value(mimick_model_path, "char_emb", np.nan, tmp_path / "nan.svm")
+        words, out = tmp_path / "words.txt", tmp_path / "oov.txt"
+        words.write_text("zzq\n", encoding="utf-8")
+        assert main(["infer", str(bad), str(emb_path), str(words), str(out)]) == 1
+        assert fails_naming(capsys, bad, "char_emb") and not out.exists()
+
+    def test_train_tagger_with_a_spelling_model(self, tmp_path, capsys):
+        emb, train, _ = build_tagger_corpus(tmp_path)
+        mimick = mimick_for_the_tagger_corpus(tmp_path)
+        bad = with_one_value(mimick, "b_t", -np.inf, tmp_path / "inf.svm")
+        out = tmp_path / "t.svm"
+        assert main(["train-tagger", "--train", str(train), "--embeddings", str(emb), "--out",
+                     str(out), "--variant", "mimick", "--mimick", str(bad), *TAGGER_FLAGS]) == 1
+        assert fails_naming(capsys, bad, "b_t") and not out.exists()
+
+    def test_tag(self, tmp_path, trained_tagger, capsys):
+        model_path, _, dev = trained_tagger
+        bad = with_one_value(model_path, "rows", np.inf, tmp_path / "inf.svm")
+        out = tmp_path / "pred.conllu"
+        assert main(["tag", str(bad), str(dev), str(out)]) == 1
+        assert fails_naming(capsys, bad, "rows") and not out.exists()
 
 
 def mimick_for_the_tagger_corpus(tmp_path):

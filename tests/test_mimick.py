@@ -120,10 +120,10 @@ class TestLoss:
 
         def forward():
             tape = Tape()
-            out = model.forward_on_tape(tape, indices)
+            out = model.forward_on_tape(tape, [[indices]])
             from spellvec.nn import Tensor
 
-            return tape, tape.sum_squares(tape.sub(out, Tensor(target)))
+            return tape, tape.sum_squares(tape.sub(out, Tensor(target[None, None])))
 
         report = gradient_check(forward, model.parameters(), eps=1e-5, tol=1e-4)
         assert report.passed, report
@@ -175,8 +175,8 @@ class TestTraining:
         # as train_mimick builds it: char rows, BiLSTM, end states, MLP, loss
         model = small_model(seed=3)
         tape = Tape()
-        out = model.forward_on_tape(tape, model.chars.encode("cafe"))
-        tape.sum_squares(tape.sub(out, Tensor(np.ones(model.dim))))
+        out = model.forward_on_tape(tape, [[model.chars.encode("cafe")]])
+        tape.sum_squares(tape.sub(out, Tensor(np.ones((1, 1, model.dim)))))
         assert len(tape) == 8
 
     def test_tiny_vocabulary_rejected(self):
@@ -221,8 +221,8 @@ class TestBatchedInference:
         assert outputs.shape == (len(words), 64)
         for word, encoding, output in zip(words, encodings, outputs):
             indices = model.chars.encode(word)
-            assert np.array_equal(encoding, model.encode(Tape(), indices).data), word
-            assert np.array_equal(output, model.forward_on_tape(Tape(), indices).data), word
+            assert np.array_equal(encoding, model.encode(Tape(), [[indices]]).data[0, 0]), word
+            assert np.array_equal(output, model.forward_on_tape(Tape(), [[indices]]).data[0, 0]), word
 
     def test_a_word_has_the_same_vector_in_any_batch(self):
         rng = np.random.default_rng(12)

@@ -386,9 +386,9 @@ class TestVariants:
         reps = [representation(t.form) for t in s.tokens]
         tape = Tape()
         for token, expected in zip(s.tokens, reps):
-            word = Tensor(model.word_vectors([token.form])[0])
+            word = Tensor(model.word_vectors([token.form])[None])
             got = tape.concat([word, c2t.forward_on_tape(tape, token.form)])
-            assert np.allclose(got.data, expected, rtol=0.0, atol=1e-12), token.form
+            assert np.allclose(got.data[0, 0], expected, rtol=0.0, atol=1e-12), token.form
         # the same representations feed the sentence BiLSTM
         for fwd, bwd in ((model.l1f, model.l1b), (model.l2f, model.l2b)):
             reps = [np.concatenate(p) for p in zip(sweep(fwd, reps), sweep(bwd, reps[::-1])[::-1])]
@@ -412,10 +412,10 @@ class TestVariants:
         forms += ["a", "aaaa", "XY"]
         encodings = model.c2t.encode_many(forms)
         for form, encoding in zip(forms, encodings):
-            assert np.array_equal(encoding, model.c2t.forward_on_tape(Tape(), form).data), form
+            assert np.array_equal(encoding, model.c2t.forward_on_tape(Tape(), form).data[0, 0]), form
         # tagging reads them as one constant matrix, with the bits of the tape path
         s = Sentence([Token(form, "A", {}) for form in forms])
-        on_tape = model.states_on_tape(Tape(), s).data
+        on_tape = model.states_on_tape(Tape(), s).data[0]
         assert np.array_equal(np.stack(sentence_forward(model, s)), on_tape)
 
     def test_variant_prerequisites_validated(self):
@@ -733,9 +733,9 @@ def tape_tags(model, s):
     argmax of each head's logits on it, as tagging ran before it was batched."""
     tape = Tape()
     states = model.states_on_tape(tape, s)
-    pos = np.argmax(model.pos_head.logits(tape, states).data, axis=1)
+    pos = np.argmax(model.pos_head.logits(tape, states).data[0], axis=1)
     choices = {
-        attr: np.argmax(head.logits(tape, states).data, axis=1)
+        attr: np.argmax(head.logits(tape, states).data[0], axis=1)
         for attr, head in model.attr_heads.items()
     }
     out = []
@@ -798,16 +798,16 @@ class TestBatchedTagging:
         # several passes, a length split across two of them
         monkeypatch.setattr(tagger_module, "TAG_SLICE", 7)
         in_corpus = {}
-        passes = list(model.packed_states(corpus))
+        passes = list(model.packed_states(Tape(grad=False), corpus))
         for group, states in passes:
-            in_corpus.update(zip(group, states))
+            in_corpus.update(zip(group, states.data))
         assert sorted(in_corpus) == list(range(len(corpus)))
         assert len(passes) > len({len(s.tokens) for s in corpus})
         for i, s in enumerate(corpus):
-            ((_, alone),) = model.packed_states([s])
-            assert np.array_equal(in_corpus[i], alone[0]), i
-            assert np.array_equal(alone[0], model.states_on_tape(Tape(), s).data), i
-            assert np.array_equal(np.stack(sentence_forward(model, s)), alone[0]), i
+            ((_, alone),) = model.packed_states(Tape(grad=False), [s])
+            assert np.array_equal(in_corpus[i], alone.data[0]), i
+            assert np.array_equal(alone.data[0], model.states_on_tape(Tape(), s).data[0]), i
+            assert np.array_equal(np.stack(sentence_forward(model, s)), alone.data[0]), i
 
     def test_a_corpus_is_encoded_once_per_call(self, monkeypatch):
         model, corpus = mixed_corpus_model("both")
@@ -831,13 +831,17 @@ class TestBatchedTagging:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_tagging_builds_no_tape(self, monkeypatch, variant):
+        """Tagging builds no recording tape: only grad-free ones."""
         model, corpus = mixed_corpus_model(variant)
         expected = [tape_tags(model, s) for s in corpus]
+        grad_free = Tape.__init__
 
-        def no_tape(self):
-            raise AssertionError("tagging built a tape")
+        def no_recording_tape(self, grad=True):
+            if grad:
+                raise AssertionError("tagging built a recording tape")
+            grad_free(self, grad)
 
-        monkeypatch.setattr(Tape, "__init__", no_tape)
+        monkeypatch.setattr(Tape, "__init__", no_recording_tape)
         tagged = tag_corpus(model, corpus)
         assert [[(t.upos, t.attrs) for t in s.tokens] for s in tagged] == expected
         assert tag(model, corpus[1]) == expected[1]
@@ -845,15 +849,17 @@ class TestBatchedTagging:
         assert attribute_distribution(model, h[0], POS_HEAD).shape == (len(model.schema.pos),)
 
     def test_head_scores_equal_the_tape_logits(self):
+        """Grad-free logits over packed states against the recording tape's."""
         model, corpus = mixed_corpus_model("no-char")
         heads = [model.pos_head, *model.attr_heads.values()]
-        for group, states in model.packed_states(corpus):
-            scores = [head.scores(states) for head in heads]
+        grad_free = Tape(grad=False)
+        for group, states in model.packed_states(grad_free, corpus):
+            scores = [head.logits(grad_free, states).data for head in heads]
             for b, i in enumerate(group):
                 tape = Tape()
                 on_tape = model.states_on_tape(tape, corpus[i])
                 for head, got in zip(heads, scores):
-                    assert np.array_equal(got[b], head.logits(tape, on_tape).data), i
+                    assert np.array_equal(got[b], head.logits(tape, on_tape).data[0]), i
 
     def test_attribute_distribution_has_the_bits_of_the_written_out_softmax(self):
         model, corpus = mixed_corpus_model("no-char")
