@@ -5,8 +5,10 @@
 The script generates its inputs (a suffix-language embedding table, CoNLL-U
 splits and an OOV word list, from tests/synthetic.py) into OUTDIR/inputs,
 then runs, with fixed seeds: train-mimick (archive and trace), infer, nn
---model, train-tagger for each of the four variants (archives and traces),
-tag and eval. Standard output is kept as NAME.stdout; stderr is not kept.
+--model, nn on an in-vocabulary word at --k 1 and at --k the table's row
+count (where nearest_neighbors' float32 screen keeps every row),
+train-tagger for each of the four variants (archives and traces), tag and
+eval. Standard output is kept as NAME.stdout; stderr is not kept.
 Every path it passes is relative to OUTDIR, so outputs do not depend on
 where OUTDIR is.
 
@@ -36,7 +38,7 @@ from synthetic import make_stems, suffix_sentences, suffix_table  # noqa: E402
 
 from spellvec.cli import main  # noqa: E402
 from spellvec.conllu import serialize_conllu  # noqa: E402
-from spellvec.embeddings import write_embeddings  # noqa: E402
+from spellvec.embeddings import EmbeddingTable, write_embeddings  # noqa: E402
 
 VARIANTS = ("no-char", "mimick", "char2tag", "both")
 MIMICK_FLAGS = ["--epochs", "3", "--char-dim", "4", "--hidden", "6", "--seed", "5"]
@@ -47,7 +49,7 @@ TAGGER_FLAGS = [
 ]
 
 
-def write_inputs() -> None:
+def write_inputs() -> EmbeddingTable:
     rng = np.random.default_rng(23)
     stems = make_stems(rng, 14)
     table = suffix_table(rng, stems, n_suffixes=4, dim=8)
@@ -62,6 +64,7 @@ def write_inputs() -> None:
         text = serialize_conllu(suffix_sentences(rng, pool, count, n_suffixes=4))
         Path(f"inputs/{name}.conllu").write_text(text, encoding="utf-8")
     Path("inputs/words.txt").write_text("zebraok\nqan\nbdiv\n", encoding="utf-8")
+    return table
 
 
 def run(name: str, argv: list[str]) -> None:
@@ -77,11 +80,14 @@ def run(name: str, argv: list[str]) -> None:
 def main_script(outdir: str) -> None:
     Path(outdir).mkdir(parents=True, exist_ok=False)
     os.chdir(outdir)
-    write_inputs()
+    table = write_inputs()
     emb = "inputs/emb.txt"
     run("train-mimick", ["train-mimick", emb, "mimick.svm", *MIMICK_FLAGS])
     run("infer", ["infer", "mimick.svm", emb, "inputs/words.txt", "infer.txt"])
     run("nn", ["nn", emb, "zebraok", "--k", "5", "--model", "mimick.svm"])
+    word = table.words()[0]
+    run("nn-k1", ["nn", emb, word, "--k", "1"])
+    run("nn-all", ["nn", emb, word, "--k", str(len(table))])
     for variant in VARIANTS:
         run(f"train-tagger-{variant}", [
             "train-tagger", "--train", "inputs/train.conllu", "--dev", "inputs/dev.conllu",

@@ -194,6 +194,13 @@ def cmd_train_mimick(args) -> int:
     return 0
 
 
+def _infer(path: str, model: MimickModel, dim: int, words: list[str]) -> EmbeddingTable:
+    try:
+        return infer_oov(model, EmbeddingTable(dim), words)
+    except ValueError as err:  # named by the archive the model was loaded from
+        raise CliError(f"{path}: {err}") from None
+
+
 def cmd_infer(args) -> int:
     model = MimickModel.load(args.model)
     # only the table's dimension is needed: read the header, not the rows
@@ -201,7 +208,7 @@ def cmd_infer(args) -> int:
         header = handle.readline()
         _, dim = parse_header(header.rstrip("\n") if header else None)
     words = _read_words(args.words)
-    extension = infer_oov(model, EmbeddingTable(dim), words)
+    extension = _infer(args.model, model, dim, words)
     sink = io.StringIO()
     write_embeddings(extension, sink)
     atomic_write_text(args.out, sink.getvalue())
@@ -213,7 +220,7 @@ def cmd_nn(args) -> int:
     if args.word in table:
         query = table.vector(args.word)
     elif args.model:
-        query = MimickModel.load(args.model).forward(args.word)
+        query = _infer(args.model, MimickModel.load(args.model), table.dim, [args.word]).matrix()[0]
     else:
         raise CliError(f"{args.word!r} is out of vocabulary; pass --model to infer it")
     for word, similarity in nearest_neighbors(table, query, args.k):

@@ -26,8 +26,8 @@ MIMICK_DIRECT = "mimick-direct"
 TABLE_ONLY = "table-only"
 POLICIES = (UNK_LOWERCASE, MIMICK_DIRECT, TABLE_ONLY)
 
-# lines per np.loadtxt call in read_embeddings: a chunk's temporaries stay
-# near 1 MB at d = 64
+# rows per block where a table is read (lines per np.loadtxt call) or its
+# norms are taken: a block's temporaries stay near 1 MB at d = 64
 READ_CHUNK = 1024
 # what np.loadtxt reads differently from float(): "\r" and "\n" end its
 # line, and it strips "\x1c"-"\x1f" from a field's ends as whitespace
@@ -71,14 +71,15 @@ class EmbeddingTable:
     def over(
         cls, words: list[str], matrix: np.ndarray, unk: np.ndarray | None = None
     ) -> "EmbeddingTable":
-        """The table whose row i is words[i] -> matrix[i]. It adopts the float64
-        matrix without copying it, so the caller must not write to it later."""
+        """The table whose row i is words[i] -> matrix[i]. It adopts a C-contiguous
+        float64 matrix without copying it, so the caller must not write to it later."""
         table = cls.__new__(cls)
         table._adopt(list(words), matrix, unk)
         return table
 
     def _adopt(self, words: list[str], matrix: np.ndarray, unk: np.ndarray | None) -> None:
-        matrix = np.asarray(matrix, dtype=np.float64)
+        # C order gives a row's dot product the same bits in any gather of rows
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != len(words) or matrix.shape[1] < 1:
             raise ValueError(
                 f"matrix has shape {matrix.shape}, expected ({len(words)}, d) with d >= 1"
@@ -136,14 +137,20 @@ class EmbeddingTable:
         """The entry vectors, each row whose largest magnitude is beyond
         2**±500 times the power of two 2**-e that brings it into [0.5, 1), so
         no norm or dot product overflows; their norms; and each e (0 for a row
-        left as it is, and a table of such rows is not copied); cached, with
-        the indices of the zero-norm rows in _zero_norm."""
+        left as it is, and a table of such rows is not copied); cached, with the
+        indices of the zero-norm rows in _zero_norm and the float32 unit rows (a
+        zero row divided by 1) in _unit32, nearest_neighbors' screen. No float64
+        temporary the size of the table is made."""
         if self._scaled is None:
             matrix = self.matrix()
-            exponents = np.frexp(np.abs(matrix).max(axis=1))[1]
+            exponents = np.frexp(np.maximum(matrix.max(axis=1), -matrix.min(axis=1)))[1]
             exponents[np.abs(exponents) <= 500] = 0
             rows = np.ldexp(matrix, -exponents[:, None]) if exponents.any() else matrix
-            norms = np.linalg.norm(rows, axis=1)
+            # the bits of one norm over the table, a block of rows at a time
+            blocks = np.split(rows, range(READ_CHUNK, len(rows), READ_CHUNK))
+            norms = np.concatenate([np.linalg.norm(block, axis=1) for block in blocks])
+            self._unit32 = np.empty(rows.shape, np.float32)
+            np.divide(rows, np.where(norms == 0.0, 1.0, norms)[:, None], out=self._unit32)
             self._scaled, self._zero_norm = (rows, norms, exponents), np.flatnonzero(norms == 0.0)
         return self._scaled
 

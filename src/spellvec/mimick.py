@@ -289,22 +289,28 @@ def train_mimick(
     return model, trace
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def infer_oov(model: MimickModel, table: EmbeddingTable, words: list[str]) -> EmbeddingTable:
     """Infer vectors for the requested words (in-vocabulary ones included),
-    in grad-free passes of at most INFER_SLICE words."""
+    in grad-free passes of at most INFER_SLICE words; a model that overflows
+    fails with a ValueError naming the word, not with numpy warnings."""
     if model.dim != table.dim:
         raise DimensionError(f"model dimension {model.dim} != table dimension {table.dim}")
     words = list(dict.fromkeys(words))
-    return EmbeddingTable.over(words, model.forward_many(words))
+    vectors = model.forward_many(words)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"inferred vector for {words[np.argmin(finite)]!r} is not finite")
+    return EmbeddingTable.over(words, vectors)
 
 
 def nearest_neighbors(
     table: EmbeddingTable, query: np.ndarray, k: int
 ) -> list[tuple[str, float]]:
     """Top-k table words by cosine similarity, descending; ties broken by
-    table order; zero-norm table vectors rank last. A query costs one pass
-    over the table plus an O(V) selection of the k best; the result is the
-    first k of a full stable sort."""
+    table order; zero-norm table vectors rank last; the first k of a full stable
+    sort. A float32 screen of the unit rows (EmbeddingTable._scaled_rows) keeps
+    the rows that can place, and only those get the exact float64 similarity."""
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (table.dim,):
         raise DimensionError(f"query shape {query.shape}, expected ({table.dim},)")
@@ -319,7 +325,17 @@ def nearest_neighbors(
     if not 1 <= k <= len(table):
         raise ValueError(f"k must be in [1, {len(table)}], got {k}")
     rows, norms, _ = table._scaled_rows()
-    zero = table._zero_norm
+    # Both screen operands have norm <= 1, so a screened score is within E =
+    # (d + 4) * 2**-24 of the exact one (two float32 roundings and the dot's,
+    # in any order). The k best screened rows score >= screen_kth - E, so a row
+    # that can place, ties included, screens >= screen_kth - 2E; the margin is 4E.
+    screened = table._unit32 @ (query / qnorm).astype(np.float32)
+    screened[table._zero_norm] = -np.inf
+    screen_kth = np.float64(np.partition(screened, -k)[-k])
+    candidates = np.flatnonzero(screened >= screen_kth - (4 * table.dim + 16) * 2.0**-24)
+    if len(candidates) < len(rows):
+        rows, norms = rows[candidates], norms[candidates]
+    zero = np.flatnonzero(norms == 0.0)
     # einsum, unlike BLAS, scores identical rows identically, so the stable
     # sort keeps ties in table order
     sims = np.einsum("ij,j->i", rows, query)
@@ -333,7 +349,7 @@ def nearest_neighbors(
     # every row that can be among the first k of a full stable sort: those tied
     # with the k-th included, and all rows if the k-th key is NaN; they are in
     # table order, so the stable sort keeps ties in table order
-    candidates = np.flatnonzero(~(neg > kth))
-    order = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+    picked = np.flatnonzero(~(neg > kth))
+    best = picked[np.argsort(neg[picked], kind="stable")[:k]]
     words = table.words()
-    return [(words[i], float(sims[i])) for i in order]
+    return [(words[i], s) for i, s in zip(candidates[best].tolist(), sims[best].tolist())]

@@ -125,7 +125,34 @@ def mimick_model_path(tmp_path, emb_path):
     return out
 
 
+def overflowing_model(tmp_path):
+    """The archive of a Mimick model whose finite weights overflow: an archive
+    cannot hold NaN (see TestNonFiniteArchives), but every word's vector has
+    inf first."""
+    model = MimickModel(CharVocabulary("abcdef"), dim=4, char_dim=2, hidden=2,
+                        rng=np.random.default_rng(0))
+    model.t_h.data[...] = 0.0
+    model.b_h.data[...] = 10.0
+    model.o_t.data[0] = 1e308
+    path = tmp_path / "overflow.svm"
+    model.save(str(path))
+    return path
+
+
 class TestInfer:
+    def test_a_model_inferring_inf_fails_with_one_line(self, tmp_path, emb_path, capsys):
+        path = overflowing_model(tmp_path)
+        words = tmp_path / "words.txt"
+        words.write_text("abc\nzzzzz\n", encoding="utf-8")
+        out = tmp_path / "oov.txt"
+        assert main(["infer", str(path), str(emb_path), str(words), str(out)]) == 1
+        captured = capsys.readouterr()
+        # the invocation line, then the error, and no numpy warning
+        assert captured.err.splitlines()[1:] == [
+            f"error: {path}: inferred vector for 'abc' is not finite"
+        ]
+        assert not out.exists()
+
     def test_output_matches_library_and_is_deterministic(self, tmp_path, emb_path, mimick_model_path):
         words = tmp_path / "words.txt"
         words.write_text("zzz\nabq\n\n", encoding="utf-8")
@@ -255,20 +282,14 @@ class TestNearestNeighbors:
         assert [ln.split("\t")[0] for ln in lines] == [w for w, _ in expected]
 
     def test_a_model_inferring_nan_fails_with_one_line(self, tmp_path, emb_path, capsys):
-        # an archive cannot hold NaN (see TestNonFiniteArchives), but finite
-        # weights can overflow to a non-finite vector
-        model = MimickModel(CharVocabulary("abcdef"), dim=4, char_dim=2, hidden=2,
-                            rng=np.random.default_rng(0))
-        model.t_h.data[...] = 0.0
-        model.b_h.data[...] = 10.0
-        model.o_t.data[0] = 1e308
-        path = tmp_path / "nan.svm"
-        model.save(str(path))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(["nn", str(emb_path), "zzzzz", "--model", str(path)]) == 1
+        # no numpy warning escapes: the suite turns a RuntimeWarning into an error
+        path = overflowing_model(tmp_path)
+        assert main(["nn", str(emb_path), "zzzzz", "--model", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == "error: query vector must be finite"
+        assert captured.err.splitlines()[1:] == [
+            f"error: {path}: inferred vector for 'zzzzz' is not finite"
+        ]
 
     def test_runs_as_a_module_and_scores_huge_rows(self, tmp_path):
         # norms and dot products of 1e200 rows overflow unless the rows are scaled

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,3 +402,74 @@ def test_selection_equals_full_stable_sort(data):
         expected = full_sort_ranking(table, query, k)
     assert [w for w, _ in got] == [w for w, _ in expected]
     assert np.array([s for _, s in got]).tobytes() == np.array([s for _, s in expected]).tobytes()
+
+
+def screen_table(rng, dim, size, order="C"):
+    """A table of `size` rows holding exact duplicates, a row one ulp from
+    another, zero rows, rows beyond 2**500 and below 2**-500, and a cluster
+    around row 0 whose cosines with it differ by less than float32 resolves."""
+    rows = rng.normal(size=(size, dim))
+    rows[10:60] = rows[0] + 1e-6 * rng.normal(size=(50, dim))
+    picks = rng.integers(0, size, size=(2, size // 10))
+    rows[picks[0]] = rows[picks[1]]
+    rows[1] = np.nextafter(rows[0], np.inf)
+    rows[rng.integers(0, size, size=5)] = 0.0
+    rows[rng.integers(0, size, size=5)] *= 2.0**600
+    rows[rng.integers(0, size, size=5)] *= 2.0**-600
+    matrix = np.asfortranarray(rows) if order == "F" else rows
+    return EmbeddingTable.over([f"w{i}" for i in range(size)], matrix)
+
+
+@pytest.mark.parametrize("dim", [1, 8, 64, 300])
+def test_screened_selection_has_the_bits_of_the_full_stable_sort(dim):
+    # the float32 screen decides only which rows get the exact similarity:
+    # every k, from one row to the whole table, keeps the full sort's bits
+    rng = np.random.default_rng(dim)
+    for size, order in [(1000, "C"), (2500, "F"), (5000, "C")]:
+        table = screen_table(rng, dim, size, order)
+        rows = table.matrix()
+        queries = [rows[0], rows[2], rng.normal(size=dim), rows[3] + 1e-9 * rng.normal(size=dim)]
+        with np.errstate(over="raise", invalid="raise"):
+            for query in queries:
+                for k in (1, 10, size - 1, size):
+                    got = nearest_neighbors(table, query, k)
+                    expected = full_sort_ranking(table, query, k)
+                    assert [w for w, _ in got] == [w for w, _ in expected], (size, k)
+                    assert (np.array([s for _, s in got]).tobytes()
+                            == np.array([s for _, s in expected]).tobytes()), (size, k)
+        # the norms, taken a block of rows at a time, have the bits of one call
+        scaled, norms, exponents = table._scaled_rows()
+        assert norms.tobytes() == np.linalg.norm(scaled, axis=1).tobytes()
+        assert np.array_equal(exponents != 0, np.abs(np.frexp(np.abs(rows).max(axis=1))[1]) > 500)
+
+
+class TestScreen:
+    def test_the_screen_is_built_once_per_table(self):
+        rng = np.random.default_rng(6)
+        table = screen_table(rng, 16, 300)
+        assert table._scaled is None
+        nearest_neighbors(table, rng.normal(size=16), k=3)
+        screen = table._unit32
+        nearest_neighbors(table, rng.normal(size=16), k=7)
+        assert table._unit32 is screen
+        rows, norms, _ = table._scaled_rows()
+        assert table._unit32 is screen
+        # the unit rows in float32; a zero row stays zero
+        assert screen.dtype == np.float32 and screen.shape == rows.shape
+        units = rows / np.where(norms == 0, 1.0, norms)[:, None]
+        assert np.array_equal(screen, units.astype(np.float32))
+
+    def test_the_first_query_makes_no_float64_copy_of_the_table(self):
+        # no row needs scaling, so the table is not copied for that either
+        rows = np.random.default_rng(7).normal(size=(20_000, 64))
+        table = EmbeddingTable.over([f"w{i}" for i in range(len(rows))], rows)
+        screen_bytes = rows.size * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nearest_neighbors(table, rows[5], k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table itself is 10 MB; the screen and a query's temporaries are not
+        assert peak - before < 1.5 * screen_bytes
