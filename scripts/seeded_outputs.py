@@ -8,7 +8,9 @@ then runs, with fixed seeds: train-mimick (archive and trace), infer, nn
 --model, nn on an in-vocabulary word at --k 1 and at --k the table's row
 count (where nearest_neighbors' float32 screen keeps every row),
 train-tagger for each of the four variants (archives and traces), tag and
-eval. Standard output is kept as NAME.stdout; stderr is not kept.
+eval, and one train-tagger run with --loss weighted (which scales each
+attribute's loss by a constant) and its tag. Standard output is kept as
+NAME.stdout; stderr is not kept.
 Every path it passes is relative to OUTDIR, so outputs do not depend on
 where OUTDIR is.
 
@@ -99,6 +101,13 @@ def main_script(outdir: str) -> None:
         run(f"eval-{variant}", ["eval", "inputs/test.conllu", f"tagged-{variant}.conllu",
                                 "--train", "inputs/train.conllu",
                                 "--compare", "tagged-no-char.conllu"])
+    run("train-tagger-weighted", [
+        "train-tagger", "--train", "inputs/train.conllu", "--dev", "inputs/dev.conllu",
+        "--embeddings", emb, "--out", "tagger-weighted.svm", "--variant", "both",
+        "--mimick", "mimick.svm", "--loss", "weighted", *TAGGER_FLAGS,
+    ])
+    run("tag-weighted", ["tag", "tagger-weighted.svm", "inputs/test.conllu",
+                         "tagged-weighted.conllu"])
 
 
 if __name__ == "__main__":

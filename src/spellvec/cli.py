@@ -29,8 +29,10 @@ from .embeddings import (
 from .evaluate import TaggedCorpusPair, mcnemar, pos_correctness, render_report
 from .fileio import atomic_write_text
 from .mimick import MimickModel, MimickTrainConfig, infer_oov, nearest_neighbors, train_mimick
+from .nn import DimensionError
 from .tagger import (
     LOSS_MODES,
+    MIMICK_VARIANTS,
     TaggerModel,
     TaggerTrainConfig,
     VARIANTS,
@@ -152,10 +154,7 @@ def _read_words(path: str) -> list[str]:
                 raise EmbeddingParseError(
                     number, f"word {UNK_TOKEN!r} is reserved for the UNK vector"
                 )
-            try:
-                check_word(word)
-            except ValueError as err:
-                raise EmbeddingParseError(number, str(err)) from None
+            check_word(word, number)
             words.append(word)
     return words
 
@@ -197,7 +196,7 @@ def cmd_train_mimick(args) -> int:
 def _infer(path: str, model: MimickModel, dim: int, words: list[str]) -> EmbeddingTable:
     try:
         return infer_oov(model, EmbeddingTable(dim), words)
-    except ValueError as err:  # named by the archive the model was loaded from
+    except DimensionError as err:  # the model's own errors name its archive
         raise CliError(f"{path}: {err}") from None
 
 
@@ -236,7 +235,7 @@ def cmd_train_tagger(args) -> int:
     if resolved["token_limit"] is not None:
         train = subsample(train, int(resolved["token_limit"]), resolved["seed"])
     mimick = None
-    if resolved["variant"] in ("mimick", "both"):
+    if resolved["variant"] in MIMICK_VARIANTS:
         if not args.mimick:
             raise CliError(f"variant {resolved['variant']!r} requires --mimick MODEL")
         mimick = MimickModel.load(args.mimick)

@@ -221,14 +221,15 @@ class _Rows:
     def add_chunk(self, lines: list[str]) -> bool:
         """Add the rows of lines, their values parsed by one np.loadtxt call,
         and return True; or add nothing and return False, leaving the chunk to
-        add_lines, if it repeats a word, holds a value field that is empty or
-        has a character of _LOADTXT_ONLY, or np.loadtxt refuses it or reads
+        add_lines, if it repeats a word, has an empty word or a character of
+        _LOADTXT_ONLY in any field (so no word check_word refuses is added
+        here), holds an empty value field, or np.loadtxt refuses it or reads
         it to another shape."""
         parts = [line.partition(" ") for line in lines]
         words = [part[0] for part in parts]
         values = [part[2] for part in parts]
         fresh = set(words)
-        if len(fresh) != len(words) or not self.seen.isdisjoint(fresh):
+        if len(fresh) != len(words) or "" in fresh or not self.seen.isdisjoint(fresh):
             return False
         has_unk = UNK_TOKEN in fresh
         if has_unk and self.unk is not None:
@@ -236,7 +237,7 @@ class _Rows:
         # np.loadtxt skips an empty line, and warns if it finds no others
         if "" in values:
             return False
-        text = "".join(values)
+        text = "".join(lines)
         if any(char in text for char in _LOADTXT_ONLY):
             return False
         try:
@@ -273,6 +274,7 @@ class _Rows:
             except ValueError:
                 raise EmbeddingParseError(line_no, "unparseable number") from None
             word = fields[0]
+            check_word(word, line_no)
             if word == UNK_TOKEN:
                 if self.unk is not None:
                     raise EmbeddingParseError(line_no, f"duplicate {UNK_TOKEN} row")
@@ -331,10 +333,12 @@ def write_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:
         sink.write(word + values % tuple(vec.tolist()))
 
 
-def check_word(word: str) -> None:
-    """Raise ValueError unless word can be written as a row's word."""
+def check_word(word: str, line: int | None = None) -> None:
+    """Raise ValueError, or an EmbeddingParseError naming the line if one is
+    given, unless word can be written as a row's word."""
     if not word or " " in word or "\n" in word or "\r" in word:
-        raise ValueError(f"word {word!r} cannot be represented in the text format")
+        message = f"word {word!r} cannot be represented in the text format"
+        raise ValueError(message) if line is None else EmbeddingParseError(line, message)
 
 
 def lookup(

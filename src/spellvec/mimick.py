@@ -34,6 +34,10 @@ UNK_CHAR_INDEX = 0
 INFER_SLICE = 64
 
 
+class NonFiniteOutputError(ValueError):
+    """A word's encoding or vector is not finite: the model's finite weights overflow."""
+
+
 class CharVocabulary:
     """Dense character -> index mapping with a reserved UNK index at 0."""
 
@@ -99,6 +103,7 @@ class CharBiLstm:
             self.char_emb = Tensor(embedding_init(rng, chars.size, char_dim))
         self.fwd = LstmCellParams(char_dim, hidden, rng)
         self.bwd = LstmCellParams(char_dim, hidden, rng)
+        self.source: str | None = None  # the archive it was loaded from, which its errors name
         # the (B, 1, 2 * hidden) encodings in the BiLSTM's (B, L, 2 * hidden) states: the
         # forward state after the last character, the backward one after the first
         self._final_states = (
@@ -115,14 +120,17 @@ class CharBiLstm:
         """The (B, 1, 2 * hidden) encodings, in group order, of words given as
         character indices in groups of one length, longest first (see
         length_slices)."""
-        states = tape.bilstm(self.fwd, self.bwd, [tape.row(self.char_emb, g) for g in groups])
+        chars = [tape.take(self.char_emb, np.array(g)) for g in groups]
+        states = tape.bilstm(self.fwd, self.bwd, chars)
         return tape.concat([tape.take(s, self._final_states) for s in states], axis=0)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _packed(self, forward, words: list[str], width: int) -> np.ndarray:
         """The (len(words), width) rows of forward(tape, groups) for words, on
         a grad-free tape in passes of at most INFER_SLICE words, longest
         first; unseen characters collapse to UNK. A word's row has its bits
-        alone, whatever else is in the batch."""
+        alone, whatever else is in the batch. Overflow warns nothing: the
+        first word whose row is not finite raises NonFiniteOutputError."""
         if not all(words):
             raise ValueError("cannot embed an empty word")
         out, tape = np.empty((len(words), width)), Tape(grad=False)
@@ -130,6 +138,11 @@ class CharBiLstm:
             out[[i for g in groups for i in g]] = forward(
                 tape, [[self.chars.encode(words[i]) for i in g] for g in groups]
             ).data[:, 0]
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            where = f"{self.source}: " if self.source else ""
+            word = words[np.argmin(finite)]
+            raise NonFiniteOutputError(f"{where}inferred vector for {word!r} is not finite")
         return out
 
     def encode_many(self, words: list[str]) -> np.ndarray:
@@ -193,6 +206,7 @@ class MimickModel(CharBiLstm):
             chars = CharVocabulary(meta["chars"])
             model = cls(chars, meta["dim"], meta["char_dim"], meta["hidden"])
         restore_parameters(path, model.parameters(), tensors)
+        model.source = path
         return model
 
     def save(self, path: str, extra_meta: dict | None = None) -> None:
@@ -289,19 +303,13 @@ def train_mimick(
     return model, trace
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def infer_oov(model: MimickModel, table: EmbeddingTable, words: list[str]) -> EmbeddingTable:
-    """Infer vectors for the requested words (in-vocabulary ones included),
-    in grad-free passes of at most INFER_SLICE words; a model that overflows
-    fails with a ValueError naming the word, not with numpy warnings."""
+    """Infer vectors for the requested words (in-vocabulary ones included)
+    with forward_many."""
     if model.dim != table.dim:
         raise DimensionError(f"model dimension {model.dim} != table dimension {table.dim}")
     words = list(dict.fromkeys(words))
-    vectors = model.forward_many(words)
-    finite = np.isfinite(vectors).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"inferred vector for {words[np.argmin(finite)]!r} is not finite")
-    return EmbeddingTable.over(words, vectors)
+    return EmbeddingTable.over(words, model.forward_many(words))
 
 
 def nearest_neighbors(

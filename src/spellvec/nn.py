@@ -145,19 +145,12 @@ class Tape:
 
         return self._emit(a.data * b.data, backward)
 
-    def scale(self, a: Tensor, factor: float) -> Tensor:
-        def backward(g):
-            a.grad += g * factor
-
-        return self._emit(a.data * factor, backward)
-
-    def mul_const(self, a: Tensor, factors: np.ndarray) -> Tensor:
-        """Elementwise product with a constant array (dropout masks)."""
+    def mul_const(self, a: Tensor, factors) -> Tensor:
+        """Elementwise product with a constant: a scalar, or an array of a's
+        shape (a dropout mask)."""
         factors = np.asarray(factors, dtype=np.float64)
-        if factors.shape != a.data.shape:
-            raise DimensionError(
-                f"mul_const: shapes {a.data.shape} and {factors.shape} differ"
-            )
+        if factors.shape not in ((), a.data.shape):
+            raise DimensionError(f"mul_const: shapes {a.data.shape} and {factors.shape} differ")
 
         def backward(g):
             a.grad += g * factors
@@ -223,24 +216,13 @@ class Tape:
 
         return self._emit(out, backward)
 
-    def row(self, m: Tensor, index) -> Tensor:
-        """The rows of a matrix (embedding lookup) at an array-like of
-        indices, repeats allowed, in the index's shape plus the row axis."""
-        if m.data.ndim != 2:
-            raise DimensionError(f"row: expected matrix, got shape {m.data.shape}")
-        rows = np.asarray(index, dtype=np.intp)
-
-        def backward(g):
-            np.add.at(m.grad, rows.ravel(), g.reshape(rows.size, -1))
-
-        return self._emit(m.data[rows], backward)
-
     def take(self, a: Tensor, index) -> Tensor:
-        """The elements of a at a numpy integer or advanced index that names
-        no element twice, in the index's shape."""
+        """The elements of a at a numpy integer or advanced index, in the index's
+        shape: an integer array gathers a matrix's rows (an embedding lookup).
+        An element named twice gets both gradients, added in index order."""
 
         def backward(g):
-            a.grad[index] += g
+            np.add.at(a.grad, index, g)
 
         return self._emit(a.data[index], backward)
 

@@ -52,14 +52,16 @@ from .nn import (
     length_slices,
 )
 
-VARIANTS = ("no-char", "mimick", "char2tag", "both")
-LOSS_MODES = ("sum", "weighted")
-_VARIANT_POLICY = {
-    "no-char": UNK_LOWERCASE,
-    "char2tag": UNK_LOWERCASE,
-    "mimick": MIMICK_DIRECT,
-    "both": MIMICK_DIRECT,
+# variant -> (lookup_many policy for forms outside training, char2tag appended)
+_VARIANTS = {
+    "no-char": (UNK_LOWERCASE, False),
+    "mimick": (MIMICK_DIRECT, False),
+    "char2tag": (UNK_LOWERCASE, True),
+    "both": (MIMICK_DIRECT, True),
 }
+VARIANTS = tuple(_VARIANTS)
+MIMICK_VARIANTS = tuple(v for v, (policy, _) in _VARIANTS.items() if policy == MIMICK_DIRECT)
+LOSS_MODES = ("sum", "weighted")
 
 POS_HEAD = "POS"
 
@@ -81,7 +83,7 @@ class WordRepSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.variant in ("mimick", "both"):
+        if self.variant in MIMICK_VARIANTS:
             if self.mimick is None:
                 raise ValueError(f"variant {self.variant!r} requires a mimick model")
             if self.mimick.dim != self.table.dim:
@@ -93,11 +95,11 @@ class WordRepSpec:
 
     def vectors(self, words: list[str]) -> np.ndarray:
         """The words' (len(words), d) vectors under the variant's backoff policy."""
-        return lookup_many(self.table, _VARIANT_POLICY[self.variant], words, self.mimick)[0]
+        return lookup_many(self.table, _VARIANTS[self.variant][0], words, self.mimick)[0]
 
     @property
     def uses_char_lstm(self) -> bool:
-        return self.variant in ("char2tag", "both")
+        return _VARIANTS[self.variant][1]
 
 
 @dataclass
@@ -235,7 +237,7 @@ class TaggerModel:
             raise ValueError("cannot run the tagger on an empty sentence")
         forms = [token.form for token in sentence.tokens]
         if all(form in self.rows for form in forms):
-            reps = tape.row(self.embeddings, [[self.rows[form] for form in forms]])
+            reps = tape.take(self.embeddings, np.array([[self.rows[form] for form in forms]]))
         else:
             reps = Tensor(self.word_vectors(forms)[None])
         if self.c2t is not None:
@@ -304,14 +306,14 @@ class TaggerModel:
             targets = [self.schema.value_index(attr, t.attrs.get(attr)) for t in sentence.tokens]
             attr_sum = self._head_nll(tape, head, states, targets)
             if mode == "weighted":
-                attr_sum = tape.scale(attr_sum, self.schema.proportions[attr])
+                attr_sum = tape.mul_const(attr_sum, self.schema.proportions[attr])
             parts.append(attr_sum)
         return parts[0] if len(parts) == 1 else tape.add_n(parts)
 
     def _head_nll(self, tape: Tape, head: Head, states: Tensor, targets: list[int]) -> Tensor:
         log_probs = tape.log_softmax(head.logits(tape, states))
         picked = tape.take(log_probs, (0, np.arange(len(targets)), targets))
-        return tape.scale(tape.sum(picked), -1.0)
+        return tape.mul_const(tape.sum(picked), -1.0)
 
     # ------------------------------------------------------------------
     # prediction
@@ -420,6 +422,8 @@ class TaggerModel:
                 c2t_chars=CharVocabulary(c2t_chars) if c2t_chars is not None else None,
             )
             restore_parameters(path, model.network_parameters(), tensors)
+            if model.c2t is not None:
+                model.c2t.source = path
             model.rows = {form: i for i, form in enumerate(meta["rows"])}
             if tensors["rows"].shape != (len(model.rows), table.dim):
                 raise ArchiveError(

@@ -15,7 +15,7 @@ import spellvec
 from synthetic import make_stems, suffix_sentences, suffix_table
 from spellvec.archive import MAGIC, load_archive
 from spellvec.cli import MIMICK_DEFAULTS, TAGGER_DEFAULTS, build_parser, main
-from spellvec.conllu import parse_conllu, serialize_conllu
+from spellvec.conllu import Sentence, Token, parse_conllu, serialize_conllu
 from spellvec.embeddings import (
     EmbeddingParseError,
     EmbeddingTable,
@@ -125,11 +125,11 @@ def mimick_model_path(tmp_path, emb_path):
     return out
 
 
-def overflowing_model(tmp_path):
+def overflowing_model(tmp_path, dim=4):
     """The archive of a Mimick model whose finite weights overflow: an archive
     cannot hold NaN (see TestNonFiniteArchives), but every word's vector has
     inf first."""
-    model = MimickModel(CharVocabulary("abcdef"), dim=4, char_dim=2, hidden=2,
+    model = MimickModel(CharVocabulary("abcdef"), dim=dim, char_dim=2, hidden=2,
                         rng=np.random.default_rng(0))
     model.t_h.data[...] = 0.0
     model.b_h.data[...] = 10.0
@@ -601,6 +601,7 @@ MISTYPED_CONFIGS = [
     ("train-mimick", {"char_dim": True}, "key 'char_dim' must be int, got bool"),
     ("train-mimick", {"epochs": 1, "lr": "0.1"}, "key 'lr' must be float, got str"),
     ("train-tagger", {"pos_only": "no"}, "key 'pos_only' must be bool, got str"),
+    ("train-mimick", [{"epochs": 1}], "expected a JSON object"),
 ]
 
 
@@ -614,7 +615,7 @@ class TestConfigValues:
     @pytest.mark.parametrize(
         "name, settings, message",
         MISTYPED_CONFIGS,
-        ids=["str-epochs", "float-hidden", "bool-char-dim", "str-lr", "str-pos-only"],
+        ids=["str-epochs", "float-hidden", "bool-char-dim", "str-lr", "str-pos-only", "list"],
     )
     def test_mistyped_value_fails_with_one_line(self, tmp_path, emb_path, capsys, name,
                                                 settings, message):
@@ -753,6 +754,49 @@ class TestNonFiniteArchives:
         assert fails_naming(capsys, bad, "rows") and not out.exists()
 
 
+# a sentence whose one form is in no table build_tagger_corpus writes
+UNSEEN_SENTENCE = serialize_conllu([Sentence([Token("zzqan", "NOUN", {"Case": "Nom"})], "unseen")])
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowingSpellingModel:
+    """A Mimick model whose finite weights overflow fails the commands that
+    run it with one line naming the archive it was loaded from, and no file."""
+
+    @staticmethod
+    def errors(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        return [line for line in err.splitlines() if line.startswith("error:")]
+
+    @pytest.mark.parametrize("variant", ["mimick", "both"])
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_train_tagger_names_the_spelling_model(self, tmp_path, capsys, variant, split):
+        emb, train, dev = build_tagger_corpus(tmp_path)
+        unseen = train if split == "train" else dev
+        unseen.write_text(unseen.read_text(encoding="utf-8") + UNSEEN_SENTENCE, encoding="utf-8")
+        mimick, out = overflowing_model(tmp_path, dim=6), tmp_path / "t.svm"
+        assert main(["train-tagger", "--train", str(train), "--dev", str(dev), "--embeddings",
+                     str(emb), "--out", str(out), "--variant", variant, "--mimick", str(mimick),
+                     *TAGGER_FLAGS]) == 1
+        assert self.errors(capsys) == [f"error: {mimick}: inferred vector for 'zzqan' is not finite"]
+        assert not out.exists() and not (tmp_path / "t.svm.trace.tsv").exists()
+
+    @pytest.mark.parametrize("variant", ["mimick", "both"])
+    def test_tag_names_the_tagger(self, tmp_path, capsys, variant):
+        emb, train, dev = build_tagger_corpus(tmp_path)
+        tagger = tmp_path / "t.svm"
+        # every training form is in the table and there is no dev split: Mimick never runs
+        assert main(["train-tagger", "--train", str(train), "--embeddings", str(emb), "--out",
+                     str(tagger), "--variant", variant, "--mimick",
+                     str(overflowing_model(tmp_path, dim=6)), *TAGGER_FLAGS]) == 0
+        corpus, out = tmp_path / "unseen.conllu", tmp_path / "pred.conllu"
+        corpus.write_text(dev.read_text(encoding="utf-8") + UNSEEN_SENTENCE, encoding="utf-8")
+        assert main(["tag", str(tagger), str(corpus), str(out)]) == 1
+        assert self.errors(capsys) == [f"error: {tagger}: inferred vector for 'zzqan' is not finite"]
+        assert not out.exists()
+
+
 def mimick_for_the_tagger_corpus(tmp_path):
     """A spelling-model archive as wide as build_tagger_corpus's table."""
     path = tmp_path / "mimick.svm"
@@ -795,3 +839,30 @@ def test_a_no_char_tagger_builds_no_encoder_and_takes_any_char_dim(tmp_path):
     assert main(["train-tagger", "--train", str(train), "--embeddings", str(emb), "--out",
                  str(out), "--variant", "no-char", *TAGGER_FLAGS, "--char-dim", "0"]) == 0
     assert TaggerModel.load(str(out)).c2t is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-mimick", "{table}", "{out}"], ["nn", "{table}", "", "--k", "2"],
+])
+def test_an_empty_word_in_a_table_fails_naming_the_file_and_line(tmp_path, capsys, argv):
+    table, out = tmp_path / "emb.txt", tmp_path / "m.svm"
+    table.write_text("3 2\n 0.5 0.25\nab 1 2\ncd 3 4\n", encoding="utf-8")
+    assert main([arg.format(table=table, out=out) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        f"error: {table}: line 2: word '' cannot be represented in the text format"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
+
+def test_an_unknown_variant_in_a_config_file_fails_with_one_line(tmp_path, capsys):
+    emb, train, _ = build_tagger_corpus(tmp_path)
+    config, out = tmp_path / "cfg.json", tmp_path / "t.svm"
+    config.write_text(json.dumps({"variant": "chars"}), encoding="utf-8")
+    assert main(["train-tagger", "--train", str(train), "--embeddings", str(emb), "--out",
+                 str(out), "--config", str(config), *TAGGER_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: unknown variant 'chars'; expected one of {VARIANTS}"
+    assert not out.exists()

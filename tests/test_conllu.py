@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spellvec.conllu import (
     ConlluParseError,
+    SchemaError,
     Sentence,
     Token,
     build_schema,
@@ -66,6 +67,10 @@ class TestParse:
         bad = "1\tdog\t_\tNOUN\t_\tCase=Nom|Case=Acc\t_\t_\t_\t_\n"
         with pytest.raises(ConlluParseError, match="twice"):
             parse_conllu(bad)
+
+    def test_empty_form_names_line(self):
+        with pytest.raises(ConlluParseError, match="^line 2: empty FORM$"):
+            parse_conllu("# c\n1\t\t_\tNOUN\t_\t_\t_\t_\t_\t_\n")
 
     def test_malformed_id_names_line(self):
         bad = "x\tdog\t_\tNOUN\t_\t_\t_\t_\t_\t_\n"
@@ -170,6 +175,12 @@ class TestSchema:
         assert "Dat" not in schema.attrs["Case"]
         assert schema.value_labels("Case") == ["<NONE>", "Nom"]
 
+    @pytest.mark.parametrize("lookup, args", [("value_labels", ()), ("value_index", ("Ind",))])
+    def test_unknown_attribute_rejected(self, lookup, args):
+        schema = build_schema([Sentence([Token("a", "X", {"Case": "Nom"})])])
+        with pytest.raises(SchemaError, match="^unknown attribute 'Mood'$"):
+            getattr(schema, lookup)("Mood", *args)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_schema([])
@@ -203,6 +214,11 @@ class TestSubsample:
             else:
                 assert len(picked) == 2
             assert len({s.sent_id for s in picked}) == len(picked)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_a_limit_below_one_is_rejected(self, limit):
+        with pytest.raises(ValueError, match=f"^token limit must be positive, got {limit}$"):
+            subsample(sized_sentences([3, 4]), limit, seed=0)
 
     def test_same_seed_identical_sample(self):
         corpus = sized_sentences([2, 3, 4, 5, 6, 7])

@@ -266,6 +266,34 @@ def test_a_repeated_word_is_reported_before_a_later_bad_number(text, message):
 
 
 @pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3 2\n 0.5 0.25\nab 1 2\ncd 3 4\n", 2),
+        ("3 2\nab 1 2\ncd 3 4\n 0.5 0.25\n", 4),
+        ("3 2\nab 1 2\n 0.5 0.25\nab 3 4\n", 3),  # before a later repeated word
+        ("3 2\nab 1 2\n 0.5 0.25\ncd 3 x\n", 3),  # before a later bad number
+        ("4 2\nab 1 2\n 0.5 0.25\n", 3),  # a short file, read row by row
+    ],
+)
+def test_an_empty_word_names_its_line(text, line):
+    # write_embeddings refuses the word '' (check_word): every chunk that
+    # holds it falls back to the row-by-row reader, which refuses it too
+    message = f"^line {line}: word '' cannot be represented in the text format$"
+    for chunk in CHUNK_SIZES:
+        for source in (text, io.StringIO(text)):
+            with pytest.raises(EmbeddingParseError, match=message):
+                read_in_chunks(source, chunk)
+
+
+def test_a_word_with_a_line_break_from_a_stream_is_refused_in_any_chunk():
+    # a StringIO's default newline="\n" keeps a "\r" in a line
+    text = "2 1\na\rb 1\ncd 2\n"
+    for chunk in CHUNK_SIZES:
+        with pytest.raises(EmbeddingParseError, match=r"^line 2: word 'a\\rb' cannot be represented"):
+            read_in_chunks(io.StringIO(text), chunk)
+
+
+@pytest.mark.parametrize(
     "text",
     ["1 1\ndog \n", "2 1\ndog \ncat \n", "1 1\r\ndog \r\n"],
 )
@@ -410,6 +438,16 @@ class TestWriteEmbeddings:
         with pytest.raises(ValueError, match="duplicate"):
             EmbeddingTable(1, [("a", np.array([1.0])), ("a", np.array([2.0]))])
 
+    @pytest.mark.parametrize("dim, entries, message", [
+        (0, [], r"dimension must be positive, got 0"),
+        (-1, [], r"dimension must be positive, got -1"),
+        (2, [("a", np.zeros(3))], r"vector for 'a' has shape \(3,\), expected \(2,\)"),
+        (2, [("a", np.zeros((1, 2)))], r"vector for 'a' has shape \(1, 2\), expected \(2,\)"),
+    ])
+    def test_bad_dimension_or_vector_shape_rejected_at_construction(self, dim, entries, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EmbeddingTable(dim, entries)
+
 
 class FakeMimick:
     def __init__(self, dim):
@@ -459,6 +497,10 @@ class TestLookup:
     def test_table_only_raises_on_oov(self, table):
         with pytest.raises(OovLookupError):
             lookup(table, TABLE_ONLY, "zebra")
+
+    def test_unknown_policy_rejected(self, table):
+        with pytest.raises(ValueError, match="^unknown policy 'nearest'$"):
+            lookup_many(table, "nearest", ["dog"])
 
     def test_policy_prerequisites(self, table):
         bare = EmbeddingTable(2, [("dog", np.array([1.0, 0.0]))])

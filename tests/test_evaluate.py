@@ -75,6 +75,11 @@ class TestPosAccuracy:
         with pytest.raises(ValueError, match="vocabulary"):
             pos_accuracy(pair_of(gold, gold), "oov")
 
+    def test_unknown_restriction_rejected(self):
+        gold = [sent(("a", "N", {}))]
+        with pytest.raises(ValueError, match="^unknown restriction 'rare'$"):
+            pos_accuracy(pair_of(gold, gold, vocab={"a"}), "rare")
+
     def test_mixture_identity(self):
         rng = np.random.default_rng(0)
         forms = [f"w{i}" for i in range(30)]
@@ -306,6 +311,30 @@ class TestSpearman:
         table = self.table()
         with pytest.raises(ValueError, match="resolvable"):
             spearman([("w0", "zz", 1.0), ("yy", "w1", 2.0)], table, TABLE_ONLY)
+
+    def test_an_empty_dataset_is_rejected(self):
+        with pytest.raises(ValueError, match="^empty similarity dataset$"):
+            spearman([], self.table(), TABLE_ONLY)
+
+    def test_equal_human_scores_have_no_rank_correlation(self):
+        dataset = [("w0", "w1", 2.0), ("w0", "w2", 2.0), ("w1", "w3", 2.0)]
+        with pytest.raises(ValueError, match="^rank variance is zero$"):
+            spearman(dataset, self.table(), TABLE_ONLY)
+
+    def test_reader_skips_blank_lines(self):
+        assert read_similarity_dataset("\na\tb\t1\n \t \nc\td\t-2e3\n") == [
+            ("a", "b", 1.0), ("c", "d", -2000.0)
+        ]
+
+    @pytest.mark.parametrize("text, message", [
+        ("a\tb\t1\nc\td\tx\n", "line 2: unparseable score 'x'"),
+        ("a\tb\t1\n\nc\td\tnan\n", "line 3: non-finite score"),
+        ("a\tb\t-inf\n", "line 1: non-finite score"),
+        ("a\tb\t1e400\n", "line 1: non-finite score"),
+    ])
+    def test_reader_names_the_line_of_a_bad_score(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_similarity_dataset(text)
 
     def test_reader_validates(self):
         assert read_similarity_dataset("a\tb\t1.5\n") == [("a", "b", 1.5)]

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,15 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spellvec.archive import ArchiveError
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import (
     INFER_SLICE,
     CharVocabulary,
     MimickModel,
     MimickTrainConfig,
+    NonFiniteOutputError,
     infer_oov,
     mimick_loss,
     nearest_neighbors,
+    restore_parameters,
     train_mimick,
 )
 from spellvec.nn import DimensionError, Tape, Tensor, gradient_check
@@ -109,6 +113,11 @@ class TestLoss:
         out = model.forward("fad")
         assert mimick_loss(model, "fad", out) == 0.0
 
+    @pytest.mark.parametrize("shape", [(4,), (6,), (1, 5)])
+    def test_a_target_of_another_shape_is_rejected(self, shape):
+        with pytest.raises(DimensionError, match=rf"^target shape {re.escape(str(shape))}, expected \(5,\)$"):
+            mimick_loss(small_model(), "ab", np.zeros(shape))
+
     def test_direct_arithmetic(self):
         model = MimickModel(CharVocabulary("ab"), dim=2)  # all zeros, f(w) = 0
         model.b_t.data[:] = [1.0, 2.0]
@@ -165,6 +174,16 @@ class TestTraining:
         _, second = train_mimick(table, cfg)
         assert first == second
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"epochs": 0}, r"epochs must be >= 1, got 0"),
+        ({"dev_fraction": 0.5}, r"dev fraction must be in \[0, 0.5\), got 0.5"),
+        ({"dev_fraction": -0.1}, r"dev fraction must be in \[0, 0.5\), got -0.1"),
+        ({"dev_fraction": math.nan}, r"dev fraction must be in \[0, 0.5\), got nan"),
+    ])
+    def test_epochs_and_dev_fraction_outside_their_range_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MimickTrainConfig(**setting)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.2, 1.0, 1.5])
     def test_unk_char_rate_outside_zero_to_one_rejected(self, rate):
         # NaN or a negative rate would turn dropout off, a rate >= 1 make every character UNK
@@ -191,6 +210,23 @@ class TestTraining:
         cfg = MimickTrainConfig(char_dim=2, hidden=3, epochs=2, dev_fraction=0.0, seed=0)
         with pytest.raises(ValueError, match="^epoch 1: loss inf on word 'cd'; training diverged$"):
             train_mimick(EmbeddingTable(3, rows), cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_dev_vector_that_is_not_finite_stops_training(self):
+        # one training word, whose one step at lr 1e308 overflows the weights
+        table = EmbeddingTable(3, [("abc", np.ones(3)), ("bcd", np.full(3, -2.0))])
+        cfg = MimickTrainConfig(char_dim=2, hidden=2, epochs=1, dev_fraction=0.4, lr=1e308)
+        with pytest.raises(NonFiniteOutputError, match="^inferred vector for 'bcd' is not finite$"):
+            train_mimick(table, cfg)
+
+    def test_restoring_a_tensor_of_another_shape_names_the_file_and_tensor(self):
+        model = small_model()
+        tensors = {name: p.data.copy() for name, p in model.parameters().items()}
+        tensors["o_t"] = np.zeros((4, 5))
+        with pytest.raises(ArchiveError, match=(
+            r"^m\.svm: tensor 'o_t' has shape \(4, 5\), expected \(5, 4\)$"
+        )):
+            restore_parameters("m.svm", small_model(seed=1).parameters(), tensors)
 
     def test_archive_round_trip_bit_exact(self, tmp_path):
         model = small_model(seed=13)
@@ -251,6 +287,27 @@ class TestBatchedInference:
         assert ext.words() == words
         for word in words:
             assert np.array_equal(ext.vector(word), model.forward(word)), word
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_row_that_is_not_finite_names_the_first_such_word_and_the_archive(self, tmp_path):
+        model = small_model(seed=9)
+        model.t_h.data[...] = 0.0
+        model.b_h.data[...] = 10.0
+        model.o_t.data[0] = 1e308  # every word's first value overflows to inf
+        message = "^inferred vector for '{}' is not finite$"
+        with pytest.raises(NonFiniteOutputError, match=message.format("fed")):
+            model.forward_many(["fed", "abcdefg", "a"])
+        assert np.isfinite(model.encode_many(["fed", "abcdefg", "a"])).all()
+        path = str(tmp_path / "m.svm")
+        model.save(path)
+        with pytest.raises(NonFiniteOutputError, match=f"^{re.escape(path)}: inferred vector for 'a' "):
+            MimickModel.load(path).forward("a")
+        # from the second character on, an inf input projection meets an -inf
+        # recurrent product, and their sum is nan: a one-character word stays finite
+        model.char_emb.data[...] = 2.0
+        model.fwd.w.data[:, :3], model.fwd.w.data[:, 3:] = 1e308, -1e308
+        with pytest.raises(NonFiniteOutputError, match=message.format("bc")):
+            model.encode_many(["a", "bc", "def"])
 
     def test_empty_word_rejected_in_a_batch(self):
         model = small_model()
@@ -324,6 +381,12 @@ class TestNearestNeighbors:
             assert nearest_neighbors(table, np.array([1e300, 1e300]), k=1) == [("b", 1.0)]
             _, norms, exponents = table._scaled_rows()
             assert np.ldexp(norms[1], exponents[1]) == pytest.approx(2 ** 0.5 * 1e200, rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2)])
+    def test_a_query_of_another_shape_is_rejected(self, shape):
+        table = EmbeddingTable(2, [("a", np.ones(2)), ("b", np.zeros(2))])
+        with pytest.raises(DimensionError, match=rf"^query shape {re.escape(str(shape))}, expected \(2,\)$"):
+            nearest_neighbors(table, np.ones(shape), 1)
 
     def test_zero_query_rejected(self):
         table = EmbeddingTable(2, [("x", np.array([1.0, 0.0]))])

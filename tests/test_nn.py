@@ -121,7 +121,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         p = Tensor([1.0, 2.0])
         t = Tape()
-        out = t.scale(p, 2.0)
+        out = t.mul_const(p, 2.0)
         with pytest.raises(ValueError, match="scalar"):
             t.backward(out)
 
@@ -145,7 +145,7 @@ OP_CASES = {
     "add": lambda t, ps: t.sum_squares(t.add(ps[0], ps[1])),
     "sub": lambda t, ps: t.sum_squares(t.sub(ps[0], ps[1])),
     "mul": lambda t, ps: t.sum_squares(t.mul(ps[0], ps[1])),
-    "scale": lambda t, ps: t.sum_squares(t.scale(ps[0], -1.7)),
+    "scale": lambda t, ps: t.sum_squares(t.mul_const(ps[0], -1.7)),
     "mul_const": lambda t, ps: t.sum_squares(t.mul_const(ps[0], np.array([0.0, 2.0, 0.5, 2.0]))),
     "add_n": lambda t, ps: t.sum_squares(t.add_n([ps[0], ps[1]])),
     "concat": lambda t, ps: t.sum_squares(t.concat([ps[0], ps[1], ps[3]])),
@@ -690,9 +690,11 @@ class TestStackedGateStorage:
 MATRIX_OP_CASES = {
     "affine": lambda t, ps: t.sum_squares(t.affine(ps["w"], ps["m"], ps["bias"])),
     "concat": lambda t, ps: t.sum_squares(t.concat([ps["m"], ps["n"]])),
-    "row": lambda t, ps: t.sum_squares(t.row(ps["m"], [2, 0, 2, 1])),
+    "row": lambda t, ps: t.sum_squares(t.take(ps["m"], np.array([2, 0, 2, 1]))),
     "log_softmax": lambda t, ps: t.sum_squares(t.log_softmax(ps["m"])),
     "take": lambda t, ps: t.sum_squares(t.take(ps["m"], ([2, 0, 2, 1], [3, 3, 0, 1]))),
+    # element (2, 3) named twice: its gradient is the sum of both uses
+    "take_repeated": lambda t, ps: t.sum_squares(t.take(ps["m"], ([2, 0, 2, 1], [3, 3, 3, 1]))),
 }
 
 
@@ -748,6 +750,47 @@ def test_any_rank_op_gradients_match_finite_differences(op):
         assert report.passed, f"{op}: {report}"
 
 
+SHAPE_ERROR_CASES = {
+    "add": (lambda t: t.add(Tensor(np.zeros(2)), Tensor(np.zeros(3))), r"add: shapes \(2,\) and \(3,\) differ"),
+    "add_n": (lambda t: t.add_n([]), "add_n: empty input"),
+    "concat": (lambda t: t.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))]), "concat: "),
+    "log_softmax": (lambda t: t.log_softmax(Tensor(np.zeros((2, 0)))), "log_softmax: no values"),
+    "lstm_cell": (lambda t: LstmCellParams(0, 2), "lstm: input_size and hidden_size must be positive"),
+    "lstm_step_h": (lambda t: lstm_step(t, LstmCellParams(3, 2), Tensor(np.zeros(3)), Tensor(np.zeros(3)),
+                                        Tensor(np.zeros(2))), r"lstm_step: h_prev shape \(3,\) != \(2,\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_ERROR_CASES))
+def test_operands_that_do_not_conform_raise_a_dimension_error(case):
+    build, message = SHAPE_ERROR_CASES[case]
+    with pytest.raises(DimensionError, match=f"^{message}"):
+        build(Tape())
+
+
+class TestGatherAndConstantProduct:
+    def test_take_gathers_rows_and_adds_repeated_rows_gradients(self):
+        rng = np.random.default_rng(33)
+        m, g = Tensor(rng.normal(size=(4, 3))), rng.normal(size=(2, 3, 3))
+        index = np.array([[2, 0, 2], [2, 3, 2]])
+        tape = Tape()
+        rows = tape.take(m, index)
+        assert np.array_equal(rows.data, m.data[index])
+        tape.backward(tape.sum(tape.mul_const(rows, g)))
+        expected = np.zeros((4, 3))
+        for (b, t), r in np.ndenumerate(index):  # in index order
+            expected[r] += g[b, t]
+        assert np.array_equal(m.grad, expected)
+
+    def test_mul_const_takes_a_scalar_or_an_array_of_the_operands_shape(self):
+        a = Tensor(np.random.default_rng(34).normal(size=(2, 3)))
+        tape = Tape()
+        assert np.array_equal(tape.mul_const(a, 0.3).data, a.data * 0.3)
+        assert np.array_equal(tape.mul_const(a, np.full((2, 3), 0.3)).data, a.data * 0.3)
+        with pytest.raises(DimensionError, match=r"\(2, 3\) and \(3,\) differ"):
+            tape.mul_const(a, np.ones(3))
+
+
 class TestGradFreeTape:
     def test_records_nothing_and_builds_no_gradient_buffers(self):
         rng = np.random.default_rng(30)
@@ -758,7 +801,7 @@ class TestGradFreeTape:
         outputs = [states, tape.affine(w, states, b)]
         outputs.append(tape.log_softmax(tape.tanh(outputs[-1])))
         outputs.append(tape.concat([outputs[-1], outputs[0]]))
-        outputs.append(tape.sum_squares(tape.take(tape.row(w, [[1, 0]]), (0, 1))))
+        outputs.append(tape.sum_squares(tape.take(tape.take(w, np.array([[1, 0]])), (0, 1))))
         assert len(tape) == 0
         assert all(out.grad is None for out in outputs)
         with pytest.raises(ValueError, match="no record to replay"):
@@ -809,7 +852,7 @@ def test_matrix_ops_match_their_vector_forms_row_by_row():
     affine = t.affine(w, Tensor(m), b).data
     log_probs = t.log_softmax(Tensor(m)).data
     joined = t.concat([Tensor(m), Tensor(n)]).data
-    rows = t.row(Tensor(m), [2, 2, 0]).data
+    rows = t.take(Tensor(m), np.array([2, 2, 0])).data
     for r in range(3):
         assert np.allclose(affine[r], t.affine(w, Tensor(m[r]), b).data, rtol=0.0, atol=1e-14)
         assert np.array_equal(log_probs[r], t.log_softmax(Tensor(m[r])).data)

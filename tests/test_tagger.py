@@ -16,10 +16,19 @@ from spellvec.conllu import (
     Token,
     build_schema,
 )
-from spellvec.embeddings import EmbeddingTable
+from spellvec.embeddings import MIMICK_DIRECT, UNK_LOWERCASE, EmbeddingTable
 from spellvec.mimick import CharVocabulary, MimickModel
-from spellvec.nn import MomentumSgd, Tape, Tensor, dropout_mask, gradient_check, length_slices
+from spellvec.nn import (
+    DimensionError,
+    MomentumSgd,
+    Tape,
+    Tensor,
+    dropout_mask,
+    gradient_check,
+    length_slices,
+)
 from spellvec.tagger import (
+    MIMICK_VARIANTS,
     POS_HEAD,
     VARIANTS,
     TaggerModel,
@@ -129,6 +138,11 @@ class TestAttributeDistribution:
         with pytest.raises(SchemaError):
             attribute_distribution(tiny_model(), np.zeros(6), "Tense")
 
+    @pytest.mark.parametrize("shape", [(5,), (1, 6)])
+    def test_a_state_of_another_shape_is_rejected(self, shape):
+        with pytest.raises(DimensionError, match=rf"^state shape {re.escape(str(shape))}, expected \(6,\)$"):
+            attribute_distribution(tiny_model(), np.zeros(shape), "Case")
+
 
 class TestSentenceForward:
     def test_single_token_state_width(self):
@@ -152,6 +166,14 @@ class TestSentenceForward:
         second = sentence_forward(model, s, "train", 0.5, np.random.default_rng(7))
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+    def test_an_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="^mode must be 'train' or 'eval', got 'test'$"):
+            sentence_forward(tiny_model(), sentence(("aa", "A", {})), mode="test")
+
+    def test_train_mode_with_dropout_needs_a_random_generator(self):
+        with pytest.raises(ValueError, match="^train mode with dropout needs a random generator$"):
+            sentence_forward(tiny_model(), sentence(("aa", "A", {})), mode="train", dropout=0.5)
 
     def test_three_token_sentence_matches_straight_line_reference(self):
         model = tiny_model(seed=11)
@@ -236,6 +258,10 @@ class TestJointLoss:
             for h, t in zip(states, s.tokens)
         )
         assert joint_loss(model, s) == pytest.approx(expected, abs=1e-12)
+
+    def test_an_unknown_loss_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="^loss mode must be 'sum' or 'weighted', got 'mean'$"):
+            tiny_model().loss_on_tape(Tape(), sentence(("aa", "A", {})), mode="mean")
 
     def test_gold_value_outside_inventory_rejected(self):
         model = tiny_model()
@@ -427,6 +453,33 @@ class TestVariants:
             WordRepSpec("mimick", no_unk)
         with pytest.raises(ValueError, match="variant"):
             WordRepSpec("fancy", no_unk)
+        assert MIMICK_VARIANTS == ("mimick", "both")
+        with pytest.raises(DimensionError, match="^mimick dimension 4 != table dimension 3$"):
+            WordRepSpec("both", tiny_table(rng, ["aa"]), MimickModel(CharVocabulary("a"), 4))
+        assert VARIANTS == ("no-char", "mimick", "char2tag", "both")
+
+    @pytest.mark.parametrize("variant, policy, char2tag", [
+        ("no-char", UNK_LOWERCASE, False),
+        ("mimick", MIMICK_DIRECT, False),
+        ("char2tag", UNK_LOWERCASE, True),
+        ("both", MIMICK_DIRECT, True),
+    ])
+    def test_a_variant_is_its_lookup_policy_and_whether_char2tag_is_appended(
+        self, monkeypatch, variant, policy, char2tag
+    ):
+        rng = np.random.default_rng(5)
+        rep = WordRepSpec(variant, tiny_table(rng, ["aa"]), MimickModel(CharVocabulary("a"), 3))
+        assert (variant in MIMICK_VARIANTS) == (policy == MIMICK_DIRECT)
+        assert rep.uses_char_lstm is char2tag
+        policies = []
+
+        def spy(table, policy, words, mimick):
+            policies.append(policy)
+            return np.zeros((len(words), table.dim)), []
+
+        monkeypatch.setattr(tagger_module, "lookup_many", spy)
+        rep.vectors(["Aa"])
+        assert policies == [policy]
 
 
 class TestTag:
@@ -508,6 +561,24 @@ class TestTraining:
         assert effective_epochs(40, 5001) == 40
         assert effective_epochs(7, 120) == 14
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"loss_mode": "mean"}, "loss mode must be 'sum' or 'weighted', got 'mean'"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"dropout": 1.0}, r"dropout must be in \[0, 1\), got 1.0"),
+        ({"dropout": -0.5}, r"dropout must be in \[0, 1\), got -0.5"),
+    ])
+    def test_a_setting_outside_its_range_is_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TaggerTrainConfig(**setting)
+
+    @pytest.mark.parametrize("variant", ["char2tag", "both"])
+    def test_a_char2tag_model_needs_a_character_inventory(self, variant):
+        rng = np.random.default_rng(6)
+        rep = WordRepSpec(variant, tiny_table(rng, ["aa"]), MimickModel(CharVocabulary("a"), 3))
+        schema = AttributeSchema(pos=["A"], attrs={}, proportions={})
+        with pytest.raises(ValueError, match=f"^variant '{variant}' needs a character inventory$"):
+            TaggerModel(schema, rep, hidden=2, rng=rng)
+
     def test_empty_train_split_rejected(self):
         table = EmbeddingTable(2, [("x", np.zeros(2))], unk=np.zeros(2))
         with pytest.raises(ValueError):
@@ -566,6 +637,16 @@ class TestTraining:
             assert np.array_equal(loaded.parameters()[name].data, param.data), name
         probe = split.dev or split.train
         assert tag_corpus(loaded, probe) == tag_corpus(model, probe)
+
+    @pytest.mark.parametrize("name", ["base", "rows"])
+    def test_an_archive_without_the_base_or_rows_tensor_names_the_file(self, tmp_path, name):
+        path = str(tmp_path / "tagger.svm")
+        tiny_model().save(path)
+        manifest, tensors = load_archive(path)
+        del tensors[name]
+        save_archive(path, "tagger", manifest["meta"], tensors)
+        with pytest.raises(ArchiveError, match=f"^{re.escape(path)}: missing tensor '{name}'$"):
+            TaggerModel.load(path)
 
     def test_loaded_base_table_is_the_saved_base_tensor(self, tmp_path):
         model = tiny_model(words=("aa", "bb", "cc", "dd"))
