@@ -143,4 +143,7 @@ def reading_meta(path: str):
     except KeyError as err:
         raise ArchiveError(f"{path}: meta has no key {err.args[0]!r}") from None
     except (TypeError, ValueError) as err:
-        raise ArchiveError(f"{path}: meta does not describe a model: {err}") from None
+        message = str(err)  # a model's own check may name the file already
+        if not message.startswith(f"{path}: "):
+            message = f"{path}: meta does not describe a model: {message}"
+        raise ArchiveError(message) from None

@@ -26,10 +26,9 @@ from .embeddings import (
     read_embeddings,
     write_embeddings,
 )
-from .evaluate import TaggedCorpusPair, mcnemar, pos_correctness, render_report
+from .evaluate import AlignmentError, TaggedCorpusPair, mcnemar, pos_correctness, render_report
 from .fileio import atomic_write_text
 from .mimick import MimickModel, MimickTrainConfig, infer_oov, nearest_neighbors, train_mimick
-from .nn import DimensionError
 from .tagger import (
     LOSS_MODES,
     MIMICK_VARIANTS,
@@ -193,21 +192,13 @@ def cmd_train_mimick(args) -> int:
     return 0
 
 
-def _infer(path: str, model: MimickModel, dim: int, words: list[str]) -> EmbeddingTable:
-    try:
-        return infer_oov(model, EmbeddingTable(dim), words)
-    except DimensionError as err:  # the model's own errors name its archive
-        raise CliError(f"{path}: {err}") from None
-
-
 def cmd_infer(args) -> int:
     model = MimickModel.load(args.model)
     # only the table's dimension is needed: read the header, not the rows
     with _reading(args.embeddings) as handle:
         header = handle.readline()
         _, dim = parse_header(header.rstrip("\n") if header else None)
-    words = _read_words(args.words)
-    extension = _infer(args.model, model, dim, words)
+    extension = infer_oov(model, EmbeddingTable(dim), _read_words(args.words))
     sink = io.StringIO()
     write_embeddings(extension, sink)
     atomic_write_text(args.out, sink.getvalue())
@@ -219,7 +210,9 @@ def cmd_nn(args) -> int:
     if args.word in table:
         query = table.vector(args.word)
     elif args.model:
-        query = _infer(args.model, MimickModel.load(args.model), table.dim, [args.word]).matrix()[0]
+        model = MimickModel.load(args.model)
+        model.check_dim(table.dim)
+        query = model.forward(args.word)
     else:
         raise CliError(f"{args.word!r} is out of vocabulary; pass --model to infer it")
     for word, similarity in nearest_neighbors(table, query, args.k):
@@ -253,16 +246,24 @@ def cmd_tag(args) -> int:
     return 0
 
 
+def _aligned(path: str, gold, predicted, vocabulary) -> TaggedCorpusPair:
+    """gold and the predictions read from path; a misalignment names path."""
+    try:
+        return TaggedCorpusPair(gold, predicted, vocabulary)
+    except AlignmentError as err:
+        raise CliError(f"{path}: {err}") from None
+
+
 def cmd_eval(args) -> int:
     gold = _read_corpus(args.gold)
     predicted = _read_corpus(args.pred)
     vocabulary = None
     if args.train:
         vocabulary = {t.form for s in _read_corpus(args.train) for t in s.tokens}
-    pair = TaggedCorpusPair(gold, predicted, vocabulary)
+    pair = _aligned(args.pred, gold, predicted, vocabulary)
     comparison = None
     if args.compare:
-        other = TaggedCorpusPair(gold, _read_corpus(args.compare), vocabulary)
+        other = _aligned(args.compare, gold, _read_corpus(args.compare), vocabulary)
         comparison = mcnemar(pos_correctness(pair), pos_correctness(other))
     report = render_report(pair, comparison)
     if args.out:

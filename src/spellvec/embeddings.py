@@ -1,4 +1,5 @@
-"""Word embedding tables: text-format I/O and policy-based lookup, one word or a batch.
+"""Word embedding tables: text-format I/O, policy-based lookup (one word or a
+batch) and cosine nearest neighbours.
 
 File format: a header line "V d", then V lines of "word v1 ... vd" with
 single-space separators, UTF-8, LF line endings. A row for the reserved
@@ -10,6 +11,7 @@ float64 exactly; a nan or infinite value is rejected when read.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from itertools import islice
 from stat import S_ISREG
 from typing import IO, Iterable
@@ -17,6 +19,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .fileio import text_lines
+from .nn import DimensionError
 
 UNK_TOKEN = "<UNK>"
 
@@ -92,6 +95,9 @@ class EmbeddingTable:
                 if word in seen:
                     raise ValueError(f"duplicate word {word!r}")
                 seen.add(word)
+        # the text format reads a <UNK> row as the UNK vector, not as an entry
+        if UNK_TOKEN in self._rows:
+            raise ValueError(f"word {UNK_TOKEN!r} is reserved for the UNK vector")
         self._words = words
         # a read-only view, so a write through any row view raises
         self._matrix = matrix.view()
@@ -105,7 +111,6 @@ class EmbeddingTable:
                 )
             unk.flags.writeable = False
             self.unk = unk
-        self._scaled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._words)
@@ -133,26 +138,24 @@ class EmbeddingTable:
         """The read-only (V, d) matrix of entry vectors in table order."""
         return self._matrix
 
-    def _scaled_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entry vectors, each row whose largest magnitude is beyond
-        2**±500 times the power of two 2**-e that brings it into [0.5, 1), so
-        no norm or dot product overflows; their norms; and each e (0 for a row
-        left as it is, and a table of such rows is not copied); cached, with the
-        indices of the zero-norm rows in _zero_norm and the float32 unit rows (a
-        zero row divided by 1) in _unit32, nearest_neighbors' screen. No float64
-        temporary the size of the table is made."""
-        if self._scaled is None:
-            matrix = self.matrix()
-            exponents = np.frexp(np.maximum(matrix.max(axis=1), -matrix.min(axis=1)))[1]
-            exponents[np.abs(exponents) <= 500] = 0
-            rows = np.ldexp(matrix, -exponents[:, None]) if exponents.any() else matrix
-            # the bits of one norm over the table, a block of rows at a time
-            blocks = np.split(rows, range(READ_CHUNK, len(rows), READ_CHUNK))
-            norms = np.concatenate([np.linalg.norm(block, axis=1) for block in blocks])
-            self._unit32 = np.empty(rows.shape, np.float32)
-            np.divide(rows, np.where(norms == 0.0, 1.0, norms)[:, None], out=self._unit32)
-            self._scaled, self._zero_norm = (rows, norms, exponents), np.flatnonzero(norms == 0.0)
-        return self._scaled
+    @cached_property
+    def _screen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What nearest_neighbors reads, built on its first query: the rows,
+        each beyond 2**±500 scaled by the power of two that brings it into
+        [0.5, 1) so that no norm or dot product overflows (a table of no such
+        rows is not copied); their norms; the float32 unit rows (a zero row
+        stays zero) that screen a query; and the indices of the zero-norm rows.
+        No float64 temporary the size of the table is made."""
+        matrix = self.matrix()
+        exponents = np.frexp(np.maximum(matrix.max(axis=1), -matrix.min(axis=1)))[1]
+        exponents[np.abs(exponents) <= 500] = 0
+        rows = np.ldexp(matrix, -exponents[:, None]) if exponents.any() else matrix
+        # the bits of one norm over the table, a block of rows at a time
+        blocks = np.split(rows, range(READ_CHUNK, len(rows), READ_CHUNK))
+        norms = np.concatenate([np.linalg.norm(block, axis=1) for block in blocks])
+        unit32 = np.empty(rows.shape, np.float32)
+        np.divide(rows, np.where(norms == 0.0, 1.0, norms)[:, None], out=unit32)
+        return rows, norms, unit32, np.flatnonzero(norms == 0.0)
 
 
 def pow2_scaled(x: np.ndarray) -> np.ndarray:
@@ -161,6 +164,46 @@ def pow2_scaled(x: np.ndarray) -> np.ndarray:
     overflows or underflows, and a cosine that needed no scaling keeps its
     bits."""
     return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+
+
+def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """Top-k table words by cosine similarity, descending; ties broken by
+    table order; zero-norm table vectors rank last; the first k of a full stable
+    sort. A float32 screen of the unit rows keeps the rows that can place, and
+    only those get the exact float64 similarity."""
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (table.dim,):
+        raise DimensionError(f"query shape {query.shape}, expected ({table.dim},)")
+    if not np.isfinite(query).all():
+        raise ValueError("query vector must be finite")
+    # the query and the rows scaled by powers of two: nothing overflows, and
+    # a similarity that needed no scaling keeps its bits
+    query = pow2_scaled(query)
+    qnorm = np.linalg.norm(query)
+    if qnorm == 0.0:
+        raise ValueError("query vector must be non-zero")
+    if not 1 <= k <= len(table):
+        raise ValueError(f"k must be in [1, {len(table)}], got {k}")
+    rows, norms, unit32, zero_norm = table._screen
+    # Both screen operands have norm <= 1, so a screened score is within E =
+    # (d + 4) * 2**-24 of the exact one (two float32 roundings and the dot's,
+    # in any order). The k best screened rows score >= screen_kth - E, so a row
+    # that can place, ties included, screens >= screen_kth - 2E; the margin is 4E.
+    screened = unit32 @ (query / qnorm).astype(np.float32)
+    screened[zero_norm] = -np.inf
+    screen_kth = np.float64(np.partition(screened, -k)[-k])
+    # in table order, so the stable sort keeps ties in table order
+    candidates = np.flatnonzero(screened >= screen_kth - (4 * table.dim + 16) * 2.0**-24)
+    if len(candidates) < len(rows):
+        rows, norms = rows[candidates], norms[candidates]
+    # einsum, unlike BLAS, scores identical rows identically; a zero-norm row
+    # scores 0 / 0 and is ranked last
+    with np.errstate(invalid="ignore"):
+        sims = np.einsum("ij,j->i", rows, query) / (norms * qnorm)
+    sims[norms == 0.0] = -np.inf
+    best = np.argsort(-sims, kind="stable")[:k]
+    words = table.words()
+    return [(words[i], s) for i, s in zip(candidates[best].tolist(), sims[best].tolist())]
 
 
 def parse_header(line: str | None) -> tuple[int, int]:

@@ -2,8 +2,8 @@
 
 The model is trained at the type level to reproduce the vectors of a
 pre-trained table by minimizing squared Euclidean distance, then used to
-assign vectors to words the table does not cover. Cosine nearest-neighbor
-queries over a table support qualitative inspection of inferred vectors.
+assign vectors to words the table does not cover. Cosine nearest neighbours
+(embeddings.nearest_neighbors, also named here) inspect the inferred vectors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .archive import ArchiveError, load_archive, reading_meta, save_archive
-from .embeddings import EmbeddingTable, pow2_scaled
+from .embeddings import EmbeddingTable, nearest_neighbors  # noqa: F401 (re-exported)
 from .nn import (
     DimensionError,
     LstmCellParams,
@@ -193,6 +193,12 @@ class MimickModel(CharBiLstm):
         """Infer the embedding of a word; unseen characters collapse to UNK."""
         return self.forward_many([word])[0]
 
+    def check_dim(self, dim: int) -> None:
+        """Raise DimensionError unless the model infers vectors for a table of dimension dim."""
+        if self.dim != dim:
+            where = f"{self.source}: " if self.source else ""
+            raise DimensionError(f"{where}model dimension {self.dim} != table dimension {dim}")
+
     def meta(self) -> dict:
         """What an archive needs, besides the tensors, to rebuild the model."""
         return dict(
@@ -306,58 +312,6 @@ def train_mimick(
 def infer_oov(model: MimickModel, table: EmbeddingTable, words: list[str]) -> EmbeddingTable:
     """Infer vectors for the requested words (in-vocabulary ones included)
     with forward_many."""
-    if model.dim != table.dim:
-        raise DimensionError(f"model dimension {model.dim} != table dimension {table.dim}")
+    model.check_dim(table.dim)
     words = list(dict.fromkeys(words))
     return EmbeddingTable.over(words, model.forward_many(words))
-
-
-def nearest_neighbors(
-    table: EmbeddingTable, query: np.ndarray, k: int
-) -> list[tuple[str, float]]:
-    """Top-k table words by cosine similarity, descending; ties broken by
-    table order; zero-norm table vectors rank last; the first k of a full stable
-    sort. A float32 screen of the unit rows (EmbeddingTable._scaled_rows) keeps
-    the rows that can place, and only those get the exact float64 similarity."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (table.dim,):
-        raise DimensionError(f"query shape {query.shape}, expected ({table.dim},)")
-    if not np.isfinite(query).all():
-        raise ValueError("query vector must be finite")
-    # the query and the rows scaled by powers of two: nothing overflows, and
-    # a similarity that needed no scaling keeps its bits
-    query = pow2_scaled(query)
-    qnorm = np.linalg.norm(query)
-    if qnorm == 0.0:
-        raise ValueError("query vector must be non-zero")
-    if not 1 <= k <= len(table):
-        raise ValueError(f"k must be in [1, {len(table)}], got {k}")
-    rows, norms, _ = table._scaled_rows()
-    # Both screen operands have norm <= 1, so a screened score is within E =
-    # (d + 4) * 2**-24 of the exact one (two float32 roundings and the dot's,
-    # in any order). The k best screened rows score >= screen_kth - E, so a row
-    # that can place, ties included, screens >= screen_kth - 2E; the margin is 4E.
-    screened = table._unit32 @ (query / qnorm).astype(np.float32)
-    screened[table._zero_norm] = -np.inf
-    screen_kth = np.float64(np.partition(screened, -k)[-k])
-    candidates = np.flatnonzero(screened >= screen_kth - (4 * table.dim + 16) * 2.0**-24)
-    if len(candidates) < len(rows):
-        rows, norms = rows[candidates], norms[candidates]
-    zero = np.flatnonzero(norms == 0.0)
-    # einsum, unlike BLAS, scores identical rows identically, so the stable
-    # sort keeps ties in table order
-    sims = np.einsum("ij,j->i", rows, query)
-    denominators = norms * qnorm
-    # a zero-norm row is divided by 1, not 0, so nothing warns, then ranked last
-    denominators[zero] = 1.0
-    sims /= denominators
-    sims[zero] = -np.inf
-    neg = -sims
-    kth = np.partition(neg, k - 1)[k - 1]
-    # every row that can be among the first k of a full stable sort: those tied
-    # with the k-th included, and all rows if the k-th key is NaN; they are in
-    # table order, so the stable sort keeps ties in table order
-    picked = np.flatnonzero(~(neg > kth))
-    best = picked[np.argsort(neg[picked], kind="stable")[:k]]
-    words = table.words()
-    return [(words[i], s) for i, s in zip(candidates[best].tolist(), sims[best].tolist())]

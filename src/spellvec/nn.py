@@ -65,8 +65,9 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 
 def sigmoid(x) -> np.ndarray:
-    """The logistic function, computed as 0.5 * tanh(0.5 * x) + 0.5: the one
-    sigmoid of every LSTM gate, on the tape and off it.
+    """The logistic function, computed as 0.5 * tanh(0.5 * x) + 0.5. Only
+    Tape.sigmoid (the lstm_step reference) calls it; _bilstm_sweep, every
+    BiLSTM's step on the tape and off it, inlines the same operations.
 
     Halving is exact, so the result is within 2**-53 of the slower softplus
     form exp(-softplus(-x)), exactly 0.5 at 0 and exactly 0 or 1 once

@@ -86,10 +86,7 @@ class WordRepSpec:
         if self.variant in MIMICK_VARIANTS:
             if self.mimick is None:
                 raise ValueError(f"variant {self.variant!r} requires a mimick model")
-            if self.mimick.dim != self.table.dim:
-                raise DimensionError(
-                    f"mimick dimension {self.mimick.dim} != table dimension {self.table.dim}"
-                )
+            self.mimick.check_dim(self.table.dim)
         elif self.table.unk is None:
             raise ValueError(f"variant {self.variant!r} requires a table with an UNK vector")
 

@@ -130,3 +130,17 @@ def single_char_typos(rng, table, words, count):
                 typos.append((candidate, word))
                 break
     return typos
+
+
+def naive_lstm(cell, x, h, c):
+    """One LSTM step (the next h and c) by the straight-line gate equations:
+    the numpy oracle the tape, the packed passes and the models are checked
+    against."""
+    z = np.concatenate([x, h])
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    i = sig(cell.w_i.data @ z + cell.b_i.data)
+    f = sig(cell.w_f.data @ z + cell.b_f.data)
+    o = sig(cell.w_o.data @ z + cell.b_o.data)
+    g = np.tanh(cell.w_c.data @ z + cell.b_c.data)
+    c = f * c + i * g
+    return o * np.tanh(c), c

@@ -281,6 +281,16 @@ class TestNearestNeighbors:
         expected = nearest_neighbors(table, model.forward("zzzzz"), 4)
         assert [ln.split("\t")[0] for ln in lines] == [w for w, _ in expected]
 
+    def test_the_spelling_of_the_unk_token_is_inferred_like_any_other(
+        self, emb_path, mimick_model_path, capsys
+    ):
+        # the query builds no table, so the reserved word is no table entry
+        assert main(["nn", str(emb_path), "<UNK>", "--k", "3",
+                     "--model", str(mimick_model_path)]) == 0
+        model = MimickModel.load(str(mimick_model_path))
+        expected = nearest_neighbors(small_table(), model.forward("<UNK>"), 3)
+        assert capsys.readouterr().out == "".join(f"{w}\t{s:.6f}\n" for w, s in expected)
+
     def test_a_model_inferring_nan_fails_with_one_line(self, tmp_path, emb_path, capsys):
         # no numpy warning escapes: the suite turns a RuntimeWarning into an error
         path = overflowing_model(tmp_path)
@@ -587,6 +597,18 @@ class TestTagAndEval:
         assert main(["eval", str(dev), str(other)]) == 1
         assert "sentence 1 token 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role", ["pred", "compare"])
+    def test_a_file_that_does_not_align_is_named(self, tmp_path, trained_tagger, capsys, role):
+        _, _, dev = trained_tagger
+        gold = parse_conllu(dev.read_text(encoding="utf-8"))
+        short = tmp_path / "short.conllu"
+        short.write_text(serialize_conllu(gold[:-1]), encoding="utf-8")
+        files = [short, "--compare", dev] if role == "pred" else [dev, "--compare", short]
+        assert main(["eval", str(dev), *map(str, files)]) == 1
+        err = capsys.readouterr().err.splitlines()[1:]
+        n = len(gold)
+        assert err == [f"error: {short}: sentence counts differ: {n} gold vs {n - 1} predicted"]
+
     def test_eval_writes_report_file_atomically(self, tmp_path, trained_tagger):
         _, train, dev = trained_tagger
         report = tmp_path / "report.txt"
@@ -803,6 +825,28 @@ def mimick_for_the_tagger_corpus(tmp_path):
     MimickModel(CharVocabulary("abcdefghijklmnopqrstuvwxyz"), dim=6, char_dim=2, hidden=2,
                 rng=np.random.default_rng(0)).save(str(path))
     return path
+
+
+@pytest.mark.parametrize("command", ["infer", "nn", "train-tagger"])
+def test_a_spelling_model_of_another_width_is_named(tmp_path, capsys, command):
+    emb, train, _ = build_tagger_corpus(tmp_path)
+    mimick, out = tmp_path / "wide.svm", tmp_path / "out"
+    MimickModel(CharVocabulary("ab"), dim=8).save(str(mimick))
+    words = tmp_path / "words.txt"
+    words.write_text("zzqan\n", encoding="utf-8")
+    argv = {
+        "infer": ["infer", str(mimick), str(emb), str(words), str(out)],
+        "nn": ["nn", str(emb), "zzqan", "--model", str(mimick)],
+        "train-tagger": ["train-tagger", "--train", str(train), "--embeddings", str(emb),
+                         "--out", str(out), "--variant", "mimick", "--mimick", str(mimick),
+                         *TAGGER_FLAGS],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {mimick}: model dimension 8 != table dimension 6"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flags, message", [

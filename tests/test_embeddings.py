@@ -434,6 +434,19 @@ class TestWriteEmbeddings:
         with pytest.raises(ValueError, match="text format"):
             write_embeddings(table, io.StringIO())
 
+    @pytest.mark.parametrize("unk", [None, np.array([5.0, 6.0])])
+    def test_an_entry_named_unk_is_refused_so_every_table_reads_back(self, unk):
+        # written, such an entry reads back as the UNK vector, or next to one
+        # not at all ("duplicate <UNK> row")
+        words, matrix = ["a", "<UNK>"], np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="^word '<UNK>' is reserved for the UNK vector$"):
+            round_trip(EmbeddingTable(2, zip(words, matrix), unk))
+        with pytest.raises(ValueError, match="^word '<UNK>' is reserved for the UNK vector$"):
+            round_trip(EmbeddingTable.over(words, matrix, unk))
+        back = round_trip(EmbeddingTable.over(words[:1], matrix[:1], unk))
+        assert back.words() == ["a"] and back.matrix().tolist() == [[1.0, 2.0]]
+        assert (back.unk is None) if unk is None else np.array_equal(back.unk, unk)
+
     def test_duplicate_entries_rejected_at_construction(self):
         with pytest.raises(ValueError, match="duplicate"):
             EmbeddingTable(1, [("a", np.array([1.0])), ("a", np.array([2.0]))])

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from synthetic import naive_lstm
+from spellvec import embeddings
 from spellvec.archive import ArchiveError
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import (
@@ -26,25 +28,14 @@ from spellvec.nn import DimensionError, Tape, Tensor, gradient_check
 
 def straight_line_forward(model, word):
     """Independent evaluation of the char BiLSTM + MLP for any word."""
-
-    def cell_step(cell, x, h, c):
-        z = np.concatenate([x, h])
-        sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-        i = sig(cell.w_i.data @ z + cell.b_i.data)
-        f = sig(cell.w_f.data @ z + cell.b_f.data)
-        o = sig(cell.w_o.data @ z + cell.b_o.data)
-        g = np.tanh(cell.w_c.data @ z + cell.b_c.data)
-        c = f * c + i * g
-        return o * np.tanh(c), c
-
     indices = model.chars.encode(word)
     h = c = np.zeros(model.hidden)
     for idx in indices:
-        h, c = cell_step(model.fwd, model.char_emb.data[idx], h, c)
+        h, c = naive_lstm(model.fwd, model.char_emb.data[idx], h, c)
     hf = h
     h = c = np.zeros(model.hidden)
     for idx in reversed(indices):
-        h, c = cell_step(model.bwd, model.char_emb.data[idx], h, c)
+        h, c = naive_lstm(model.bwd, model.char_emb.data[idx], h, c)
     z = np.concatenate([hf, h])
     return model.o_t.data @ np.tanh(model.t_h.data @ z + model.b_h.data) + model.b_t.data
 
@@ -336,6 +327,9 @@ class TestInferOov:
 
 
 class TestNearestNeighbors:
+    def test_the_search_lives_with_the_table_and_keeps_its_name_here(self):
+        assert nearest_neighbors is embeddings.nearest_neighbors
+
     def test_query_equal_to_table_vector_ranks_itself_first(self):
         rng = np.random.default_rng(3)
         table = EmbeddingTable(4, [(f"w{i}", rng.normal(size=4)) for i in range(10)])
@@ -379,8 +373,9 @@ class TestNearestNeighbors:
             assert ranked == [("a", 1.0), ("b", pytest.approx(2 ** -0.5, rel=1e-15)),
                               ("d", pytest.approx(-(2 ** -0.5), rel=1e-15)), ("c", -np.inf)]
             assert nearest_neighbors(table, np.array([1e300, 1e300]), k=1) == [("b", 1.0)]
-            _, norms, exponents = table._scaled_rows()
-            assert np.ldexp(norms[1], exponents[1]) == pytest.approx(2 ** 0.5 * 1e200, rel=1e-15)
+            # b's norm, scaled by the power of two that brings 1e200 into [0.5, 1)
+            norm = np.ldexp(table._screen[1][1], np.frexp(1e200)[1])
+            assert norm == pytest.approx(2 ** 0.5 * 1e200, rel=1e-15)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 2)])
     def test_a_query_of_another_shape_is_rejected(self, shape):
@@ -432,7 +427,7 @@ class TestNearestNeighbors:
 def full_sort_ranking(table, query, k):
     """The first k of a full stable sort of the same similarities: the
     straight-line reference for nearest_neighbors' selection."""
-    rows, norms, _ = table._scaled_rows()
+    rows, norms, _, _ = table._screen
     query = np.ldexp(query, -np.frexp(np.abs(query).max())[1])
     sims = np.full(len(table), -np.inf)
     nonzero = norms > 0.0
@@ -501,26 +496,31 @@ def test_screened_selection_has_the_bits_of_the_full_stable_sort(dim):
                     assert (np.array([s for _, s in got]).tobytes()
                             == np.array([s for _, s in expected]).tobytes()), (size, k)
         # the norms, taken a block of rows at a time, have the bits of one call
-        scaled, norms, exponents = table._scaled_rows()
-        assert norms.tobytes() == np.linalg.norm(scaled, axis=1).tobytes()
-        assert np.array_equal(exponents != 0, np.abs(np.frexp(np.abs(rows).max(axis=1))[1]) > 500)
+        screened_rows, norms, _, _ = table._screen
+        assert norms.tobytes() == np.linalg.norm(screened_rows, axis=1).tobytes()
+        # exactly the rows beyond 2**±500 are scaled, each into [0.5, 1)
+        exponents = np.frexp(np.abs(rows).max(axis=1))[1]
+        scaled = np.abs(exponents) > 500
+        assert np.array_equal(screened_rows[~scaled], rows[~scaled])
+        unscaled = np.ldexp(screened_rows[scaled], exponents[scaled, None])
+        assert np.array_equal(unscaled, rows[scaled])
 
 
 class TestScreen:
     def test_the_screen_is_built_once_per_table(self):
         rng = np.random.default_rng(6)
         table = screen_table(rng, 16, 300)
-        assert table._scaled is None
+        assert "_screen" not in vars(table)
         nearest_neighbors(table, rng.normal(size=16), k=3)
-        screen = table._unit32
+        screen = table._screen
         nearest_neighbors(table, rng.normal(size=16), k=7)
-        assert table._unit32 is screen
-        rows, norms, _ = table._scaled_rows()
-        assert table._unit32 is screen
+        assert table._screen is screen
         # the unit rows in float32; a zero row stays zero
-        assert screen.dtype == np.float32 and screen.shape == rows.shape
+        rows, norms, unit32, zero_norm = screen
+        assert unit32.dtype == np.float32 and unit32.shape == rows.shape
         units = rows / np.where(norms == 0, 1.0, norms)[:, None]
-        assert np.array_equal(screen, units.astype(np.float32))
+        assert np.array_equal(unit32, units.astype(np.float32))
+        assert np.array_equal(zero_norm, np.flatnonzero(norms == 0))
 
     def test_the_first_query_makes_no_float64_copy_of_the_table(self):
         # no row needs scaling, so the table is not copied for that either

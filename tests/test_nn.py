@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from synthetic import naive_lstm
 from spellvec import nn
 from spellvec.nn import (
     DimensionError,
@@ -30,19 +31,6 @@ def naive_affine(w, x, b):
             acc += w[i][j] * x[j]
         out[i] = acc + b[i]
     return np.array(out)
-
-
-def naive_lstm(cell, x, h_prev, c_prev):
-    """Straight-line re-implementation of the gate equations."""
-    z = np.concatenate([x, h_prev])
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    i = sig(cell.w_i.data @ z + cell.b_i.data)
-    f = sig(cell.w_f.data @ z + cell.b_f.data)
-    o = sig(cell.w_o.data @ z + cell.b_o.data)
-    g = np.tanh(cell.w_c.data @ z + cell.b_c.data)
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
 
 
 class TestAffine:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from synthetic import make_stems, suffix_sentences, suffix_table
+from synthetic import make_stems, naive_lstm, suffix_sentences, suffix_table
 from spellvec.archive import ArchiveError, load_archive, save_archive
 from spellvec import tagger as tagger_module
 from spellvec.conllu import (
@@ -65,17 +65,6 @@ def sentence(*forms_tags):
     return Sentence([Token(f, p, dict(a)) for f, p, a in forms_tags])
 
 
-def cell_step(cell, x, h, c):
-    z = np.concatenate([x, h])
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    i = sig(cell.w_i.data @ z + cell.b_i.data)
-    f = sig(cell.w_f.data @ z + cell.b_f.data)
-    o = sig(cell.w_o.data @ z + cell.b_o.data)
-    g = np.tanh(cell.w_c.data @ z + cell.b_c.data)
-    c = f * c + i * g
-    return o * np.tanh(c), c
-
-
 def straight_line_states(model, sentence):
     """Independent numpy evaluation of the two-layer BiLSTM."""
 
@@ -83,7 +72,7 @@ def straight_line_states(model, sentence):
         h = c = np.zeros(model.hidden)
         out = []
         for x in xs:
-            h, c = cell_step(cell, x, h, c)
+            h, c = naive_lstm(cell, x, h, c)
             out.append(h)
         return out
 
@@ -200,7 +189,7 @@ def test_train_mode_dropout_matches_straight_line_oracle_with_per_token_masks():
         h = c = np.zeros(cell.hidden_size)
         out = []
         for x in xs:
-            h, c = cell_step(cell, x, h, c)
+            h, c = naive_lstm(cell, x, h, c)
             out.append(h)
         return out
 
@@ -399,7 +388,7 @@ class TestVariants:
             h = c = np.zeros(cell.hidden_size)
             states = []
             for x in xs:
-                h, c = cell_step(cell, x, h, c)
+                h, c = naive_lstm(cell, x, h, c)
                 states.append(h)
             return states
 
@@ -454,7 +443,7 @@ class TestVariants:
         with pytest.raises(ValueError, match="variant"):
             WordRepSpec("fancy", no_unk)
         assert MIMICK_VARIANTS == ("mimick", "both")
-        with pytest.raises(DimensionError, match="^mimick dimension 4 != table dimension 3$"):
+        with pytest.raises(DimensionError, match="^model dimension 4 != table dimension 3$"):
             WordRepSpec("both", tiny_table(rng, ["aa"]), MimickModel(CharVocabulary("a"), 4))
         assert VARIANTS == ("no-char", "mimick", "char2tag", "both")
 
@@ -662,6 +651,7 @@ class TestTraining:
     @pytest.mark.parametrize("change, message", [
         ({"dim": 4}, "tensor 'base' is 3 wide, meta 'dim' is 4"),
         ({"base_words": ["aa", "bb"]}, "matrix has shape (4, 3), expected (2, d)"),
+        ({"base_words": ["aa", "<UNK>", "cc", "dd"]}, "word '<UNK>' is reserved for the UNK vector"),
     ])
     def test_base_tensor_not_matching_meta_names_the_file(self, tmp_path, change, message):
         model = tiny_model(words=("aa", "bb", "cc", "dd"))
@@ -670,6 +660,21 @@ class TestTraining:
         manifest, tensors = load_archive(path)
         save_archive(path, "tagger", {**manifest["meta"], **change}, tensors)
         with pytest.raises(ArchiveError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            TaggerModel.load(path)
+
+    def test_an_embedded_spelling_model_of_another_width_names_the_archive_once(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rep = WordRepSpec("mimick", tiny_table(rng, ["aa"]), MimickModel(CharVocabulary("a"), 3))
+        schema = AttributeSchema(pos=["A"], attrs={}, proportions={})
+        path = str(tmp_path / "tagger.svm")
+        TaggerModel(schema, rep, hidden=3, rng=rng).save(path)
+        manifest, tensors = load_archive(path)
+        mimick = {**manifest["meta"]["mimick"], "dim": 4}
+        tensors.update({"mimick.o_t": np.zeros((4, mimick["hidden"])), "mimick.b_t": np.zeros(4)})
+        meta = {**manifest["meta"], "mimick": mimick}
+        save_archive(path, "tagger", meta, tensors)
+        message = f"{path}: model dimension 4 != table dimension 3"
+        with pytest.raises(ArchiveError, match=f"^{re.escape(message)}$"):
             TaggerModel.load(path)
 
     def test_archive_round_trip_with_mimick_and_char_lstm(self, tmp_path):
