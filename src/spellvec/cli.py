@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import astuple, fields
 
-from .conllu import ConlluParseError, CorpusSplit, parse_conllu, serialize_conllu, subsample
+from .conllu import CorpusSplit, parse_conllu, serialize_conllu, subsample
 from .embeddings import (
     EmbeddingParseError,
     EmbeddingTable,
@@ -26,8 +26,8 @@ from .embeddings import (
     read_embeddings,
     write_embeddings,
 )
-from .evaluate import AlignmentError, TaggedCorpusPair, mcnemar, pos_correctness, render_report
-from .fileio import atomic_write_text
+from .evaluate import TaggedCorpusPair, mcnemar, pos_correctness, render_report
+from .fileio import InputError, atomic_write_text
 from .mimick import MimickModel, MimickTrainConfig, infer_oov, nearest_neighbors, train_mimick
 from .tagger import (
     LOSS_MODES,
@@ -102,16 +102,22 @@ def _check_type(path: str, key: str, value, default) -> None:
 
 
 @contextmanager
-def _reading(path: str):
-    """The UTF-8 text file at path, open for the block; a parse or decoding
-    error in the block becomes a CliError that names the file and the line."""
+def _naming(path: str):
+    """An InputError (a parse error names its line) or a decoding error in the
+    block becomes a CliError that names the file at path."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            yield handle
-    except (EmbeddingParseError, ConlluParseError) as err:
+        yield
+    except InputError as err:
         raise CliError(f"{path}: {err}") from None
     except UnicodeDecodeError as err:
         raise CliError(f"{path}: {_undecodable_line(path, err)}") from None
+
+
+@contextmanager
+def _reading(path: str):
+    """The UTF-8 text file at path, open for a block that _naming(path) wraps."""
+    with _naming(path), open(path, encoding="utf-8") as handle:
+        yield handle
 
 
 def _undecodable_line(path: str, err: UnicodeDecodeError) -> str:
@@ -187,7 +193,8 @@ def cmd_train_mimick(args) -> int:
     resolved = _resolve_config(args, MIMICK_DEFAULTS)
     table = _read_table(args.embeddings)
     cfg = MimickTrainConfig(**{f: resolved[k] for k, f in MIMICK_FIELDS.items()})
-    model, trace = train_mimick(table, cfg)
+    with _naming(args.embeddings):
+        model, trace = train_mimick(table, cfg)
     _finish_run(args, resolved, model, trace)
     return 0
 
@@ -232,9 +239,11 @@ def cmd_train_tagger(args) -> int:
         if not args.mimick:
             raise CliError(f"variant {resolved['variant']!r} requires --mimick MODEL")
         mimick = MimickModel.load(args.mimick)
-    rep = WordRepSpec(resolved["variant"], table, mimick)
+    with _naming(args.embeddings):
+        rep = WordRepSpec(resolved["variant"], table, mimick)
     cfg = TaggerTrainConfig(**{f: resolved[k] for k, f in TAGGER_FIELDS.items()})
-    model, trace = train_tagger(CorpusSplit(train, dev, []), rep, cfg)
+    with _naming(args.train):
+        model, trace = train_tagger(CorpusSplit(train, dev, []), rep, cfg)
     _finish_run(args, resolved, model, trace)
     return 0
 
@@ -246,26 +255,22 @@ def cmd_tag(args) -> int:
     return 0
 
 
-def _aligned(path: str, gold, predicted, vocabulary) -> TaggedCorpusPair:
-    """gold and the predictions read from path; a misalignment names path."""
-    try:
-        return TaggedCorpusPair(gold, predicted, vocabulary)
-    except AlignmentError as err:
-        raise CliError(f"{path}: {err}") from None
-
-
 def cmd_eval(args) -> int:
     gold = _read_corpus(args.gold)
     predicted = _read_corpus(args.pred)
     vocabulary = None
     if args.train:
         vocabulary = {t.form for s in _read_corpus(args.train) for t in s.tokens}
-    pair = _aligned(args.pred, gold, predicted, vocabulary)
+    # a misaligned file is the prediction's, a corpus of no tokens the gold's
+    with _naming(args.pred):
+        pair = TaggedCorpusPair(gold, predicted, vocabulary)
     comparison = None
     if args.compare:
-        other = _aligned(args.compare, gold, _read_corpus(args.compare), vocabulary)
+        with _naming(args.compare):
+            other = TaggedCorpusPair(gold, _read_corpus(args.compare), vocabulary)
         comparison = mcnemar(pos_correctness(pair), pos_correctness(other))
-    report = render_report(pair, comparison)
+    with _naming(args.gold):
+        report = render_report(pair, comparison)
     if args.out:
         atomic_write_text(args.out, report)
     else:

@@ -15,14 +15,14 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .fileio import text_lines
+from .fileio import InputError, text_lines
 
 _SENT_ID = re.compile(r"#\s*sent_id\s*=\s*(.+)")
 
 N_COLUMNS = 10
 
 
-class ConlluParseError(ValueError):
+class ConlluParseError(InputError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line

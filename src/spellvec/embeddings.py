@@ -18,7 +18,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .fileio import text_lines
+from .fileio import InputError, text_lines
 from .nn import DimensionError
 
 UNK_TOKEN = "<UNK>"
@@ -37,7 +37,7 @@ READ_CHUNK = 1024
 _LOADTXT_ONLY = ("\r", "\n", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-class EmbeddingParseError(ValueError):
+class EmbeddingParseError(InputError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
@@ -250,7 +250,6 @@ class _Rows:
         self.words: list[str] = []
         self.seen: set[str] = set()
         self.unk: np.ndarray | None = None
-        self.unk_row = count  # entries before the <UNK> row
 
     def make_room(self, rows: int) -> None:
         """Grow the matrix, if it must, to take `rows` more entries; past the
@@ -266,32 +265,29 @@ class _Rows:
         and return True; or add nothing and return False, leaving the chunk to
         add_lines, if it repeats a word, has an empty word or a character of
         _LOADTXT_ONLY in any field (so no word check_word refuses is added
-        here), holds an empty value field, or np.loadtxt refuses it or reads
-        it to another shape."""
+        here), holds an empty value field, or np.loadtxt refuses it, reads
+        it to another shape or reads a non-finite value."""
         parts = [line.partition(" ") for line in lines]
         words = [part[0] for part in parts]
         values = [part[2] for part in parts]
         fresh = set(words)
         if len(fresh) != len(words) or "" in fresh or not self.seen.isdisjoint(fresh):
             return False
-        has_unk = UNK_TOKEN in fresh
-        if has_unk and self.unk is not None:
-            return False
-        # np.loadtxt skips an empty line, and warns if it finds no others
-        if "" in values:
+        if UNK_TOKEN in fresh and self.unk is not None:
             return False
         text = "".join(lines)
-        if any(char in text for char in _LOADTXT_ONLY):
+        # np.loadtxt skips an empty line, and warns if it finds no others
+        if "" in values or any(char in text for char in _LOADTXT_ONLY):
             return False
         try:
             block = np.loadtxt(values, delimiter=" ", comments=None, quotechar=None, ndmin=2)
         except ValueError:
             return False
-        if block.shape != (len(lines), self.dim):
+        if block.shape != (len(lines), self.dim) or not np.isfinite(block).all():
             return False
-        if has_unk:
+        if UNK_TOKEN in fresh:
             at = words.index(UNK_TOKEN)
-            self.unk, self.unk_row = block[at].copy(), len(self.words) + at
+            self.unk = block[at].copy()
             block = np.delete(block, at, axis=0)
             del words[at]
         self.make_room(len(words))
@@ -316,12 +312,14 @@ class _Rows:
                 self.matrix[row] = fields[1:]
             except ValueError:
                 raise EmbeddingParseError(line_no, "unparseable number") from None
+            if not np.isfinite(self.matrix[row]).all():
+                raise EmbeddingParseError(line_no, "value is nan or infinite")
             word = fields[0]
             check_word(word, line_no)
             if word == UNK_TOKEN:
                 if self.unk is not None:
                     raise EmbeddingParseError(line_no, f"duplicate {UNK_TOKEN} row")
-                self.unk, self.unk_row = self.matrix[row].copy(), row
+                self.unk = self.matrix[row].copy()
             elif word in self.seen:
                 raise EmbeddingParseError(line_no, f"duplicate word {word!r}")
             else:
@@ -332,9 +330,9 @@ class _Rows:
 def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
     """Parse the text format READ_CHUNK lines at a time straight into the
     table's matrix. A chunk's values go through np.loadtxt, whose C reader
-    gives the bits float() gives; a chunk it refuses is parsed row by row, so
-    the accepted spellings are float()'s, and the first bad line in file order
-    is the one reported."""
+    gives the bits float() gives; a chunk it refuses, or one that holds a
+    non-finite value, is parsed row by row, so the accepted spellings are
+    float()'s, and the first bad line in file order is the one reported."""
     size = _size_bound(source)
     lines = text_lines(source)
     count, dim = parse_header(next(lines, None))
@@ -347,21 +345,12 @@ def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
         if len(chunk) < want:
             read = start + len(chunk)
             raise EmbeddingParseError(2 + read, f"expected {count} rows, file ends after {read}")
-    # the entries fill the first rows in file order, and the table adopts a
-    # view of them with no copy
-    matrix = rows.matrix[: len(rows.words)]
-    # the first non-finite row's line: entry i is on line 2 + i, one further
-    # down once past the <UNK> row
-    finite = np.isfinite(matrix).all(axis=1)
-    bad = [2 + i + (i >= rows.unk_row) for i in np.flatnonzero(~finite)[:1].tolist()]
-    if rows.unk is not None and not np.isfinite(rows.unk).all():
-        bad.append(2 + rows.unk_row)
-    if bad:
-        raise EmbeddingParseError(min(bad), "value is nan or infinite")
     for extra, line in enumerate(lines):
         if line.strip():
             raise EmbeddingParseError(count + 2 + extra, "content past the declared row count")
-    return EmbeddingTable.over(rows.words, matrix, rows.unk)
+    # the entries fill the first rows in file order, and the table adopts a
+    # view of them with no copy
+    return EmbeddingTable.over(rows.words, rows.matrix[: len(rows.words)], rows.unk)
 
 
 def write_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:

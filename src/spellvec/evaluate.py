@@ -18,10 +18,10 @@ import numpy as np
 
 from .conllu import Sentence
 from .embeddings import TABLE_ONLY, EmbeddingTable, lookup_many, pow2_scaled
-from .fileio import text_lines
+from .fileio import InputError, text_lines
 
 
-class AlignmentError(ValueError):
+class AlignmentError(InputError):
     """Gold and predicted corpora differ in sentences, lengths or forms."""
 
 
@@ -75,7 +75,7 @@ RESTRICTIONS = ("all", "oov", "in-vocab")
 def pos_accuracy(pair: TaggedCorpusPair, restrict: str = "all") -> float:
     correct = pos_correctness(pair, restrict)
     if not correct:
-        raise ValueError(f"restriction {restrict!r} selects no tokens")
+        raise InputError(f"restriction {restrict!r} selects no tokens")
     return sum(correct) / len(correct)
 
 
@@ -114,7 +114,7 @@ def _scores(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def micro_f1(pair: TaggedCorpusPair, breakdown: bool = True) -> MicroF1Report:
+def micro_f1(pair: TaggedCorpusPair) -> MicroF1Report:
     counts: dict[str, list[int]] = {}
     for gt, pt, _ in pair.token_pairs():
         for attr in gt.attrs.keys() | pt.attrs.keys():
@@ -131,12 +131,9 @@ def micro_f1(pair: TaggedCorpusPair, breakdown: bool = True) -> MicroF1Report:
     tp = sum(t[0] for t in counts.values())
     fp = sum(t[1] for t in counts.values())
     fn = sum(t[2] for t in counts.values())
-    per_attribute = None
-    if breakdown:
-        per_attribute = {
-            attr: MicroF1Report(*tally, *_scores(*tally))
-            for attr, tally in sorted(counts.items())
-        }
+    per_attribute = {
+        attr: MicroF1Report(*tally, *_scores(*tally)) for attr, tally in sorted(counts.items())
+    }
     return MicroF1Report(tp, fp, fn, *_scores(tp, fp, fn), per_attribute)
 
 

@@ -1,10 +1,16 @@
-"""Atomic file writes (outputs appear fully written or not at all) and the
-text-line reading shared by the parsers."""
+"""Atomic file writes (outputs appear fully written or not at all), the
+text-line reading shared by the parsers, and the error an unusable input raises."""
 
 import io
 import os
 import tempfile
 from typing import IO, Iterable, Iterator
+
+
+class InputError(ValueError):
+    """An input the program cannot use: a parse error, or an input that parses
+    but cannot serve as a whole (a table of one word, a corpus of no tokens).
+    The command line names the file it came from."""
 
 
 def text_lines(source: IO[str] | str) -> Iterator[str]:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .archive import ArchiveError, load_archive, reading_meta, save_archive
 from .embeddings import EmbeddingTable, nearest_neighbors  # noqa: F401 (re-exported)
+from .fileio import InputError
 from .nn import (
     DimensionError,
     LstmCellParams,
@@ -265,7 +266,7 @@ def train_mimick(
     """
     words = table.words()
     if len(words) < 2:
-        raise ValueError(f"need at least 2 vocabulary words, got {len(words)}")
+        raise InputError(f"need at least 2 vocabulary words, got {len(words)}")
     rng = np.random.default_rng(cfg.seed)
     chars = CharVocabulary.from_words(words)
     model = MimickModel(chars, table.dim, cfg.char_dim, cfg.hidden, rng)

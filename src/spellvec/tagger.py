@@ -40,6 +40,7 @@ from .conllu import (
 )
 from .embeddings import MIMICK_DIRECT, UNK_LOWERCASE, EmbeddingTable, lookup_many
 from .evaluate import TaggedCorpusPair, micro_f1, pos_accuracy
+from .fileio import InputError
 from .mimick import CharBiLstm, CharVocabulary, MimickModel, restore_parameters
 from .nn import (
     DimensionError,
@@ -88,7 +89,7 @@ class WordRepSpec:
                 raise ValueError(f"variant {self.variant!r} requires a mimick model")
             self.mimick.check_dim(self.table.dim)
         elif self.table.unk is None:
-            raise ValueError(f"variant {self.variant!r} requires a table with an UNK vector")
+            raise InputError(f"variant {self.variant!r} requires a table with an UNK vector")
 
     def vectors(self, words: list[str]) -> np.ndarray:
         """The words' (len(words), d) vectors under the variant's backoff policy."""
@@ -519,7 +520,7 @@ def train_tagger(
     train = split.train
     n_tokens = token_count(train)
     if n_tokens == 0:
-        raise ValueError("empty training split")
+        raise InputError("empty training split")
     schema = build_schema(train, include_attributes=not cfg.pos_only)
     rng = np.random.default_rng(cfg.seed)
     c2t_chars = None
@@ -550,7 +551,7 @@ def train_tagger(
         if split.dev:
             pair = TaggedCorpusPair(split.dev, tag_corpus(model, split.dev))
             dev_acc = pos_accuracy(pair)
-            dev_f1 = micro_f1(pair, breakdown=False).f1
+            dev_f1 = micro_f1(pair).f1
         else:
             dev_acc = dev_f1 = float("nan")
         trace.append(EpochMetrics(epoch, total / len(train), dev_acc, dev_f1))

@@ -260,7 +260,7 @@ def test_4_metric_oracles():
         forms = [f"w{i}" for i in range(length)]
         gold = [Sentence([Token(f, "X", random_attrs()) for f in forms])]
         pred = [Sentence([Token(f, "X", random_attrs()) for f in forms])]
-        got = micro_f1(TaggedCorpusPair(gold, pred), breakdown=False)
+        got = micro_f1(TaggedCorpusPair(gold, pred))
         assert (got.tp, got.fp, got.fn) == brute_force_micro(gold, pred)
 
     # spearman against a naive average-rank + Pearson oracle, with ties

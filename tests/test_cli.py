@@ -4,12 +4,18 @@ import json
 import os
 import re
 import struct
+import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spellvec
 from synthetic import make_stems, suffix_sentences, suffix_table
@@ -910,3 +916,178 @@ def test_an_unknown_variant_in_a_config_file_fails_with_one_line(tmp_path, capsy
     assert "Traceback" not in err
     assert err.splitlines()[-1] == f"error: unknown variant 'chars'; expected one of {VARIANTS}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["eval", "train-mimick", "no-char", "char2tag", "train-tagger"])
+def test_an_input_that_parses_but_no_command_can_use_is_named(tmp_path, capsys, case):
+    emb, train, dev = build_tagger_corpus(tmp_path)
+    empty, out = tmp_path / "empty.conllu", tmp_path / "out.svm"
+    empty.write_text("", encoding="utf-8")
+    if case == "eval":
+        argv, named, message = ["eval", str(empty), str(empty)], empty, \
+            "restriction 'all' selects no tokens"
+    elif case == "train-mimick":
+        write_table(emb, EmbeddingTable(2, [("ab", np.ones(2))], unk=np.zeros(2)))
+        argv, named, message = ["train-mimick", str(emb), str(out), *MIMICK_FLAGS], emb, \
+            "need at least 2 vocabulary words, got 1"
+    elif case == "train-tagger":
+        argv, named, message = ["train-tagger", "--train", str(empty), "--embeddings", str(emb),
+                                "--out", str(out), *TAGGER_FLAGS], empty, "empty training split"
+    else:
+        table = read_embeddings(emb.read_text(encoding="utf-8"))
+        write_table(emb, EmbeddingTable.over(table.words(), table.matrix()))
+        argv = ["train-tagger", "--train", str(train), "--embeddings", str(emb), "--out",
+                str(out), "--variant", case, *TAGGER_FLAGS]
+        named, message = emb, f"variant {case!r} requires a table with an UNK vector"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {named}: {message}"
+    ]
+    assert not out.exists()
+
+
+# every command, its arguments written over the inputs of mutation_inputs
+MUTATED_COMMANDS = {
+    "train-mimick": ["train-mimick", "{table}", "{out}", "--config", "{config}", "--char-dim",
+                     "3", "--hidden", "4"],
+    "infer": ["infer", "{mimick}", "{table}", "{words}", "{out}"],
+    "nn": ["nn", "{table}", "zzqan", "--k", "3", "--model", "{mimick}"],
+    "train-tagger": ["train-tagger", "--train", "{train}", "--dev", "{dev}", "--embeddings",
+                     "{table}", "--out", "{out}", "--mimick", "{mimick}", "--config", "{config}",
+                     "--char-dim", "3", "--char-hidden", "4", *TAGGER_FLAGS],
+    "tag": ["tag", "{tagger}", "{dev}", "{out}"],
+    # a corpus scored against itself: no mutation misaligns the pair, so a
+    # fault is the mutated file's own
+    "eval": ["eval", "{dev}", "{dev}", "--train", "{train}"],
+}
+# which mutations apply to each input
+MUTATIONS = {
+    "table": ["emptied", "non-finite", "field-dropped", "no-unk"],
+    "train": ["emptied", "column-cut"],
+    "dev": ["emptied", "column-cut"],
+    "words": ["emptied", "reserved-word", "empty-word", "spaced-word"],
+    "config": ["emptied", "wrong-type"],
+    "mimick": ["manifest-char", "payload-float"],
+    "tagger": ["manifest-char", "payload-float"],
+}
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """One valid file for each input name of MUTATED_COMMANDS: a table, a
+    training and a dev corpus, a word list, a config, a Mimick archive and a
+    tagger archive (the both variant, which embeds the Mimick model)."""
+    tmp_path = tmp_path_factory.mktemp("inputs")
+    emb, train, dev = build_tagger_corpus(tmp_path)
+    paths = dict(table=emb, train=train, dev=dev, words=tmp_path / "words.txt",
+                 config=tmp_path / "config.json", mimick=tmp_path / "mimick.svm",
+                 tagger=tmp_path / "tagger.svm")
+    paths["words"].write_text("zzqan\nbadan\n", encoding="utf-8")
+    paths["config"].write_text(json.dumps({"epochs": 1, "seed": 2}), encoding="utf-8")
+    with redirect_stderr(io.StringIO()):
+        assert main(["train-mimick", str(emb), str(paths["mimick"]), "--epochs", "1",
+                     "--char-dim", "3", "--hidden", "4"]) == 0
+        assert main(["train-tagger", "--train", str(train), "--embeddings", str(emb), "--out",
+                     str(paths["tagger"]), "--variant", "both", "--mimick", str(paths["mimick"]),
+                     "--char-dim", "3", "--char-hidden", "4", *TAGGER_FLAGS]) == 0
+    return paths
+
+
+def mutate(path, mutation, draw):
+    """Apply mutation to the file at path, drawing its choices with draw."""
+
+    def lines_of(path):
+        return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    if mutation == "emptied":
+        path.write_text("", encoding="utf-8")
+    elif mutation in ("non-finite", "field-dropped"):
+        lines = lines_of(path)
+        i = draw(st.integers(1, len(lines) - 1))
+        fields = lines[i].rstrip("\n").split(" ")
+        j = draw(st.integers(1, len(fields) - 1))
+        if mutation == "field-dropped":
+            del fields[j]
+        else:
+            fields[j] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+        lines[i] = " ".join(fields) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+    elif mutation == "no-unk":
+        lines = [line for line in lines_of(path) if not line.startswith("<UNK> ")]
+        count, dim = lines[0].split()
+        path.write_text(f"{int(count) - 1} {dim}\n" + "".join(lines[1:]), encoding="utf-8")
+    elif mutation == "column-cut":
+        lines = lines_of(path)
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if line[0].isdigit()]))
+        lines[i] = lines[i].rsplit("\t", 1)[0] + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+    elif mutation in ("reserved-word", "empty-word", "spaced-word"):
+        word = {"reserved-word": "<UNK>", "empty-word": " ", "spaced-word": "a b"}[mutation]
+        lines = lines_of(path)
+        lines.insert(draw(st.integers(0, len(lines))), word + "\n")
+        path.write_text("".join(lines), encoding="utf-8")
+    elif mutation == "wrong-type":
+        key, value = draw(st.sampled_from([("epochs", "1"), ("seed", 1.5), ("lr", "0.1"),
+                                           ("hidden", True), ("momentum", None)]))
+        path.write_text(json.dumps({"epochs": 1, key: value}), encoding="utf-8")
+    else:
+        data = bytearray(path.read_bytes())
+        header = len(MAGIC) + 8 + struct.unpack_from("<Q", data, len(MAGIC))[0]
+        if mutation == "manifest-char":
+            at = draw(st.integers(len(MAGIC) + 8, header - 1))
+            data[at] = ord(draw(st.characters(min_codepoint=32, max_codepoint=126)))
+        else:
+            at = header + 8 * draw(st.integers(0, (len(data) - header) // 8 - 1))
+            value = draw(st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 1e300]),
+                                   st.floats(-4, 4)))
+            struct.pack_into("<d", data, at, value)
+        path.write_bytes(bytes(data))
+
+
+def assert_finite_outputs(command, out, stdout):
+    """Every number a successful command wrote is finite, but a dev-split
+    column of a trace, which is NaN when there is no dev split."""
+    if command in ("train-mimick", "train-tagger"):
+        load_archive(str(out))  # refuses a non-finite tensor
+        header, *rows = Path(f"{out}.trace.tsv").read_text(encoding="utf-8").splitlines()
+        for row in rows:
+            for name, value in zip(header.split("\t"), map(float, row.split("\t"))):
+                assert np.isfinite(value) or (name.startswith("dev_") and np.isnan(value)), row
+    elif command == "infer":
+        read_embeddings(out.read_text(encoding="utf-8"))  # refuses a non-finite value
+    elif command == "tag":
+        parse_conllu(out.read_text(encoding="utf-8"))
+    else:
+        numbers = [f for line in stdout.splitlines() for f in line.split("\t")[1:]]
+        for field in numbers:
+            assert field in ("tp", "fp", "fn", "precision", "recall", "f1") or np.isfinite(
+                float(field)), field
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_command_on_one_mutated_input_succeeds_or_names_the_file(mutation_inputs, data):
+    command = data.draw(st.sampled_from(sorted(MUTATED_COMMANDS)))
+    argv = MUTATED_COMMANDS[command]
+    name = data.draw(st.sampled_from([a[1:-1] for a in argv if a[1:-1] in MUTATIONS]))
+    if command == "train-tagger":
+        argv = [*argv, "--variant", data.draw(st.sampled_from(VARIANTS))]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: Path(shutil.copy(path, tmp)) for key, path in mutation_inputs.items()}
+        paths["out"] = Path(tmp) / "out"
+        mutate(paths[name], data.draw(st.sampled_from(MUTATIONS[name])), data.draw)
+        argv = [arg.format(**paths) for arg in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(argv)
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+        if code == 0:
+            assert errors == []
+            assert_finite_outputs(command, paths["out"], stdout.getvalue())
+        else:
+            assert code == 1
+            assert len(errors) == 1 and f"{paths[name]}: " in errors[0], (errors, name)
+            assert not paths["out"].exists()

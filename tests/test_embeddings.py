@@ -224,15 +224,17 @@ def spelled_tables(draw):
 def test_values_parse_as_float_does_or_fail_on_its_first_line(case, stream):
     text, rows = case
     values = [[float_or_none(f) for f in fields] for _, fields in rows]
-    unparseable = [2 + i for i, row in enumerate(values) if None in row]
-    non_finite = [2 + i for i, row in enumerate(values) if None not in row and not np.isfinite(row).all()]
+    # the first line whose values are not all finite numbers, and its error:
+    # an unparseable field is found before a non-finite one on the same line
+    bad = [
+        (2 + i, "unparseable number" if None in row else "value is nan or infinite")
+        for i, row in enumerate(values)
+        if None in row or not np.isfinite(row).all()
+    ]
     for chunk in CHUNK_SIZES:
         source = io.StringIO(text) if stream else text
-        if unparseable:
-            with pytest.raises(EmbeddingParseError, match=f"^line {unparseable[0]}: unparseable number$"):
-                read_in_chunks(source, chunk)
-        elif non_finite:
-            with pytest.raises(EmbeddingParseError, match=f"^line {non_finite[0]}: value is nan or infinite$"):
+        if bad:
+            with pytest.raises(EmbeddingParseError, match="^line %d: %s$" % bad[0]):
                 read_in_chunks(source, chunk)
         else:
             table = read_in_chunks(source, chunk)
@@ -263,6 +265,25 @@ def test_a_repeated_word_is_reported_before_a_later_bad_number(text, message):
     for chunk in CHUNK_SIZES:
         with pytest.raises(EmbeddingParseError, match=f"^{message}$"):
             read_in_chunks(text, chunk)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3 1\ndog nan\ncat 1\ncat 2\n", 2),  # before a later repeated word
+        ("3 1\n<UNK> inf\ncat 1\n<UNK> 2\n", 2),  # before a later <UNK> row
+        ("3 1\ndog 1e400\ncat 1\nbird x\n", 2),  # before a later bad number
+        ("3 2\na nan 1\nb 1 2\nc 1\n", 2),  # before a later short row
+        ("3 2\na nan 1\nb 1 2\n", 2),  # before the end of a short file
+        ("2 1\ndog -inf\ncat 1\nbird 2\n", 2),  # before content past the row count
+        ("3 1\ncat 1\ndog nan\ncat 2\n", 3),  # on a later line of a chunk
+    ],
+)
+def test_a_non_finite_value_is_reported_on_its_own_line_before_any_later_fault(text, line):
+    for chunk in CHUNK_SIZES:
+        for source in (text, io.StringIO(text)):
+            with pytest.raises(EmbeddingParseError, match=f"^line {line}: value is nan or infinite$"):
+                read_in_chunks(source, chunk)
 
 
 @pytest.mark.parametrize(

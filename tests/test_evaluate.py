@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -184,6 +185,12 @@ class TestMicroF1:
         assert sum(r.tp for r in report.per_attribute.values()) == report.tp
         assert sum(r.fp for r in report.per_attribute.values()) == report.fp
         assert sum(r.fn for r in report.per_attribute.values()) == report.fn
+
+    def test_the_report_always_carries_its_breakdown(self):
+        # no knob skips it: a corpus with no attributes gets an empty dict
+        assert list(inspect.signature(micro_f1).parameters) == ["pair"]
+        gold = [sent(("a", "N", {}))]
+        assert micro_f1(pair_of(gold, gold)).per_attribute == {}
 
 
 def naive_spearman(sims, scores):
