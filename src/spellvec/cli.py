@@ -232,6 +232,8 @@ def cmd_train_tagger(args) -> int:
     table = _read_table(args.embeddings)
     train = _read_corpus(args.train)
     dev = _read_corpus(args.dev) if args.dev else []
+    if args.dev and not dev:
+        raise CliError(f"{args.dev}: no sentences to score")
     if resolved["token_limit"] is not None:
         train = subsample(train, int(resolved["token_limit"]), resolved["seed"])
     mimick = None
@@ -261,12 +263,13 @@ def cmd_eval(args) -> int:
     vocabulary = None
     if args.train:
         vocabulary = {t.form for s in _read_corpus(args.train) for t in s.tokens}
-    # a misaligned file is the prediction's, a corpus of no tokens the gold's
-    with _naming(args.pred):
+    # a misaligned file is the prediction's, unless the gold holds no
+    # sentences; a corpus of no tokens is the gold's
+    with _naming(args.pred if gold else args.gold):
         pair = TaggedCorpusPair(gold, predicted, vocabulary)
     comparison = None
     if args.compare:
-        with _naming(args.compare):
+        with _naming(args.compare if gold else args.gold):
             other = TaggedCorpusPair(gold, _read_corpus(args.compare), vocabulary)
         comparison = mcnemar(pos_correctness(pair), pos_correctness(other))
     with _naming(args.gold):

@@ -307,6 +307,7 @@ def train_mimick(
             else float("nan")
         )
         trace.append(EpochLoss(epoch, total / len(train_words), dev_loss))
+    optimizer.release()
     return model, trace
 
 

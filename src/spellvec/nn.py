@@ -11,6 +11,7 @@ A grad-free Tape runs the same operations and records nothing.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 
@@ -441,12 +442,13 @@ class _RowBlock(Tensor):
         self.parent.grad[self.rows] = value
 
 
-def flatten(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
+def flatten(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray, list[Tensor]]:
     """Move the tensors that hold the parameters' memory (a row block's
     parent, else the parameter itself), each once, into one flat data buffer
     and one flat zeroed gradient buffer, in the parameters' order, keeping
-    their values; returns the two buffers. Row blocks view their parents'
-    new memory, so every parameter is then a view of the two buffers."""
+    their values; returns the two buffers and the moved tensors. Row blocks
+    view their parents' new memory, so every parameter is then a view of the
+    two buffers."""
     owners = list({id(t): t for t in (getattr(p, "parent", p) for p in params.values())}.values())
     total = sum(t.data.size for t in owners)
     data, grad = np.empty(total), np.zeros(total)
@@ -457,7 +459,7 @@ def flatten(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
         block[...] = t.data
         t.data, t.grad = block, grad[start:end].reshape(block.shape)
         start = end
-    return data, grad
+    return data, grad, owners
 
 
 def lstm_step(
@@ -586,7 +588,7 @@ class MomentumSgd:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
-        self._data, self._grad = flatten(params)
+        self._data, self._grad, self._owners = flatten(params)
         self._velocity = np.zeros(self._data.size)
         self._scratch = np.empty(min(STEP_BLOCK, self._data.size))
 
@@ -601,6 +603,20 @@ class MomentumSgd:
             np.multiply(self._grad[start : start + STEP_BLOCK], self.lr, out=lr_grad)
             v += lr_grad
             self._data[start : start + STEP_BLOCK] -= v
+
+    def release(self) -> None:
+        """Give every moved tensor a fresh zero gradient (a gate view reads its
+        parent's) and drop the flat gradient, velocity and scratch buffers.
+        The optimizer cannot step again; a new MomentumSgd over the
+        parameters moves them anew.
+
+        Each gradient is an anonymous memory map, whose pages the OS maps
+        only when written: np.zeros may take heap memory that training freed
+        and clear it, which keeps as many pages resident as were released."""
+        for t in self._owners:
+            pages = mmap.mmap(-1, max(t.data.nbytes, 1))
+            t.grad = np.frombuffer(pages, count=t.data.size).reshape(t.data.shape)
+        del self._grad, self._velocity, self._scratch, self._owners
 
 
 # ----------------------------------------------------------------------

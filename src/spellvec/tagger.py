@@ -555,4 +555,5 @@ def train_tagger(
         else:
             dev_acc = dev_f1 = float("nan")
         trace.append(EpochMetrics(epoch, total / len(train), dev_acc, dev_f1))
+    optimizer.release()
     return model, trace

@@ -1,4 +1,5 @@
-"""Synthetic corpora and embedding tables shared across tests.
+"""Synthetic corpora and embedding tables shared across tests, with the
+oracles and checks that several test files apply to models.
 
 The suffix language pairs each suffix with a fixed (POS, Case) combination,
 so tags are fully determined by word shape; table embeddings encode the
@@ -144,3 +145,21 @@ def naive_lstm(cell, x, h, c):
     g = np.tanh(cell.w_c.data @ z + cell.b_c.data)
     c = f * c + i * g
     return o * np.tanh(c), c
+
+
+def assert_gradients_released(params):
+    """What training leaves: every gradient is zero, and each tensor that
+    holds parameter memory (a gate view's parent, else the parameter) keeps a
+    gradient whose memory is its own, not a view of a larger buffer such as
+    an optimizer's flat gradient store."""
+    for name, p in params.items():
+        assert not np.any(p.grad), name
+    owners = {id(t): t for t in (getattr(p, "parent", p) for p in params.values())}
+    for t in owners.values():
+        memory = t.grad
+        while isinstance(memory, np.ndarray) and memory.base is not None:
+            memory = memory.base
+        assert t.grad.shape == t.data.shape and memory.nbytes == t.grad.nbytes, t
+    grads = [t.grad for t in owners.values()]
+    for i, a in enumerate(grads):
+        assert not any(np.shares_memory(a, b) for b in grads[i + 1 :])

@@ -948,6 +948,43 @@ def test_an_input_that_parses_but_no_command_can_use_is_named(tmp_path, capsys, 
     assert not out.exists()
 
 
+def error_lines(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("text", ["", "# sent_id = 1\n\n"])
+def test_train_tagger_refuses_a_dev_file_with_no_sentences(tmp_path, capsys, text):
+    emb, train, _ = build_tagger_corpus(tmp_path)
+    empty, out = tmp_path / "empty.conllu", tmp_path / "out.svm"
+    empty.write_text(text, encoding="utf-8")
+    assert main(["train-tagger", "--train", str(train), "--dev", str(empty), "--embeddings",
+                 str(emb), "--out", str(out), *TAGGER_FLAGS]) == 1
+    assert error_lines(capsys) == [f"error: {empty}: no sentences to score"]
+    assert not out.exists() and not Path(f"{out}.trace.tsv").exists()
+
+
+def test_eval_names_a_gold_file_with_no_sentences_and_a_misaligned_prediction(tmp_path, capsys):
+    _, _, dev = build_tagger_corpus(tmp_path)
+    empty, short = tmp_path / "empty.conllu", tmp_path / "short.conllu"
+    empty.write_text("", encoding="utf-8")
+    sentences = parse_conllu(dev.read_text(encoding="utf-8"))
+    short.write_text(serialize_conllu(sentences[:-1]), encoding="utf-8")
+    n = len(sentences)
+    cases = [
+        (["eval", str(empty), str(dev)],
+         f"error: {empty}: sentence counts differ: 0 gold vs {n} predicted"),
+        (["eval", str(empty), str(empty), "--compare", str(dev)],
+         f"error: {empty}: sentence counts differ: 0 gold vs {n} predicted"),
+        (["eval", str(dev), str(short)],
+         f"error: {short}: sentence counts differ: {n} gold vs {n - 1} predicted"),
+    ]
+    for argv, line in cases:
+        assert main(argv) == 1
+        assert error_lines(capsys) == [line], argv
+
+
 # every command, its arguments written over the inputs of mutation_inputs
 MUTATED_COMMANDS = {
     "train-mimick": ["train-mimick", "{table}", "{out}", "--config", "{config}", "--char-dim",
@@ -1047,14 +1084,15 @@ def mutate(path, mutation, draw):
 
 
 def assert_finite_outputs(command, out, stdout):
-    """Every number a successful command wrote is finite, but a dev-split
-    column of a trace, which is NaN when there is no dev split."""
+    """Every number a successful command wrote is finite, but train-mimick's
+    dev loss, which is NaN when the table is too small to hold a word out;
+    train-tagger is given --dev, whose sentences it scores every epoch."""
     if command in ("train-mimick", "train-tagger"):
         load_archive(str(out))  # refuses a non-finite tensor
         header, *rows = Path(f"{out}.trace.tsv").read_text(encoding="utf-8").splitlines()
         for row in rows:
             for name, value in zip(header.split("\t"), map(float, row.split("\t"))):
-                assert np.isfinite(value) or (name.startswith("dev_") and np.isnan(value)), row
+                assert np.isfinite(value) or (name == "dev_loss" and np.isnan(value)), row
     elif command == "infer":
         read_embeddings(out.read_text(encoding="utf-8"))  # refuses a non-finite value
     elif command == "tag":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from synthetic import naive_lstm
+from synthetic import assert_gradients_released, naive_lstm
 from spellvec import embeddings
 from spellvec.archive import ArchiveError
 from spellvec.embeddings import EmbeddingTable
@@ -189,6 +189,22 @@ class TestTraining:
         out = model.forward_on_tape(tape, [[model.chars.encode("cafe")]])
         tape.sum_squares(tape.sub(out, Tensor(np.ones((1, 1, model.dim)))))
         assert len(tape) == 8
+
+    def test_a_trained_model_keeps_no_optimizer_gradient_and_stays_checkable(self):
+        table = char_count_table(np.random.default_rng(5), 12, dim=3, alphabet="abc")
+        cfg = MimickTrainConfig(char_dim=2, hidden=2, epochs=2, dev_fraction=0.0, seed=4)
+        model, _ = train_mimick(table, cfg)
+        params = model.parameters()
+        assert_gradients_released(params)
+        target, indices = np.ones(3), model.chars.encode("cab")
+
+        def forward():
+            tape = Tape()
+            out = model.forward_on_tape(tape, [[indices]])
+            return tape, tape.sum_squares(tape.sub(out, Tensor(target[None, None])))
+
+        report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
+        assert report.passed, report
 
     def test_tiny_vocabulary_rejected(self):
         table = EmbeddingTable(2, [("a", np.zeros(2))])

@@ -5,7 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from synthetic import make_stems, naive_lstm, suffix_sentences, suffix_table
+from synthetic import (
+    assert_gradients_released,
+    make_stems,
+    naive_lstm,
+    suffix_sentences,
+    suffix_table,
+)
 from spellvec.archive import ArchiveError, load_archive, save_archive
 from spellvec import tagger as tagger_module
 from spellvec.conllu import (
@@ -691,6 +697,41 @@ class TestTraining:
         loaded = TaggerModel.load(path)
         unseen = Sentence([Token(stems[0] + "zz", "NOUN")])
         assert tag(loaded, unseen) == tag(model, unseen)
+
+
+class TestTrainedModelMemory:
+    """A trained tagger holds its values and no optimizer memory, and a new
+    optimizer over it trains it again."""
+
+    def trained(self):
+        rng = np.random.default_rng(8)
+        split, stems = small_split(rng, n_train=4, n_dev=1, n_suffixes=3)
+        table = suffix_table(rng, stems, n_suffixes=3, dim=6)
+        cfg = TaggerTrainConfig(epochs=1, hidden=4, char_dim=3, char_hidden=3, seed=8)
+        model, _ = train_tagger(split, WordRepSpec("char2tag", table), cfg)
+        return model, split
+
+    def test_every_gradient_is_zero_and_its_own_memory(self):
+        model, _ = self.trained()
+        params = model.parameters()
+        assert "rows" in params and "c2t.fwd.w_i" in params
+        assert_gradients_released(params)
+        # a gate view reads its parent's new gradient
+        cell = model.c2t.fwd
+        assert np.shares_memory(cell.w_f.grad, cell.w.grad)
+
+    def test_a_new_optimizer_over_a_trained_tagger_steps_it(self):
+        model, split = self.trained()
+        params = model.parameters()
+        before = {name: p.data.copy() for name, p in params.items()}
+        optimizer = MomentumSgd(params, lr=0.1, momentum=0.9)
+        assert model.embeddings.data.base is optimizer._data
+        tape = Tape()
+        tape.backward(model.loss_on_tape(tape, split.train[0], "sum"))
+        optimizer.step()
+        assert np.any(model.embeddings.grad)
+        for name in ("rows", "c2t.fwd.w_i", "head.POS.w_h"):
+            assert not np.array_equal(params[name].data, before[name]), name
 
 
 class TestTrainedRows:
