@@ -18,9 +18,7 @@ from dataclasses import astuple, fields
 
 from .conllu import CorpusSplit, parse_conllu, serialize_conllu, subsample
 from .embeddings import (
-    EmbeddingParseError,
     EmbeddingTable,
-    UNK_TOKEN,
     check_word,
     parse_header,
     read_embeddings,
@@ -147,18 +145,13 @@ def _read_corpus(path: str):
 
 def _read_words(path: str) -> list[str]:
     """The non-blank lines of a word list, stripped; each must be a word the
-    embedding text format can write as a regular row, so not the reserved
-    UNK token, which would read back as the table's UNK vector."""
+    embedding text format can write as an entry row (see check_word)."""
     words = []
     with _reading(path) as handle:
         for number, line in enumerate(handle, 1):
             word = line.strip()
             if not word:
                 continue
-            if word == UNK_TOKEN:
-                raise EmbeddingParseError(
-                    number, f"word {UNK_TOKEN!r} is reserved for the UNK vector"
-                )
             check_word(word, number)
             words.append(word)
     return words

@@ -50,8 +50,8 @@ class OovLookupError(KeyError):
 class EmbeddingTable:
     """Ordered word -> vector mapping of fixed dimension, immutable once built:
     one read-only (V, d) matrix whose rows are the entries in table order, a
-    word -> row dict, and the word list. vector(), get() and items() hand out
-    views into the matrix."""
+    word -> row dict, and the word list. vector() and items() hand out views
+    into the matrix."""
 
     def __init__(
         self,
@@ -120,10 +120,6 @@ class EmbeddingTable:
 
     def vector(self, word: str) -> np.ndarray:
         return self._matrix[self._rows[word]]
-
-    def get(self, word: str) -> np.ndarray | None:
-        row = self._rows.get(word)
-        return None if row is None else self._matrix[row]
 
     def words(self) -> list[str]:
         """The words in table order: every call returns the same list, which
@@ -315,16 +311,16 @@ class _Rows:
             if not np.isfinite(self.matrix[row]).all():
                 raise EmbeddingParseError(line_no, "value is nan or infinite")
             word = fields[0]
-            check_word(word, line_no)
             if word == UNK_TOKEN:
                 if self.unk is not None:
                     raise EmbeddingParseError(line_no, f"duplicate {UNK_TOKEN} row")
                 self.unk = self.matrix[row].copy()
-            elif word in self.seen:
+                continue
+            check_word(word, line_no)
+            if word in self.seen:
                 raise EmbeddingParseError(line_no, f"duplicate word {word!r}")
-            else:
-                self.seen.add(word)
-                self.words.append(word)
+            self.seen.add(word)
+            self.words.append(word)
 
 
 def read_embeddings(source: IO[str] | str) -> EmbeddingTable:
@@ -367,10 +363,15 @@ def write_embeddings(table: EmbeddingTable, sink: IO[str]) -> None:
 
 def check_word(word: str, line: int | None = None) -> None:
     """Raise ValueError, or an EmbeddingParseError naming the line if one is
-    given, unless word can be written as a row's word."""
-    if not word or " " in word or "\n" in word or "\r" in word:
+    given, unless word can be written as an entry row's word: not the
+    reserved UNK token, which reads back as the table's UNK vector."""
+    if word == UNK_TOKEN:
+        message = f"word {UNK_TOKEN!r} is reserved for the UNK vector"
+    elif not word or " " in word or "\n" in word or "\r" in word:
         message = f"word {word!r} cannot be represented in the text format"
-        raise ValueError(message) if line is None else EmbeddingParseError(line, message)
+    else:
+        return
+    raise ValueError(message) if line is None else EmbeddingParseError(line, message)
 
 
 def lookup(

@@ -7,11 +7,12 @@ explicit NONE class at index 0 for non-POS attributes.
 
 Word representations start from a pre-trained table and differ only in how
 out-of-vocabulary forms are initialized (the four variants below, each a
-lookup_many policy). The training forms' vectors are the rows of one
-trainable matrix, the only rows an archive holds; any other form reads the
-variant's lookup, one batch per call and kept nowhere, so tagging never
-changes the model. The char2tag and both variants append a task-trained
-character BiLSTM output.
+lookup_many policy). A tagger is built from its training forms: their
+vectors are the rows of one trainable matrix, the only rows an archive
+holds; any other form reads the variant's lookup, one batch per call and
+kept nowhere, so tagging never changes the model. The char2tag and both
+variants append a task-trained character BiLSTM output, whose character
+inventory is the training forms' characters.
 
 Training runs on a recording tape. Tagging runs the same forward on a
 grad-free tape, batched per corpus: each distinct form's word vector and
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -153,21 +154,20 @@ class Head:
 class CharToTag(CharBiLstm):
     """Task-trained character BiLSTM appended to each word representation."""
 
-    @property
-    def width(self) -> int:
-        return 2 * self.hidden
-
     def forward_on_tape(self, tape: Tape, word: str) -> Tensor:
-        """The (1, 1, width) encoding of one word."""
+        """The (1, 1, 2 * hidden) encoding of one word."""
         return self.encode(tape, [[self.chars.encode(word)]])
 
 
 class TaggerModel:
     """The sentence BiLSTM and heads over word representations.
 
-    Tagging, sentence_forward and joint_loss read the model and write
-    nothing into it: a form outside the training rows is looked up afresh on
-    every call."""
+    The training forms give the trainable rows (distinct forms, first
+    appearance first) and char2tag's character inventory. With rng, the
+    network is drawn and each row starts from the variant's lookup; without,
+    every parameter is zeros, to be restored. Tagging, sentence_forward and
+    joint_loss read the model and write nothing into it: a form outside the
+    training rows is looked up afresh on every call."""
 
     def __init__(
         self,
@@ -176,18 +176,18 @@ class TaggerModel:
         hidden: int = TaggerTrainConfig.hidden,
         char_dim: int = TaggerTrainConfig.char_dim,
         char_hidden: int = TaggerTrainConfig.char_hidden,
-        c2t_chars: CharVocabulary | None = None,
         rng: np.random.Generator | None = None,
+        forms: Iterable[str] = (),
     ):
         self.schema = schema
         self.rep = rep
         self.hidden = hidden
+        # training form -> row of self.embeddings
+        self.rows = {form: i for i, form in enumerate(dict.fromkeys(forms))}
         self.c2t: CharToTag | None = None
         if rep.uses_char_lstm:
-            if c2t_chars is None:
-                raise ValueError(f"variant {rep.variant!r} needs a character inventory")
-            self.c2t = CharToTag(c2t_chars, char_dim, char_hidden, rng)
-        self.width = rep.table.dim + (self.c2t.width if self.c2t else 0)
+            self.c2t = CharToTag(CharVocabulary.from_words(self.rows), char_dim, char_hidden, rng)
+        self.width = rep.table.dim + (2 * char_hidden if self.c2t else 0)
         self.l1f = LstmCellParams(self.width, hidden, rng)
         self.l1b = LstmCellParams(self.width, hidden, rng)
         self.l2f = LstmCellParams(2 * hidden, hidden, rng)
@@ -197,17 +197,13 @@ class TaggerModel:
             attr: Head(2 * hidden, len(values) + 1, rng)
             for attr, values in schema.attrs.items()
         }
-        self.rows: dict[str, int] = {}  # training form -> row of self.embeddings
-        self.embeddings = Tensor(np.zeros((0, rep.table.dim)))
+        if rng is None:
+            self.embeddings = Tensor(np.zeros((len(self.rows), rep.table.dim)))
+        else:
+            self.embeddings = Tensor(rep.vectors(list(self.rows)))
 
     # ------------------------------------------------------------------
     # word representations
-
-    def init_rows(self, forms: list[str]) -> None:
-        """One trainable row per distinct form, first appearance first, each
-        starting from the table under the variant's backoff policy."""
-        self.rows = {form: i for i, form in enumerate(dict.fromkeys(forms))}
-        self.embeddings = Tensor(self.rep.vectors(list(self.rows)))
 
     def word_vectors(self, forms: list[str]) -> np.ndarray:
         """The forms' (len(forms), d) vectors: a training form's row, else its
@@ -390,9 +386,8 @@ class TaggerModel:
     def load(cls, path: str) -> "TaggerModel":
         manifest, tensors = load_archive(path, expect_kind="tagger")
         meta = manifest["meta"]
-        for name in ("base", "rows"):
-            if name not in tensors:
-                raise ArchiveError(f"{path}: missing tensor {name!r}")
+        if "base" not in tensors:
+            raise ArchiveError(f"{path}: missing tensor 'base'")
         with reading_meta(path):
             table = EmbeddingTable.over(
                 meta["base_words"], tensors["base"], unk=tensors.get("base_unk")
@@ -410,25 +405,19 @@ class TaggerModel:
                 attrs={a: list(v) for a, v in meta["schema"]["attrs"].items()},
                 proportions=dict(meta["schema"]["proportions"]),
             )
-            c2t_chars = meta["c2t_chars"]
             model = cls(
                 schema,
                 WordRepSpec(meta["variant"], table, mimick),
                 hidden=meta["hidden"],
                 char_dim=meta["char_dim"],
                 char_hidden=meta["char_hidden"],
-                c2t_chars=CharVocabulary(c2t_chars) if c2t_chars is not None else None,
+                forms=meta["rows"],
             )
-            restore_parameters(path, model.network_parameters(), tensors)
-            if model.c2t is not None:
-                model.c2t.source = path
-            model.rows = {form: i for i, form in enumerate(meta["rows"])}
-            if tensors["rows"].shape != (len(model.rows), table.dim):
-                raise ArchiveError(
-                    f"{path}: tensor 'rows' has shape {tensors['rows'].shape}, expected "
-                    f"{table.dim} values for each of the {len(model.rows)} forms in meta 'rows'"
-                )
-            model.embeddings = Tensor(tensors["rows"])
+            if meta["c2t_chars"] != (model.c2t.chars.chars if model.c2t else None):
+                raise ValueError("meta 'c2t_chars' are not the characters of meta 'rows'")
+        restore_parameters(path, model.parameters(), tensors)
+        if model.c2t is not None:
+            model.c2t.source = path
         return model
 
 
@@ -523,13 +512,8 @@ def train_tagger(
         raise InputError("empty training split")
     schema = build_schema(train, include_attributes=not cfg.pos_only)
     rng = np.random.default_rng(cfg.seed)
-    c2t_chars = None
-    if rep.uses_char_lstm:
-        c2t_chars = CharVocabulary.from_words(t.form for s in train for t in s.tokens)
-    model = TaggerModel(
-        schema, rep, cfg.hidden, cfg.char_dim, cfg.char_hidden, c2t_chars, rng
-    )
-    model.init_rows([t.form for s in train for t in s.tokens])
+    forms = (t.form for s in train for t in s.tokens)
+    model = TaggerModel(schema, rep, cfg.hidden, cfg.char_dim, cfg.char_hidden, rng, forms)
     optimizer = MomentumSgd(model.parameters(), cfg.lr, cfg.momentum)
 
     trace: list[EpochMetrics] = []

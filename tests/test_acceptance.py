@@ -44,6 +44,8 @@ from spellvec.mimick import (
 )
 from spellvec.nn import Tape, Tensor, gradient_check
 from spellvec.tagger import (
+    MIMICK_VARIANTS,
+    VARIANTS,
     TaggerModel,
     TaggerTrainConfig,
     WordRepSpec,
@@ -105,15 +107,14 @@ def test_1_gradient_fidelity():
             hidden=3,
             char_dim=2,
             char_hidden=3,
-            c2t_chars=CharVocabulary("abdgou") if variant == "both" else None,
             rng=rng,
+            forms=forms,
         )
         tokens = []
         for _ in range(rng.integers(1, 4)):
             attrs = {"Case": ["Acc", "Nom"][rng.integers(0, 2)]} if rng.random() < 0.6 else {}
             tokens.append(Token(forms[rng.integers(0, 3)], pos_tags[rng.integers(0, 2)], attrs))
         sentence = Sentence(tokens)
-        model.init_rows([token.form for token in tokens])
         params = model.parameters()
 
         def forward():
@@ -362,13 +363,18 @@ def test_5_format_round_trips(tmp_path):
     stems = make_stems(rng, 6)
     table = suffix_table(rng, stems, n_suffixes=3, dim=6)
     split = CorpusSplit(suffix_sentences(rng, stems, 6, n_suffixes=3), [], [])
-    tagger, _ = train_tagger(
-        split, WordRepSpec("no-char", table), TaggerTrainConfig(epochs=1, hidden=4, seed=1)
+    spelling = MimickModel(
+        CharVocabulary.from_words(table.words()), dim=6, char_dim=3, hidden=4,
+        rng=np.random.default_rng(4),
     )
-    path_c, path_d = str(tmp_path / "t1"), str(tmp_path / "t2")
-    tagger.save(path_c)
-    TaggerModel.load(path_c).save(path_d)
-    assert (tmp_path / "t1").read_bytes() == (tmp_path / "t2").read_bytes()
+    cfg = TaggerTrainConfig(epochs=1, hidden=4, char_dim=3, char_hidden=3, seed=1)
+    for variant in VARIANTS:
+        rep = WordRepSpec(variant, table, spelling if variant in MIMICK_VARIANTS else None)
+        tagger, _ = train_tagger(split, rep, cfg)
+        path_c, path_d = tmp_path / f"{variant}-1", tmp_path / f"{variant}-2"
+        tagger.save(str(path_c))
+        TaggerModel.load(str(path_c)).save(str(path_d))
+        assert path_c.read_bytes() == path_d.read_bytes(), variant
 
     report(5, "embedding text, CoNLL-U and archives round-trip losslessly", started)
 

@@ -55,7 +55,8 @@ def tiny_table(rng, words, dim=3, with_unk=True):
     return EmbeddingTable(dim, entries, unk=np.zeros(dim) if with_unk else None)
 
 
-def tiny_model(seed=0, dim=3, hidden=3, pos=("A", "B"), attrs=None, words=("aa", "bb", "cc")):
+def tiny_model(seed=0, dim=3, hidden=3, pos=("A", "B"), attrs=None, words=("aa", "bb", "cc"),
+               forms=()):
     rng = np.random.default_rng(seed)
     table = tiny_table(rng, words, dim)
     schema = AttributeSchema(
@@ -64,7 +65,7 @@ def tiny_model(seed=0, dim=3, hidden=3, pos=("A", "B"), attrs=None, words=("aa",
         proportions={a: 0.5 for a in (attrs or {"Case": ["Acc", "Nom"]})},
     )
     rep = WordRepSpec("no-char", table)
-    return TaggerModel(schema, rep, hidden=hidden, rng=rng)
+    return TaggerModel(schema, rep, hidden=hidden, rng=rng, forms=forms)
 
 
 def sentence(*forms_tags):
@@ -267,9 +268,8 @@ class TestJointLoss:
 
     @pytest.mark.parametrize("mode", ["sum", "weighted"])
     def test_gradient_matches_finite_differences(self, mode):
-        model = tiny_model(seed=9)
         s = sentence(("aa", "A", {"Case": "Nom"}), ("bb", "B", {}))
-        model.init_rows([token.form for token in s.tokens])
+        model = tiny_model(seed=9, forms=[token.form for token in s.tokens])
         params = model.parameters()
 
         def forward():
@@ -282,9 +282,8 @@ class TestJointLoss:
 
 class TestVariants:
     def test_the_optimizer_moves_rows_and_network_into_one_store(self):
-        model = tiny_model(seed=4)
+        model = tiny_model(seed=4, forms=["bb", "aa", "bb"])
         network = {k: p.data.copy() for k, p in model.network_parameters().items()}
-        model.init_rows(["bb", "aa", "bb"])
         params = model.parameters()
         MomentumSgd(params, lr=0.1, momentum=0.9)
         store, grads = model.embeddings.data.base, model.embeddings.grad.base
@@ -301,8 +300,8 @@ class TestVariants:
         table = tiny_table(rng, ["aa"], dim=3, with_unk=False)
         mimick = MimickModel(CharVocabulary("abz"), dim=3, char_dim=2, hidden=2, rng=rng)
         schema = AttributeSchema(["A"], {}, {})
-        model = TaggerModel(schema, WordRepSpec("mimick", table, mimick), hidden=2, rng=rng)
-        model.init_rows(["zz", "aa"])
+        model = TaggerModel(schema, WordRepSpec("mimick", table, mimick), hidden=2, rng=rng,
+                            forms=["zz", "aa"])
         assert np.array_equal(model.embeddings.data[model.rows["zz"]], mimick.forward("zz"))
         assert np.array_equal(model.embeddings.data[model.rows["aa"]], table.vector("aa"))
 
@@ -320,9 +319,9 @@ class TestVariants:
         model.word_vectors(["oops"])
         assert calls == [["oops"]]
 
-    def counting_mimick_model(self, monkeypatch):
-        """A mimick-variant model whose table holds only "aa", the word lists
-        its Mimick is asked for, and the unpatched forward_many."""
+    def counting_mimick_model(self, monkeypatch, forms):
+        """A mimick-variant model over forms whose table holds only "aa", the
+        word lists its Mimick is asked for, and the unpatched forward_many."""
         rng = np.random.default_rng(1)
         table = tiny_table(rng, ["aa"], dim=3, with_unk=False)
         mimick = MimickModel(CharVocabulary("az"), dim=3, char_dim=2, hidden=2, rng=rng)
@@ -330,21 +329,21 @@ class TestVariants:
         original = mimick.forward_many
         monkeypatch.setattr(mimick, "forward_many", lambda ws: (calls.append(ws), original(ws))[1])
         model = TaggerModel(AttributeSchema(["A"], {}, {}), WordRepSpec("mimick", table, mimick),
-                            hidden=2, rng=rng)
+                            hidden=2, rng=rng, forms=forms)
         return model, calls, original
 
     def test_tag_infers_the_unseen_forms_of_a_sentence_in_one_call(self, monkeypatch):
-        model, calls, original = self.counting_mimick_model(monkeypatch)
-        model.init_rows(["aa"])
+        model, calls, original = self.counting_mimick_model(monkeypatch, ["aa"])
         s = sentence(("zz", "A", {}), ("aa", "A", {}), ("za", "A", {}), ("zz", "A", {}))
         expected = tape_tags(model, s)
         calls.clear()
         assert tag(model, s) == expected
         assert calls == [["zz", "za"]]
 
-    def test_init_rows_infers_the_forms_outside_the_table_in_one_call(self, monkeypatch):
-        model, calls, original = self.counting_mimick_model(monkeypatch)
-        model.init_rows(["zz", "aa", "za", "zz", "az"])
+    def test_the_rows_infer_the_forms_outside_the_table_in_one_call(self, monkeypatch):
+        model, calls, original = self.counting_mimick_model(
+            monkeypatch, ["zz", "aa", "za", "zz", "az"]
+        )
         assert calls == [["zz", "za", "az"]]
         for form in ("zz", "za", "az"):
             assert np.array_equal(model.embeddings.data[model.rows[form]], original([form])[0])
@@ -369,9 +368,10 @@ class TestVariants:
             hidden=2,
             char_dim=2,
             char_hidden=3,
-            c2t_chars=CharVocabulary("ab"),
             rng=rng,
+            forms=["aa", "bb"],
         )
+        assert model.c2t.chars.chars == ["a", "b"]
         assert model.width == 3 + 6
         states = sentence_forward(model, sentence(("aa", "A", {})))
         assert states[0].shape == (4,)
@@ -385,8 +385,8 @@ class TestVariants:
             hidden=2,
             char_dim=2,
             char_hidden=3,
-            c2t_chars=CharVocabulary("ab"),
             rng=rng,
+            forms=["a", "aba"],
         )
         c2t = model.c2t
 
@@ -424,8 +424,8 @@ class TestVariants:
             hidden=2,
             char_dim=20,
             char_hidden=128,
-            c2t_chars=CharVocabulary("abcdefg"),
             rng=rng,
+            forms=list("abcdefg"),
         )
         # 1-15 characters with repeats; X and Y are unseen
         forms = ["".join(rng.choice(list("abcdefgXY"), size=int(n)))
@@ -566,14 +566,6 @@ class TestTraining:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TaggerTrainConfig(**setting)
 
-    @pytest.mark.parametrize("variant", ["char2tag", "both"])
-    def test_a_char2tag_model_needs_a_character_inventory(self, variant):
-        rng = np.random.default_rng(6)
-        rep = WordRepSpec(variant, tiny_table(rng, ["aa"]), MimickModel(CharVocabulary("a"), 3))
-        schema = AttributeSchema(pos=["A"], attrs={}, proportions={})
-        with pytest.raises(ValueError, match=f"^variant '{variant}' needs a character inventory$"):
-            TaggerModel(schema, rep, hidden=2, rng=rng)
-
     def test_empty_train_split_rejected(self):
         table = EmbeddingTable(2, [("x", np.zeros(2))], unk=np.zeros(2))
         with pytest.raises(ValueError):
@@ -641,6 +633,35 @@ class TestTraining:
         del tensors[name]
         save_archive(path, "tagger", manifest["meta"], tensors)
         with pytest.raises(ArchiveError, match=f"^{re.escape(path)}: missing tensor '{name}'$"):
+            TaggerModel.load(path)
+
+    def test_a_rows_tensor_of_another_length_than_meta_rows_names_the_file(self, tmp_path):
+        path = str(tmp_path / "tagger.svm")
+        tiny_model(forms=["aa", "bb"]).save(path)
+        manifest, tensors = load_archive(path)
+        save_archive(path, "tagger", {**manifest["meta"], "rows": ["aa"]}, tensors)
+        message = f"{path}: tensor 'rows' has shape (2, 3), expected (1, 3)"
+        with pytest.raises(ArchiveError, match=f"^{re.escape(message)}$"):
+            TaggerModel.load(path)
+
+    @pytest.mark.parametrize("variant, change", [
+        ("char2tag", {"c2t_chars": ["a", "b", "c"]}),
+        ("char2tag", {"rows": ["aa", "bc"]}),
+        ("no-char", {"c2t_chars": ["a", "b"]}),
+    ], ids=["char-added", "rows-changed", "no-char-with-chars"])
+    def test_c2t_chars_other_than_the_rows_characters_name_the_file(
+        self, tmp_path, variant, change
+    ):
+        rng = np.random.default_rng(5)
+        rep = WordRepSpec(variant, tiny_table(rng, ["aa"]))
+        model = TaggerModel(AttributeSchema(["A"], {}, {}), rep, hidden=2, char_dim=2,
+                            char_hidden=2, rng=rng, forms=["aa", "bb"])
+        path = str(tmp_path / "tagger.svm")
+        model.save(path)
+        manifest, tensors = load_archive(path)
+        save_archive(path, "tagger", {**manifest["meta"], **change}, tensors)
+        message = "meta 'c2t_chars' are not the characters of meta 'rows'"
+        with pytest.raises(ArchiveError, match=f"^{re.escape(path)}: .*{message}$"):
             TaggerModel.load(path)
 
     def test_loaded_base_table_is_the_saved_base_tensor(self, tmp_path):
@@ -846,8 +867,7 @@ class TestTrainedRows:
         original = mimick.forward_many
         monkeypatch.setattr(mimick, "forward_many", lambda ws: (calls.append(ws), original(ws))[1])
         model = TaggerModel(AttributeSchema(["A"], {}, {}), WordRepSpec("mimick", table, mimick),
-                            hidden=2, rng=rng)
-        model.init_rows(["aa"])
+                            hidden=2, rng=rng, forms=["aa"])
         s = sentence(("zz", "A", {}), ("aa", "A", {}), ("zz", "A", {}))
         assert tag(model, s) == tag(model, s)
         assert calls == [["zz"], ["zz"]]
@@ -895,11 +915,8 @@ def mixed_corpus_model(variant, seed=21):
     if variant in ("mimick", "both"):
         mimick = MimickModel(CharVocabulary.from_words(table.words()), dim=8, rng=rng)
     forms = [t.form for s in train for t in s.tokens]
-    model = TaggerModel(
-        build_schema(train), WordRepSpec(variant, table, mimick),
-        c2t_chars=CharVocabulary.from_words(forms), rng=rng,
-    )
-    model.init_rows(forms)
+    model = TaggerModel(build_schema(train), WordRepSpec(variant, table, mimick), rng=rng,
+                        forms=forms)
     return model, corpus
 
 
