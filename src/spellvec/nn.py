@@ -39,15 +39,23 @@ class DimensionError(ValueError):
     """Shapes of an operation's inputs do not conform."""
 
 
+def _paged_zeros_like(a: np.ndarray) -> np.ndarray:
+    """Zeros of float64 a's shape: from a page up an anonymous memory map, whose
+    pages the OS maps on first write (np.zeros may clear freed heap pages)."""
+    if a.nbytes < mmap.PAGESIZE:
+        return np.zeros(a.shape)
+    return np.frombuffer(mmap.mmap(-1, a.nbytes), count=a.size).reshape(a.shape)
+
+
 class Tensor:
-    """A float64 array paired with a gradient accumulator of the same shape,
-    or with none (grad None) for grad=False."""
+    """A float64 array and a gradient accumulator of its shape, mapped on
+    write from a page up (_paged_zeros_like), or none (grad None) for grad=False."""
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data, grad: bool = True):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros(self.data.shape) if grad else None
+        self.grad = _paged_zeros_like(self.data) if grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -572,9 +580,9 @@ class MomentumSgd:
 
     Building the optimizer moves the parameters into one flat store (see
     flatten), which zeroes their gradients. It keeps the store's data and
-    gradient buffers and one velocity buffer: zero_grad is one fill, and step
-    runs over the store in blocks of STEP_BLOCK floats, with the elementwise
-    arithmetic of a per-tensor step.
+    gradient buffers and one velocity buffer, ordinary memory written at once:
+    zero_grad is one fill, and step runs over the store in blocks of
+    STEP_BLOCK floats, with the elementwise arithmetic of a per-tensor step.
 
     Each owner tensor is moved once, so memory that several parameters name
     (a gate view and its w, or one tensor under two names) is stepped once.
@@ -593,9 +601,11 @@ class MomentumSgd:
         self._scratch = np.empty(min(STEP_BLOCK, self._data.size))
 
     def zero_grad(self) -> None:
+        self._require_store()
         self._grad.fill(0.0)
 
     def step(self) -> None:
+        self._require_store()
         for start in range(0, self._data.size, STEP_BLOCK):
             v = self._velocity[start : start + STEP_BLOCK]
             lr_grad = self._scratch[: v.size]
@@ -605,18 +615,17 @@ class MomentumSgd:
             self._data[start : start + STEP_BLOCK] -= v
 
     def release(self) -> None:
-        """Give every moved tensor a fresh zero gradient (a gate view reads its
-        parent's) and drop the flat gradient, velocity and scratch buffers.
-        The optimizer cannot step again; a new MomentumSgd over the
-        parameters moves them anew.
-
-        Each gradient is an anonymous memory map, whose pages the OS maps
-        only when written: np.zeros may take heap memory that training freed
-        and clear it, which keeps as many pages resident as were released."""
+        """Give every moved tensor a fresh zero gradient of its own, mapped on
+        write from a page up as a new Tensor's (a gate view reads its parent's),
+        and drop the flat gradient, velocity and scratch buffers; step and
+        zero_grad then raise, and a new MomentumSgd moves the parameters anew."""
         for t in self._owners:
-            pages = mmap.mmap(-1, max(t.data.nbytes, 1))
-            t.grad = np.frombuffer(pages, count=t.data.size).reshape(t.data.shape)
-        del self._grad, self._velocity, self._scratch, self._owners
+            t.grad = _paged_zeros_like(t.data)
+        self._grad = self._velocity = self._scratch = self._owners = None
+
+    def _require_store(self) -> None:
+        if self._grad is None:
+            raise ValueError("the optimizer was released: build a new MomentumSgd to train again")
 
 
 # ----------------------------------------------------------------------

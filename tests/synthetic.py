@@ -7,6 +7,9 @@ suffix class plus per-word noise, which makes spelling-to-vector inference
 learnable and informative for tagging unseen stems.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 
 from spellvec.conllu import Sentence, Token
@@ -148,18 +151,38 @@ def naive_lstm(cell, x, h, c):
 
 
 def assert_gradients_released(params):
-    """What training leaves: every gradient is zero, and each tensor that
-    holds parameter memory (a gate view's parent, else the parameter) keeps a
-    gradient whose memory is its own, not a view of a larger buffer such as
-    an optimizer's flat gradient store."""
+    """What training or loading leaves: every gradient is zero, and each
+    tensor that holds parameter memory (a gate view's parent, else the
+    parameter) keeps a writable gradient whose memory is its own, not a view
+    of a larger buffer such as an optimizer's flat gradient store, and shared
+    with no other tensor's data or gradient."""
     for name, p in params.items():
         assert not np.any(p.grad), name
     owners = {id(t): t for t in (getattr(p, "parent", p) for p in params.values())}
+    arrays = [a for t in owners.values() for a in (t.data, t.grad)]
     for t in owners.values():
         memory = t.grad
         while isinstance(memory, np.ndarray) and memory.base is not None:
             memory = memory.base
         assert t.grad.shape == t.data.shape and memory.nbytes == t.grad.nbytes, t
-    grads = [t.grad for t in owners.values()]
-    for i, a in enumerate(grads):
-        assert not any(np.shares_memory(a, b) for b in grads[i + 1 :])
+        assert t.grad.flags.writeable, t
+        # the one array it shares memory with is itself
+        assert sum(np.shares_memory(t.grad, a) for a in arrays) == 1, t
+
+
+def traced_bytes(build):
+    """What build() returns, and the bytes of heap memory (numpy's and
+    Python's) it leaves allocated as tracemalloc counts them: an anonymous
+    memory map is not traced."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -1,11 +1,12 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from synthetic import naive_lstm
+from synthetic import assert_gradients_released, naive_lstm, traced_bytes
 from spellvec import nn
 from spellvec.nn import (
     DimensionError,
@@ -326,6 +327,107 @@ class TestMomentumSgd:
             assert np.array_equal(view.data, start[3 * k : 3 * k + 3] - 0.5), gate
         opt.zero_grad()
         assert not np.any(cell.w.grad) and not np.any(cell.w_i.grad)
+
+    def test_release_gives_every_moved_tensor_a_zero_gradient_of_its_own(self):
+        rng = np.random.default_rng(18)
+        cell, p = LstmCellParams(8, 8, rng), Tensor(rng.normal(size=3))
+        params = {**cell.parameters(), "p": p}
+        opt = MomentumSgd(params, lr=0.1, momentum=0.9)
+        cell.w.grad[...] = cell.b.grad[...] = p.grad[...] = 1.0
+        opt.step()
+        stepped = {k: t.data.copy() for k, t in params.items()}
+        opt.release()
+        assert_gradients_released(params)
+        for k, t in params.items():
+            assert np.array_equal(t.data, stepped[k]), k
+        # a gate view reads its parent's new gradient
+        cell.w.grad[8:16] = 2.0
+        assert np.all(cell.w_f.grad == 2.0) and not np.any(cell.w_i.grad)
+        # from a page up the gradient is mapped; below, plain memory
+        assert cell.w.grad.nbytes >= mmap.PAGESIZE and mapped(cell.w.grad)
+        assert cell.b.grad.base is None and p.grad.base is None
+
+    def test_a_new_optimizer_over_released_parameters_steps_as_a_fresh_one(self):
+        released, fresh = (LstmCellParams(8, 8, np.random.default_rng(19)) for _ in range(2))
+        MomentumSgd(released.parameters(), lr=0.1, momentum=0.9).release()
+        optimizers = [MomentumSgd(c.parameters(), lr=0.1, momentum=0.9) for c in (released, fresh)]
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            grads = [rng.normal(size=t.shape) for t in (fresh.w, fresh.b)]
+            for cell, opt in zip((released, fresh), optimizers):
+                opt.zero_grad()
+                cell.w.grad[...], cell.b.grad[...] = grads
+                opt.step()
+        for t, u in ((released.w, fresh.w), (released.b, fresh.b)):
+            assert t.data.tobytes() == u.data.tobytes()
+
+    def test_step_and_zero_grad_after_release_raise_a_value_error(self):
+        opt = MomentumSgd({"p": Tensor([1.0, 2.0])}, lr=0.1, momentum=0.9)
+        opt.release()
+        for call in (opt.step, opt.zero_grad):
+            with pytest.raises(ValueError, match="^the optimizer was released"):
+                call()
+
+
+def mapped(a):
+    """Whether an array's memory is an anonymous memory map."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return isinstance(a.base, memoryview) and isinstance(a.base.obj, mmap.mmap)
+
+
+class TestPagedGradients:
+    """A tensor's own gradient takes memory only where it is written: from a
+    page up it is an anonymous memory map, below a page np.zeros."""
+
+    def test_a_page_or_more_is_mapped_and_less_is_plain_zeros(self):
+        page = mmap.PAGESIZE // 8
+        for shape, expected in (((page,), True), ((page - 1,), False), ((2, page // 2), True),
+                                ((), False), ((0, 3), False)):
+            t = Tensor(np.ones(shape))
+            assert mapped(t.grad) == expected, shape
+            assert t.grad.shape == shape and not np.any(t.grad) and t.grad.flags.writeable
+        assert Tensor(np.ones(page), grad=False).grad is None
+
+    def test_building_a_cell_adds_its_data_bytes_not_twice_that(self):
+        cell, grown = traced_bytes(lambda: LstmCellParams(256, 128))
+        data = cell.w.data.nbytes + cell.b.data.nbytes
+        assert data <= grown < 1.25 * data, (grown, data)
+        assert_gradients_released(cell.parameters())
+
+    def test_bilstm_gradient_check_accumulates_into_mapped_gradients(self):
+        # each weight (32, input + 8) is a page: LstmCellParams(8, 8) on 4 KiB pages
+        n = mmap.PAGESIZE // 256 - 8
+        rng = np.random.default_rng(21)
+        fwd, bwd = LstmCellParams(n, 8, rng), LstmCellParams(n, 8, rng)
+        params = bilstm_params(fwd, bwd)
+        params["xs"] = Tensor(rng.normal(size=(1, 3, n)))
+        assert mapped(fwd.w.grad) and mapped(bwd.w.grad)
+
+        def forward():
+            t = Tape()
+            return t, t.sum_squares(t.bilstm(fwd, bwd, [params["xs"]])[0])
+
+        report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
+        assert report.passed, report
+        assert mapped(fwd.w.grad) and np.any(fwd.w.grad)
+
+    def test_head_gradient_check_accumulates_into_a_mapped_gradient(self):
+        from spellvec.tagger import Head
+
+        rng = np.random.default_rng(22)
+        head = Head(mmap.PAGESIZE // 32, 4, rng)  # w_h (4, in_width) is a page
+        head.b_h.data[...] = rng.normal(size=4)
+        params = {**head.parameters("head."), "h": Tensor(rng.normal(size=(1, 3, head.w_h.shape[1])))}
+        assert mapped(head.w_h.grad)
+
+        def forward():
+            t = Tape()
+            return t, t.sum_squares(head.logits(t, params["h"]))
+
+        report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
+        assert report.passed, report
+        assert mapped(head.w_h.grad) and np.any(head.w_h.grad)
 
 
 def one_store(params):

@@ -11,6 +11,7 @@ from synthetic import (
     naive_lstm,
     suffix_sentences,
     suffix_table,
+    traced_bytes,
 )
 from spellvec.archive import ArchiveError, load_archive, save_archive
 from spellvec import tagger as tagger_module
@@ -753,6 +754,16 @@ class TestTrainedModelMemory:
         assert np.any(model.embeddings.grad)
         for name in ("rows", "c2t.fwd.w_i", "head.POS.w_h"):
             assert not np.array_equal(params[name].data, before[name]), name
+
+    def test_loading_a_tagger_adds_its_data_bytes_not_twice_that(self, tmp_path):
+        path = str(tmp_path / "tagger.svm")
+        tiny_model(hidden=64, forms=("aa", "bb")).save(path)
+        model, grown = traced_bytes(lambda: TaggerModel.load(path))
+        params = model.parameters()
+        owners = {id(t): t for t in (getattr(p, "parent", p) for p in params.values())}
+        data = sum(t.data.nbytes for t in owners.values()) + model.rep.table.matrix().nbytes
+        assert data <= grown < 1.25 * data, (grown, data)
+        assert_gradients_released(params)
 
 
 class TestTrainedRows:
