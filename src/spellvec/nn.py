@@ -11,7 +11,6 @@ A grad-free Tape runs the same operations and records nothing.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 
@@ -39,23 +38,26 @@ class DimensionError(ValueError):
     """Shapes of an operation's inputs do not conform."""
 
 
-def _paged_zeros_like(a: np.ndarray) -> np.ndarray:
-    """Zeros of float64 a's shape: from a page up an anonymous memory map, whose
-    pages the OS maps on first write (np.zeros may clear freed heap pages)."""
-    if a.nbytes < mmap.PAGESIZE:
-        return np.zeros(a.shape)
-    return np.frombuffer(mmap.mmap(-1, a.nbytes), count=a.size).reshape(a.shape)
-
-
 class Tensor:
-    """A float64 array and a gradient accumulator of its shape, mapped on
-    write from a page up (_paged_zeros_like), or none (grad None) for grad=False."""
+    """A float64 array and a gradient of its shape that holds no memory until
+    it is first read or written: the grad property then allocates np.zeros,
+    the only code that allocates a tensor's own gradient."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "_grad")
 
-    def __init__(self, data, grad: bool = True):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = _paged_zeros_like(self.data) if grad else None
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros(self.data.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,9 +96,9 @@ class Tape:
 
     A recording tape serves one forward pass. Tapes are per-thread and never
     shared. A Tape(grad=False) computes the same operations with the same
-    bits, but records nothing and builds its outputs without gradient
-    buffers (as torch.no_grad does): inference runs the training forward on
-    one.
+    bits, but records nothing (as torch.no_grad does): inference runs the
+    training forward on one. No output is born with a gradient buffer; on a
+    recording tape the backward pass allocates each one it writes.
     """
 
     def __init__(self, grad: bool = True):
@@ -109,7 +111,7 @@ class Tape:
     def _emit(self, data: np.ndarray, backward) -> Tensor:
         # an operation's output is already float64: Tensor()'s np.asarray would only cost
         out = Tensor.__new__(Tensor)
-        out.data, out.grad = data, np.zeros(data.shape) if self.grad else None
+        out.data, out._grad = data, None
         if self.grad:
             self._records.append((out, backward))
         return out
@@ -615,12 +617,12 @@ class MomentumSgd:
             self._data[start : start + STEP_BLOCK] -= v
 
     def release(self) -> None:
-        """Give every moved tensor a fresh zero gradient of its own, mapped on
-        write from a page up as a new Tensor's (a gate view reads its parent's),
-        and drop the flat gradient, velocity and scratch buffers; step and
-        zero_grad then raise, and a new MomentumSgd moves the parameters anew."""
+        """Drop every moved tensor's gradient, allocated anew as its own zeros
+        when next used (a gate view reads its parent's), and the flat gradient,
+        velocity and scratch buffers; step and zero_grad then raise, and a new
+        MomentumSgd moves the parameters anew."""
         for t in self._owners:
-            t.grad = _paged_zeros_like(t.data)
+            t.grad = None
         self._grad = self._velocity = self._scratch = self._owners = None
 
     def _require_store(self) -> None:

@@ -277,7 +277,7 @@ class TaggerModel:
         if self.c2t is not None:
             reps = np.concatenate([reps, self.c2t.encode_many(distinct)], axis=1)
         for groups in length_slices([len(t) for t in tokens], TAG_SLICE):
-            layer_input = [Tensor(reps[[ids[i] for i in g]], grad=False) for g in groups]
+            layer_input = [Tensor(reps[[ids[i] for i in g]]) for g in groups]
             yield from zip(groups, self.sentence_layers(tape, layer_input))
 
     # ------------------------------------------------------------------
@@ -438,7 +438,7 @@ def attribute_distribution(model: TaggerModel, h: np.ndarray, attr: str) -> np.n
     else:
         raise SchemaError(f"unknown attribute {attr!r}")
     # shifted so the largest logit is 0: exp cannot overflow, and the sum is >= 1
-    logits = head.logits(Tape(grad=False), Tensor(h, grad=False)).data
+    logits = head.logits(Tape(grad=False), Tensor(h)).data
     shifted = logits - logits.max()
     e = np.exp(shifted)
     return e / e.sum()

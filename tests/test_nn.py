@@ -1,5 +1,4 @@
 import math
-import mmap
 
 import numpy as np
 import pytest
@@ -337,15 +336,14 @@ class TestMomentumSgd:
         opt.step()
         stepped = {k: t.data.copy() for k, t in params.items()}
         opt.release()
+        # no gradient is held until one is next used
+        assert all(t._grad is None for t in (cell.w, cell.b, p))
         assert_gradients_released(params)
         for k, t in params.items():
             assert np.array_equal(t.data, stepped[k]), k
         # a gate view reads its parent's new gradient
         cell.w.grad[8:16] = 2.0
         assert np.all(cell.w_f.grad == 2.0) and not np.any(cell.w_i.grad)
-        # from a page up the gradient is mapped; below, plain memory
-        assert cell.w.grad.nbytes >= mmap.PAGESIZE and mapped(cell.w.grad)
-        assert cell.b.grad.base is None and p.grad.base is None
 
     def test_a_new_optimizer_over_released_parameters_steps_as_a_fresh_one(self):
         released, fresh = (LstmCellParams(8, 8, np.random.default_rng(19)) for _ in range(2))
@@ -369,25 +367,22 @@ class TestMomentumSgd:
                 call()
 
 
-def mapped(a):
-    """Whether an array's memory is an anonymous memory map."""
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return isinstance(a.base, memoryview) and isinstance(a.base.obj, mmap.mmap)
+class TestLazyGradients:
+    """A tensor's own gradient holds no memory until it is first read or
+    written; Tensor.grad then allocates np.zeros of the data's shape."""
 
-
-class TestPagedGradients:
-    """A tensor's own gradient takes memory only where it is written: from a
-    page up it is an anonymous memory map, below a page np.zeros."""
-
-    def test_a_page_or_more_is_mapped_and_less_is_plain_zeros(self):
-        page = mmap.PAGESIZE // 8
-        for shape, expected in (((page,), True), ((page - 1,), False), ((2, page // 2), True),
-                                ((), False), ((0, 3), False)):
-            t = Tensor(np.ones(shape))
-            assert mapped(t.grad) == expected, shape
-            assert t.grad.shape == shape and not np.any(t.grad) and t.grad.flags.writeable
-        assert Tensor(np.ones(page), grad=False).grad is None
+    def test_a_tensor_of_less_than_a_page_adds_no_gradient_bytes(self):
+        x = np.arange(500.0)
+        t, grown = traced_bytes(lambda: Tensor(x))
+        # the Tensor object (48 bytes on 64-bit CPython), where a zero gradient
+        # of 500 floats would add 4,000 more; the rest of the process may
+        # allocate a little between the two counts
+        assert grown < 1000, grown
+        g = t.grad
+        assert g.shape == x.shape and not np.any(g) and g.flags.writeable
+        assert g.flags.owndata and t.grad is g
+        g[0] = 1.0
+        assert t.grad[0] == 1.0 and t.data[0] == 0.0
 
     def test_building_a_cell_adds_its_data_bytes_not_twice_that(self):
         cell, grown = traced_bytes(lambda: LstmCellParams(256, 128))
@@ -395,14 +390,13 @@ class TestPagedGradients:
         assert data <= grown < 1.25 * data, (grown, data)
         assert_gradients_released(cell.parameters())
 
-    def test_bilstm_gradient_check_accumulates_into_mapped_gradients(self):
-        # each weight (32, input + 8) is a page: LstmCellParams(8, 8) on 4 KiB pages
-        n = mmap.PAGESIZE // 256 - 8
+    def test_bilstm_gradient_check_accumulates_into_page_sized_gradients(self):
+        # each weight (32, 16) is 4 KiB
         rng = np.random.default_rng(21)
-        fwd, bwd = LstmCellParams(n, 8, rng), LstmCellParams(n, 8, rng)
+        fwd, bwd = LstmCellParams(8, 8, rng), LstmCellParams(8, 8, rng)
         params = bilstm_params(fwd, bwd)
-        params["xs"] = Tensor(rng.normal(size=(1, 3, n)))
-        assert mapped(fwd.w.grad) and mapped(bwd.w.grad)
+        params["xs"] = Tensor(rng.normal(size=(1, 3, 8)))
+        assert fwd.w.data.nbytes == 4096
 
         def forward():
             t = Tape()
@@ -410,16 +404,16 @@ class TestPagedGradients:
 
         report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
         assert report.passed, report
-        assert mapped(fwd.w.grad) and np.any(fwd.w.grad)
+        assert np.any(fwd.w.grad) and np.any(bwd.w.grad)
 
-    def test_head_gradient_check_accumulates_into_a_mapped_gradient(self):
+    def test_head_gradient_check_accumulates_into_a_page_sized_gradient(self):
         from spellvec.tagger import Head
 
         rng = np.random.default_rng(22)
-        head = Head(mmap.PAGESIZE // 32, 4, rng)  # w_h (4, in_width) is a page
+        head = Head(128, 4, rng)  # w_h (4, in_width) is 4 KiB
         head.b_h.data[...] = rng.normal(size=4)
         params = {**head.parameters("head."), "h": Tensor(rng.normal(size=(1, 3, head.w_h.shape[1])))}
-        assert mapped(head.w_h.grad)
+        assert head.w_h.data.nbytes == 4096
 
         def forward():
             t = Tape()
@@ -427,7 +421,32 @@ class TestPagedGradients:
 
         report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
         assert report.passed, report
-        assert mapped(head.w_h.grad) and np.any(head.w_h.grad)
+        assert np.any(head.w_h.grad)
+
+    def test_a_backward_into_fresh_gradients_has_the_bits_of_one_into_zeroed_ones(self):
+        # three first writes through a view: Tape.bilstm's input gradient
+        # (xs.grad[0]), Tape.take's np.add.at into the embedding, and the
+        # gate views' parents under lstm_step's affines
+        def run(zeroed):
+            rng = np.random.default_rng(23)
+            emb = Tensor(rng.normal(size=(6, 3)))
+            fwd, bwd, cell = LstmCellParams(3, 4, rng), LstmCellParams(3, 4, rng), LstmCellParams(8, 4, rng)
+            h0, c0 = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+            leaves = [emb, fwd.w, fwd.b, bwd.w, bwd.b, cell.w, cell.b, h0, c0]
+            if zeroed:
+                for t in leaves:
+                    t.zero_grad()
+            tape = Tape()
+            xs = tape.take(emb, np.array([[2, 0, 2, 5]]))  # row 2 twice
+            (states,) = tape.bilstm(fwd, bwd, [xs])
+            h, c = lstm_step(tape, cell, tape.take(states, (0, -1)), h0, c0)
+            tape.backward(tape.add(tape.sum_squares(h), tape.sum(tape.tanh(c))))
+            return [t.grad for t in leaves] + [cell.w_f.grad, cell.b_c.grad]
+
+        fresh, zeroed = run(False), run(True)
+        assert all(np.any(g) for g in fresh)
+        for a, b in zip(fresh, zeroed):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def one_store(params):
@@ -560,7 +579,7 @@ def recorded_states(fwd, bwd, x):
 
 def packed_states(fwd, bwd, sequences, groups):
     """Tape.bilstm's grad-free states over the sequences in groups."""
-    inputs = [Tensor(np.stack([sequences[i] for i in g]), grad=False) for g in groups]
+    inputs = [Tensor(np.stack([sequences[i] for i in g])) for g in groups]
     return [s.data for s in Tape(grad=False).bilstm(fwd, bwd, inputs)]
 
 
@@ -885,15 +904,25 @@ class TestGradFreeTape:
     def test_records_nothing_and_builds_no_gradient_buffers(self):
         rng = np.random.default_rng(30)
         cell = LstmCellParams(3, 2, rng)
-        w, b, x = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=2)), Tensor(rng.normal(size=(1, 5, 3)))
+        w, b, x = Tensor(rng.normal(size=(20, 4))), Tensor(rng.normal(size=20)), Tensor(rng.normal(size=(1, 50, 3)))
         tape = Tape(grad=False)
-        (states,) = tape.bilstm(cell, cell, [x])
-        outputs = [states, tape.affine(w, states, b)]
-        outputs.append(tape.log_softmax(tape.tanh(outputs[-1])))
-        outputs.append(tape.concat([outputs[-1], outputs[0]]))
-        outputs.append(tape.sum_squares(tape.take(tape.take(w, np.array([[1, 0]])), (0, 1))))
+
+        def grad_free_pass():
+            (states,) = tape.bilstm(cell, cell, [x])
+            outputs = [states, tape.affine(w, states, b)]
+            outputs.append(tape.log_softmax(tape.tanh(outputs[-1])))
+            outputs.append(tape.concat([outputs[-1], outputs[0]]))
+            outputs.append(tape.sum_squares(tape.take(tape.take(w, np.array([[1, 0]])), (0, 1))))
+            return outputs
+
+        grad_free_pass()  # numpy's first calls may cache
+        outputs, grown = traced_bytes(grad_free_pass)
         assert len(tape) == 0
-        assert all(out.grad is None for out in outputs)
+        # the outputs' values and object headers, and no gradient buffers
+        data = sum(out.data.nbytes for out in outputs)
+        assert data <= grown < data + 2048, (grown, data)
+        _, allocated = traced_bytes(lambda: [out.grad for out in outputs])
+        assert allocated >= data
         with pytest.raises(ValueError, match="no record to replay"):
             tape.backward(outputs[-1])
 
