@@ -8,8 +8,11 @@ then runs, with fixed seeds: train-mimick (archive and trace), infer, nn
 --model, nn on an in-vocabulary word at --k 1 and at --k the table's row
 count (where nearest_neighbors' float32 screen keeps every row),
 train-tagger for each of the four variants (archives and traces), tag and
-eval, and one train-tagger run with --loss weighted (which scales each
-attribute's loss by a constant) and its tag. Standard output is kept as
+eval, one train-tagger run with --loss weighted (which scales each
+attribute's loss by a constant) and its tag, and a char2tag tagger at
+--char-hidden 128 whose tag run is wide enough to step the char BiLSTM's
+two directions on two threads when the process may use two CPUs (see
+Tape.bilstm), and its tag. Standard output is kept as
 NAME.stdout; stderr is not kept.
 Every path it passes is relative to OUTDIR, so outputs do not depend on
 where OUTDIR is.
@@ -101,6 +104,15 @@ def main_script(outdir: str) -> None:
         run(f"eval-{variant}", ["eval", "inputs/test.conllu", f"tagged-{variant}.conllu",
                                 "--train", "inputs/train.conllu",
                                 "--compare", "tagged-no-char.conllu"])
+    # tagging encodes the test split's 33 distinct forms in one grad-free pass of the
+    # char2tag BiLSTM; at char hidden 128 its mat-vecs read 1.71M recurrent weight
+    # floats a step, above nn.TWO_THREAD_FLOATS, so on two CPUs its forward direction
+    # steps on a second thread
+    run("train-tagger-wide", [
+        "train-tagger", "--train", "inputs/train.conllu", "--embeddings", emb,
+        "--out", "tagger-wide.svm", "--variant", "char2tag", *TAGGER_FLAGS, "--char-hidden", "128",
+    ])
+    run("tag-wide", ["tag", "tagger-wide.svm", "inputs/test.conllu", "tagged-wide.conllu"])
     run("train-tagger-weighted", [
         "train-tagger", "--train", "inputs/train.conllu", "--dev", "inputs/dev.conllu",
         "--embeddings", emb, "--out", "tagger-weighted.svm", "--variant", "both",

@@ -290,7 +290,7 @@ def train_mimick(
                 ]
             tape = Tape()
             out = model.forward_on_tape(tape, [[indices]])
-            loss = tape.sum_squares(tape.sub(out, Tensor(table.vector(word)[None, None])))
+            loss = tape.sum_squares(tape.sub(out, table.vector(word)[None, None]))
             value = float(loss.data)
             if not math.isfinite(value):
                 raise ValueError(f"epoch {epoch}: loss {value} on word {word!r}; training diverged")

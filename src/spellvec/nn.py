@@ -11,6 +11,8 @@ A grad-free Tape runs the same operations and records nothing.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 
@@ -139,12 +141,18 @@ class Tape:
 
         return self._emit(a.data + b.data, backward)
 
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
+    def sub(self, a: Tensor, b) -> Tensor:
+        """a - b for b a tensor of a's shape, or a constant array of a's shape
+        (a training target), which takes no gradient."""
+        constant = not isinstance(b, Tensor)
+        if constant:
+            b = Tensor(b)
         _require_same_shape("sub", a, b)
 
         def backward(g):
             a.grad += g
-            b.grad -= g
+            if not constant:
+                b.grad -= g
 
         return self._emit(a.data - b.data, backward)
 
@@ -252,6 +260,14 @@ class Tape:
         sequences still running, as PyTorch's pack_padded_sequence does, so
         a sequence has the same bits whatever else is in the batch.
 
+        A grad-free pass steps both directions at once, on this thread. A
+        wide one, whose mat-vecs read at least TWO_THREAD_FLOATS recurrent
+        weight floats a step in one direction (the sum of the lengths times
+        4 * hidden**2 over the longest length), in a process that may run on
+        two or more CPUs, steps fwd on a fresh worker thread and bwd on this
+        one, with the same mat-vecs: the states have the same bits either
+        way, and nothing sets it.
+
         A recording tape takes one group of one sequence, as one record that
         keeps every step's gates. Its backward pass is hand-written
         backpropagation through time over both directions at once, with one
@@ -274,11 +290,24 @@ class Tape:
             longest = s[1]
         if self.grad and (len(shapes) != 1 or shapes[0][0] != 1):
             raise DimensionError(f"bilstm: a recording tape takes one sequence, got {shapes}")
-        steps = shapes[0][1]
-        # after each step: sigmoid(i, f, o), tanh(candidate), the cell state and its tanh
-        history = np.zeros((steps + 1, 6, 1, 2, h)) if self.grad else None
-        hs = _bilstm_sweep(fwd, bwd, [g.data for g in groups], history)
-        starts, by_sequence = [0, *accumulate(s[0] for s in shapes)], hs.swapaxes(0, 1)
+        steps, arrays = shapes[0][1], [g.data for g in groups]
+        starts = [0, *accumulate(s[0] for s in shapes)]
+        # the pass's buffers come from the calling thread, whichever thread steps a direction
+        hs, pre = np.zeros((steps + 1, starts[-1], 2, h)), np.empty((starts[-1], steps, 2, 4 * h))
+        if self.grad:
+            # after each step: sigmoid(i, f, o), tanh(candidate), the cell state and its tanh
+            history = np.zeros((steps + 1, 6, 1, 2, h))
+            _bilstm_sweep(fwd, bwd, arrays, pre, hs, history=history)
+        # a wide pass: its mat-vecs read at least TWO_THREAD_FLOATS recurrent weight
+        # floats a step in one direction, on average
+        elif (
+            4 * h * h * sum(b * L for b, L, _ in shapes) >= TWO_THREAD_FLOATS * steps
+            and _cpus() > 1
+        ):
+            _sweep_on_two_threads(fwd, bwd, arrays, pre, hs)
+        else:
+            _bilstm_sweep(fwd, bwd, arrays, pre, hs)
+        by_sequence = hs.swapaxes(0, 1)
         # row 0 of hs is the zero start state; bwd's step t read input row L - 1 - t
         states = [
             np.concatenate([by_sequence[a:b, 1 : L + 1, 0], by_sequence[a:b, L:0:-1, 1]], axis=-1)
@@ -506,49 +535,61 @@ def length_slices(lengths: list[int], size: int) -> list[list[list[int]]]:
     ]
 
 
-def _bilstm_sweep(fwd: LstmCellParams, bwd: LstmCellParams, groups, history=None) -> np.ndarray:
-    """The (L + 1, B, 2, hidden) states of a BiLSTM over the arrays of
-    Tape.bilstm's groups, step first (row 0 the zero start state, the
-    backward direction's step t at row t + 1): the one step loop of
-    Tape.bilstm. Per sequence and direction, one input-projection GEMM and
-    one BLAS mat-vec per step (one GEMM over many rows rounds differently).
-    Each gate-buffer slot (i, f, o, candidate, cell, its tanh) is contiguous
-    over the running sequences and both directions; the buffer is rebuilt
-    only when that prefix shrinks. The i, f and o slots are halved, tanh'd
-    with the candidate and halved and shifted by 0.5 (sigmoid's operations),
-    and one product of the adjacent (i, f) and (candidate, cell) slots gives
-    f * c and i * candidate. history is for one sequence: if given, row t + 1
-    of history (L + 1, 6, 1, 2, hidden) receives the buffer after step t, and
-    each direction's mat-vec runs on its own weights (stacking copies them).
+def _bilstm_sweep(
+    fwd: LstmCellParams, bwd: LstmCellParams, groups, pre, hs, directions=slice(0, 2), history=None
+) -> None:
+    """Write the states of a BiLSTM over the arrays of Tape.bilstm's groups
+    into hs (L + 1, B, 2, hidden), step first (row 0 the zero start state,
+    the backward direction's step t at row t + 1): the one step loop of
+    Tape.bilstm. directions, a slice of the direction axis, names the
+    directions it steps, both (the default) or one; it writes only their
+    slots of hs and of pre (B, L, 2, 4 * hidden), their input projections,
+    so a call per direction writes the bits of one call on both. Per
+    sequence and direction, one input-projection GEMM and one BLAS mat-vec
+    per step (one GEMM over many rows rounds differently). Each gate-buffer
+    slot (i, f, o, candidate, cell, its tanh) is contiguous over the running
+    sequences and the directions stepped; the buffer is rebuilt only when
+    that prefix shrinks. The i, f and o slots are halved, tanh'd with the
+    candidate and halved and shifted by 0.5 (sigmoid's operations), and one
+    product of the adjacent (i, f) and (candidate, cell) slots gives f * c
+    and i * candidate. history is for one sequence and both directions: if
+    given, row t + 1 of history (L + 1, 6, 1, 2, hidden) receives the
+    buffer after step t, and each direction's mat-vec runs on its own
+    weights (stacking copies them).
     """
     n, h = fwd.input_size, fwd.hidden_size
     ends = list(accumulate(len(g) for g in groups))
     batch, steps = ends[-1], groups[0].shape[1]
-    # the backward direction reads each sequence's rows last to first
-    pre = np.empty((batch, steps, 2, 4 * h))
-    for g, end in zip(groups, ends):
-        for k, (cell, x) in enumerate(((fwd, g), (bwd, g[:, ::-1]))):
-            pre[end - len(g) : end, : g.shape[1], k] = x @ cell.w.data[:, :n].T + cell.b.data
+    pre, hs = pre[:, :, directions], hs[:, :, directions]
+    # the backward direction reads each sequence's rows last to first; the bias
+    # is added straight into pre, so each thread holds one temporary at a time
+    inputs = (((fwd, g), (bwd, g[:, ::-1]))[directions] for g in groups)
+    for group, end in zip(inputs, ends):
+        for k, (cell, x) in enumerate(group):
+            rows = pre[end - len(x) : end, : x.shape[1], k]
+            np.add(x @ cell.w.data[:, :n].T, cell.b.data, out=rows)
     running = []
     for g, end in zip(groups[::-1], ends[::-1]):
         running += [end] * (g.shape[1] - len(running))
-    hs = np.zeros((steps + 1, batch, 2, h))
-    mv = np.empty((batch, 2, 4 * h))
-    w_f, w_b = fwd.w.data[:, n:], bwd.w.data[:, n:]
-    w_h = np.stack([w_f, w_b]) if history is None else None
-    (mv_f, mv_b), h_f, h_b = mv[0], hs[:, 0, 0], hs[:, 0, 1]
-    gates = np.zeros((6, batch, 2, h))
+    w_h, dirs = [cell.w.data[:, n:] for cell in (fwd, bwd)[directions]], hs.shape[2]
+    mv = np.empty((batch, dirs, 4 * h))
+    if history is None:
+        w_h = np.stack(w_h)
+    else:
+        (w_f, w_b), (mv_f, mv_b), h_f, h_b = w_h, mv[0], hs[:, 0, 0], hs[:, 0, 1]
+    gates = np.zeros((6, batch, dirs, h))
     k = None
     for t in range(steps):
         if running[t] != k:
             k = running[t]
-            cells, gates = gates[4, :k], np.empty((6, k, 2, h))
+            cells, gates = gates[4, :k], np.empty((6, k, dirs, h))
             gates[4] = cells
             i_f, o, cand_c, c, tanh_c = gates[:2], gates[2], gates[3:5], gates[4], gates[5]
             a, ifo, a_in_gate_order = gates[:4], gates[:3], gates[:4].transpose(1, 2, 0, 3)
-            i_cand, f_c = prod = np.empty((2, k, 2, h))
-            mv_k, mv_gates = mv[:k, ..., None], mv[:k].reshape(k, 2, 4, h)
-            pre_k, hs_k, hs_in = pre[:k].reshape(k, steps, 2, 4, h), hs[:, :k], hs[:, :k, ..., None]
+            i_cand, f_c = prod = np.empty((2, k, dirs, h))
+            mv_k, mv_gates = mv[:k, ..., None], mv[:k].reshape(k, dirs, 4, h)
+            pre_k = pre[:k].reshape(k, steps, dirs, 4, h)
+            hs_k, hs_in = hs[:, :k], hs[:, :k, ..., None]
         if history is None:
             np.matmul(w_h, hs_in[t], out=mv_k)
         else:
@@ -565,7 +606,44 @@ def _bilstm_sweep(fwd: LstmCellParams, bwd: LstmCellParams, groups, history=None
         np.multiply(o, tanh_c, out=hs_k[t + 1])
         if history is not None:
             history[t + 1] = gates
-    return hs
+
+
+# a grad-free Tape.bilstm pass whose mat-vecs read at least this many recurrent
+# weight floats a step in one direction, on average, steps its directions on two
+# threads; below about 2**18, starting a thread and sharing the GIL cost more
+TWO_THREAD_FLOATS = 2**20
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity
+        return os.cpu_count() or 1
+
+
+def _sweep_on_two_threads(fwd: LstmCellParams, bwd: LstmCellParams, groups, pre, hs) -> None:
+    """_bilstm_sweep's forward direction on a fresh worker thread and its
+    backward direction on this one, each into its own slots of pre and hs.
+    The worker runs under this thread's numpy error settings, and its
+    exception is raised here once it has been joined."""
+    settings, raised = np.geterr(), []
+
+    def forward() -> None:
+        try:
+            with np.errstate(**settings):
+                _bilstm_sweep(fwd, bwd, groups, pre, hs, slice(0, 1))
+        except BaseException as err:  # raised again on the calling thread
+            raised.append(err)
+
+    worker = threading.Thread(target=forward, name="bilstm-forward")
+    worker.start()
+    try:
+        _bilstm_sweep(fwd, bwd, groups, pre, hs, slice(1, 2))
+    finally:
+        worker.join()
+    if raised:
+        raise raised[0]
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 
+from spellvec import nn
 from spellvec.conllu import Sentence, Token
 from spellvec.embeddings import EmbeddingTable
 
@@ -186,3 +187,18 @@ def traced_bytes(build):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def two_thread_passes(patch, floats):
+    """Set Tape.bilstm's two-thread gate, nn.TWO_THREAD_FLOATS, to floats
+    through the MonkeyPatch patch; returns a list that gets one entry per
+    pass that steps its directions on two threads."""
+    passes, two_threads = [], nn._sweep_on_two_threads
+
+    def counted(*args):
+        passes.append(1)
+        two_threads(*args)
+
+    patch.setattr(nn, "TWO_THREAD_FLOATS", floats)
+    patch.setattr(nn, "_sweep_on_two_threads", counted)
+    return passes

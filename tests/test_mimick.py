@@ -187,8 +187,25 @@ class TestTraining:
         model = small_model(seed=3)
         tape = Tape()
         out = model.forward_on_tape(tape, [[model.chars.encode("cafe")]])
-        tape.sum_squares(tape.sub(out, Tensor(np.ones((1, 1, model.dim)))))
+        tape.sum_squares(tape.sub(out, np.ones((1, 1, model.dim))))
         assert len(tape) == 8
+
+    def test_an_epoch_allocates_no_gradient_for_a_target(self, monkeypatch):
+        # every tensor whose gradient is allocated (at its first use) during an epoch
+        table = char_count_table(np.random.default_rng(6), 20, dim=3)
+        allocated, first_use = [], Tensor.grad.fget
+
+        def grad(tensor):
+            if tensor._grad is None:
+                allocated.append(tensor.data)
+            return first_use(tensor)
+
+        monkeypatch.setattr(Tensor, "grad", property(grad, Tensor.grad.fset))
+        cfg = MimickTrainConfig(char_dim=2, hidden=3, epochs=1, dev_fraction=0.0, seed=5)
+        train_mimick(table, cfg)
+        # the model outputs' gradients among them, one per word
+        assert len(allocated) >= len(table)
+        assert not any(np.shares_memory(data, table.matrix()) for data in allocated)
 
     def test_a_trained_model_keeps_no_optimizer_gradient_and_stays_checkable(self):
         table = char_count_table(np.random.default_rng(5), 12, dim=3, alphabet="abc")
@@ -315,6 +332,28 @@ class TestBatchedInference:
         model.fwd.w.data[:, :3], model.fwd.w.data[:, 3:] = 1e308, -1e308
         with pytest.raises(NonFiniteOutputError, match=message.format("bc")):
             model.encode_many(["a", "bc", "def"])
+
+    def test_forward_many_of_a_wide_list_equals_per_word_forward(self, two_thread_gate):
+        rng = np.random.default_rng(14)
+        model = small_model(seed=7, dim=6, char_dim=5, hidden=24)
+        words = random_words(rng, INFER_SLICE + 20) + ["a", "XY"]
+        passes, threaded = two_thread_gate
+        rows = model.forward_many(words)
+        assert bool(passes) == threaded
+        for word, row in zip(words, rows):
+            assert np.array_equal(row, model.forward(word)), word
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_wide_pass_that_overflows_fails_once_and_warns_nothing(self, two_thread_gate):
+        # only the forward direction, the worker's, overflows: an inf input
+        # projection meets an -inf recurrent product from the second character on
+        model = small_model(seed=10)
+        model.char_emb.data[...] = 2.0
+        model.fwd.w.data[:, :3], model.fwd.w.data[:, 3:] = 1e308, -1e308
+        with pytest.raises(NonFiniteOutputError, match="^inferred vector for 'bc' is not finite$"):
+            model.encode_many(["a", "bc", "def"])
+        passes, threaded = two_thread_gate
+        assert bool(passes) == threaded
 
     def test_empty_word_rejected_in_a_batch(self):
         model = small_model()

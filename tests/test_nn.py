@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from synthetic import assert_gradients_released, naive_lstm, traced_bytes
+from synthetic import assert_gradients_released, naive_lstm, traced_bytes, two_thread_passes
 from spellvec import nn
 from spellvec.nn import (
     DimensionError,
@@ -732,6 +735,145 @@ class TestPackedBilstm:
         assert length_slices([], 4) == []
 
 
+def grad_free_states(fwd, bwd, sequences, groups, floats):
+    """packed_states with the two-thread gate at floats, and the number of
+    passes that stepped their directions on two threads."""
+    with pytest.MonkeyPatch.context() as patch:
+        passes = two_thread_passes(patch, floats)
+        return packed_states(fwd, bwd, sequences, groups), len(passes)
+
+
+class TestTwoThreadPass:
+    """A wide grad-free pass steps its forward direction on a worker thread
+    and its backward direction on the calling thread, with the fused pass's
+    bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        width=st.integers(1, 6),
+        hidden=st.integers(1, 40),
+        lengths=st.lists(st.integers(1, 7), min_size=1, max_size=12),
+        slice_size=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(width=1, hidden=1, lengths=[1], slice_size=1, seed=0)
+    @example(width=5, hidden=40, lengths=[1, 7, 1, 3, 7, 1], slice_size=12, seed=1)
+    def test_equals_the_fused_pass_bit_for_bit(self, width, hidden, lengths, slice_size, seed):
+        rng = np.random.default_rng(seed)
+        fwd, bwd = LstmCellParams(width, hidden, rng), LstmCellParams(width, hidden, rng)
+        sequences = [rng.normal(size=(n, width)) for n in lengths]
+        for groups in length_slices(lengths, slice_size):
+            fused, none = grad_free_states(fwd, bwd, sequences, groups, math.inf)
+            threaded, one = grad_free_states(fwd, bwd, sequences, groups, 0)
+            assert (none, one) == (0, int(nn._cpus() > 1))
+            for a, b in zip(fused, threaded):
+                assert np.array_equal(a, b)
+
+    def test_the_gate_is_the_mean_recurrent_weight_floats_a_step(self):
+        # lengths 3 and 1 at hidden 8: (3 + 1) * 4 * 8**2 / 3 = 341.33 floats a step
+        rng = np.random.default_rng(50)
+        fwd, bwd = LstmCellParams(2, 8, rng), LstmCellParams(2, 8, rng)
+        sequences = [rng.normal(size=(n, 2)) for n in (3, 1)]
+        (groups,) = length_slices([3, 1], 2)
+        two_cpus = int(nn._cpus() > 1)
+        assert grad_free_states(fwd, bwd, sequences, groups, 341)[1] == two_cpus
+        assert grad_free_states(fwd, bwd, sequences, groups, 342)[1] == 0
+        # a recording tape keeps its one sweep
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nn, "TWO_THREAD_FLOATS", 0)
+            patch.setattr(nn, "_sweep_on_two_threads", None)
+            recorded = recorded_states(fwd, bwd, sequences[0])
+        assert np.array_equal(recorded, packed_states(fwd, bwd, sequences[:1], [[0]])[0][0])
+
+    def test_an_error_in_either_direction_reaches_the_caller_after_the_join(
+        self, two_thread_gate, monkeypatch
+    ):
+        rng = np.random.default_rng(51)
+        fwd, bwd = LstmCellParams(3, 4, rng), LstmCellParams(3, 4, rng)
+        x = [Tensor(rng.normal(size=(5, 6, 3)))]
+        sweep, finished = nn._bilstm_sweep, []
+
+        for failing in (fwd, bwd):
+            def failing_sweep(fwd, bwd, groups, pre, hs, directions=slice(0, 2), history=None):
+                if failing in (fwd, bwd)[directions]:
+                    raise KeyError(f"direction {(fwd, bwd).index(failing)}")
+                time.sleep(0.05)  # the other direction is still running when this one raises
+                sweep(fwd, bwd, groups, pre, hs, directions, history)
+                finished.append(threading.current_thread())
+
+            monkeypatch.setattr(nn, "_bilstm_sweep", failing_sweep)
+            with pytest.raises(KeyError, match=f"direction {(fwd, bwd).index(failing)}"):
+                Tape(grad=False).bilstm(fwd, bwd, x)
+            # the worker, if it finished its direction here, was joined
+            assert not any(t.is_alive() for t in finished if t is not threading.current_thread())
+        passes, threaded = two_thread_gate
+        assert len(finished) == len(passes) == (2 if threaded else 0)
+
+    def test_the_worker_keeps_the_callers_floating_point_error_settings(self, two_thread_gate):
+        rng = np.random.default_rng(52)
+        fwd, bwd = LstmCellParams(3, 4, rng), LstmCellParams(3, 4, rng)
+        fwd.w.data[:, :3] = 1e308  # only the forward direction's input projection overflows
+        x = [Tensor(np.full((4, 5, 3), 2.0))]
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                Tape(grad=False).bilstm(fwd, bwd, x)
+        # no RuntimeWarning, which the test settings would raise
+        with np.errstate(over="ignore"):
+            Tape(grad=False).bilstm(fwd, bwd, x)
+        passes, threaded = two_thread_gate
+        assert len(passes) == (2 if threaded else 0)
+
+    def test_passes_from_more_threads_than_cores_keep_their_bits(self, monkeypatch):
+        # each caller's pass starts its own worker into its own buffers; a
+        # short switch interval interleaves them at every bytecode it can
+        rng = np.random.default_rng(54)
+        fwd, bwd = LstmCellParams(3, 5, rng), LstmCellParams(3, 5, rng)
+        inputs = [[Tensor(rng.normal(size=(4, 7, 3))), Tensor(rng.normal(size=(2, 3, 3)))]
+                  for _ in range(6)]
+        fused = [[s.data for s in Tape(grad=False).bilstm(fwd, bwd, x)] for x in inputs]
+        passes = two_thread_passes(monkeypatch, 0)
+        wrong = []
+
+        def caller(i):
+            for _ in range(20):
+                states = [s.data for s in Tape(grad=False).bilstm(fwd, bwd, inputs[i])]
+                if not all(np.array_equal(a, b) for a, b in zip(states, fused[i])):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(inputs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert wrong == []
+        assert len(passes) == (20 * len(inputs) if nn._cpus() > 1 else 0)
+
+    def test_a_process_allowed_one_cpu_starts_no_thread(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        fwd, bwd = LstmCellParams(3, 4, rng), LstmCellParams(3, 4, rng)
+        sequences = [rng.normal(size=(n, 3)) for n in (6, 6, 2)]
+        (groups,) = length_slices([6, 6, 2], 3)
+        fused, _ = grad_free_states(fwd, bwd, sequences, groups, math.inf)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(nn.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(nn.threading, "Thread", no_thread)
+        assert nn._cpus() == 1
+        states, passes = grad_free_states(fwd, bwd, sequences, groups, 0)
+        assert passes == 0
+        for a, b in zip(fused, states):
+            assert np.array_equal(a, b)
+
+
 class TestStackedGateStorage:
     def test_parameters_keep_names_shapes_and_draw_order(self):
         cell = LstmCellParams(3, 2, np.random.default_rng(4))
@@ -899,6 +1041,17 @@ class TestGatherAndConstantProduct:
         with pytest.raises(DimensionError, match=r"\(2, 3\) and \(3,\) differ"):
             tape.mul_const(a, np.ones(3))
 
+    def test_sub_takes_a_constant_of_the_operands_shape_which_takes_no_gradient(self):
+        rng = np.random.default_rng(35)
+        a, target = Tensor(rng.normal(size=(1, 1, 4))), rng.normal(size=(1, 1, 4))
+        tape = Tape()
+        diff = tape.sub(a, target)
+        assert np.array_equal(diff.data, tape.sub(a, Tensor(target)).data)
+        tape.backward(tape.sum_squares(diff))
+        assert np.array_equal(a.grad, 2.0 * (a.data - target))
+        with pytest.raises(DimensionError, match=r"^sub: shapes \(1, 1, 4\) and \(4,\) differ$"):
+            tape.sub(a, np.ones(4))
+
 
 class TestGradFreeTape:
     def test_records_nothing_and_builds_no_gradient_buffers(self):
@@ -1002,8 +1155,9 @@ class TestSigmoid:
         cell = LstmCellParams(1, len(x))
         cell.b.data[...] = a.ravel()
         history = np.zeros((2, 6, 1, 2, len(x)))
+        pre, hs = np.empty((1, 1, 2, 4 * len(x))), np.zeros((2, 1, 2, len(x)))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            nn._bilstm_sweep(cell, cell, [np.zeros((1, 1, 1))], history)
+            nn._bilstm_sweep(cell, cell, [np.zeros((1, 1, 1))], pre, hs, history=history)
         expected = Tape().sigmoid(Tensor(a[:3])).data
         for direction in (0, 1):
             assert np.array_equal(history[1, :3, 0, direction], expected)

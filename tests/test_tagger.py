@@ -14,6 +14,7 @@ from synthetic import (
     traced_bytes,
 )
 from spellvec.archive import ArchiveError, load_archive, save_archive
+from spellvec import nn
 from spellvec import tagger as tagger_module
 from spellvec.conllu import (
     AttributeSchema,
@@ -439,6 +440,29 @@ class TestVariants:
         s = Sentence([Token(form, "A", {}) for form in forms])
         on_tape = model.states_on_tape(Tape(), s).data[0]
         assert np.array_equal(np.stack(sentence_forward(model, s)), on_tape)
+
+    def test_predict_over_a_wide_corpus_equals_the_fused_predict(
+        self, two_thread_gate, monkeypatch
+    ):
+        rng = np.random.default_rng(10)
+        stems = make_stems(rng, 12)
+        train = suffix_sentences(rng, stems, 8, n_suffixes=3)
+        model = TaggerModel(
+            build_schema(train), WordRepSpec("char2tag", suffix_table(rng, stems, 3, dim=4)),
+            hidden=6, char_dim=3, char_hidden=7, rng=rng,
+            forms=[t.form for s in train for t in s.tokens],
+        )
+        # unseen stems too, and more sentences than one packed pass takes
+        unseen = stems + make_stems(rng, 4)
+        corpus = suffix_sentences(rng, unseen, tagger_module.TAG_SLICE + 6, n_suffixes=3)
+        passes, threaded = two_thread_gate
+        predicted = model.predict(corpus)
+        states = [s.data for _, s in model.packed_states(Tape(grad=False), corpus)]
+        assert bool(passes) == threaded
+        monkeypatch.setattr(nn, "TWO_THREAD_FLOATS", math.inf)
+        assert predicted == model.predict(corpus)
+        fused = [s.data for _, s in model.packed_states(Tape(grad=False), corpus)]
+        assert all(np.array_equal(a, b) for a, b in zip(states, fused, strict=True))
 
     def test_variant_prerequisites_validated(self):
         rng = np.random.default_rng(4)
