@@ -82,9 +82,11 @@ class CharBiLstm:
     """Character embedding read by forward and backward LSTMs; a word is
     encoded as the concatenation of the two final states.
 
-    encode is the one forward: training runs it on a recording tape, one
-    word at a time; encode_many runs it on a grad-free tape over packed
-    passes of many words, with the same bits."""
+    encode is the one forward: Mimick's training runs it on a recording
+    tape, one word a record; encode_many runs it on a grad-free tape over
+    packed passes of many words, with the same bits. char2tag's training
+    (tagger.CharToTag) makes one record of a sentence's words, whose
+    gradients have the bits of one encode per word."""
 
     def __init__(
         self,
@@ -121,8 +123,14 @@ class CharBiLstm:
         """The (B, 1, 2 * hidden) encodings, in group order, of words given as
         character indices in groups of one length, longest first (see
         length_slices)."""
-        chars = [tape.take(self.char_emb, np.array(g)) for g in groups]
-        states = tape.bilstm(self.fwd, self.bwd, chars)
+        return self._encodings(tape, [tape.take(self.char_emb, np.array(g)) for g in groups])
+
+    def _encodings(
+        self, tape: Tape, chars: list[Tensor], order: list[list[int]] | None = None
+    ) -> Tensor:
+        """The (B, 1, 2 * hidden) encodings, in group order, of words given as
+        groups of their character embeddings; order as in Tape.bilstm."""
+        states = tape.bilstm(self.fwd, self.bwd, chars, order)
         return tape.concat([tape.take(s, self._final_states) for s in states], axis=0)
 
     @np.errstate(over="ignore", invalid="ignore")

@@ -250,7 +250,11 @@ class Tape:
     # recurrence
 
     def bilstm(
-        self, fwd: LstmCellParams, bwd: LstmCellParams, groups: list[Tensor]
+        self,
+        fwd: LstmCellParams,
+        bwd: LstmCellParams,
+        groups: list[Tensor],
+        order: list[list[int]] | None = None,
     ) -> list[Tensor]:
         """A BiLSTM over sequences from zero state. groups are (B_L, L, input)
         sequences of one length L, longest first (see length_slices); each
@@ -268,12 +272,22 @@ class Tape:
         one, with the same mat-vecs: the states have the same bits either
         way, and nothing sets it.
 
-        A recording tape takes one group of one sequence, as one record that
-        keeps every step's gates. Its backward pass is hand-written
-        backpropagation through time over both directions at once, with one
-        mat-vec per direction and step, then per direction one
-        weight-gradient GEMM over [inputs | previous states] and one
-        input-gradient GEMM.
+        A recording tape makes one record of all the groups, on this thread
+        (at training's widths a second one does not pay), which keeps every
+        step's gates for the running sequences (history, a batch axis wide;
+        see _bilstm_sweep). Its backward pass is hand-written
+        backpropagation through time over the running sequences and both
+        directions at once: elementwise arithmetic, which rounds each
+        element alone, and one mat-vec per sequence, direction and step, as
+        a broadcast np.matmul with the bits of 1-D ones. Then each sequence
+        in turn, on a contiguous copy of its rows, adds what a batch would
+        round differently: per direction its weight-gradient GEMM over
+        [inputs | previous states] and its bias sum, then its input-gradient
+        GEMMs, bwd's first. order, the groups' sequences' places in the
+        caller's order (length_slices' index groups; batch order if
+        omitted), sets the turns: the last place first, as one record per
+        sequence made in that order would replay. So every gradient has the
+        bits of such records.
         """
         n, h = fwd.input_size, fwd.hidden_size
         if (bwd.input_size, bwd.hidden_size) != (n, h):
@@ -288,15 +302,17 @@ class Tape:
                     "B, L >= 1, longest first"
                 )
             longest = s[1]
-        if self.grad and (len(shapes) != 1 or shapes[0][0] != 1):
-            raise DimensionError(f"bilstm: a recording tape takes one sequence, got {shapes}")
+        if order is not None and [len(g) for g in order] != [s[0] for s in shapes]:
+            raise DimensionError(f"bilstm: order {order} does not name the groups' sequences")
         steps, arrays = shapes[0][1], [g.data for g in groups]
         starts = [0, *accumulate(s[0] for s in shapes)]
+        batch = starts[-1]
         # the pass's buffers come from the calling thread, whichever thread steps a direction
-        hs, pre = np.zeros((steps + 1, starts[-1], 2, h)), np.empty((starts[-1], steps, 2, 4 * h))
+        hs, pre = np.zeros((steps + 1, batch, 2, h)), np.empty((batch, steps, 2, 4 * h))
         if self.grad:
-            # after each step: sigmoid(i, f, o), tanh(candidate), the cell state and its tanh
-            history = np.zeros((steps + 1, 6, 1, 2, h))
+            # after each step: sigmoid(i, f, o), tanh(candidate), the cell state and its
+            # tanh; row L + 1 stays zero, the forget gate after the last step
+            history = np.zeros((steps + 2, 6, batch, 2, h))
             _bilstm_sweep(fwd, bwd, arrays, pre, hs, history=history)
         # a wide pass: its mat-vecs read at least TWO_THREAD_FLOATS recurrent weight
         # floats a step in one direction, on average
@@ -315,47 +331,66 @@ class Tape:
         ]
         if not self.grad:
             return [self._emit(s, None) for s in states]
-        (xs,), hs, cells = groups, hs[:, 0], (fwd, bwd)
-        x = xs.data[0]
+        outs, cells = [Tensor(s) for s in states], (fwd, bwd)
+        # per batch row: its group's input tensor, its row there and its length
+        rows = [(x, j, L) for x, (b, L, _) in zip(groups, shapes) for j in range(b)]
+        places = [p for g in order for p in g] if order is not None else range(batch)
 
-        def backward(g):
-            # per step, the gradient of each direction's state of that step
-            g_steps = np.empty((steps, 2, h))
-            g_steps[:, 0] = g[0, :, :h]
-            g_steps[:, 1] = g[0, ::-1, h:]
-            i, f, o, cand, _, tanh_cs = history[1:, :, 0].swapaxes(0, 1)
-            c_prev = history[:-1, 4, 0]
+        def backward(_):
+            # per step and sequence, the gradient of each direction's state of that step
+            g_steps = np.zeros((steps, batch, 2, h))
+            for out, (_, L, _), a, b in zip(outs, shapes, starts, starts[1:]):
+                g = out.grad.swapaxes(0, 1)
+                g_steps[:L, a:b, 0] = g[:, :, :h]
+                g_steps[:L, a:b, 1] = g[::-1, :, h:]
+            i, f, o, cand, _, tanh_cs = history[1:-1].swapaxes(0, 1)
+            c_prev, f_next = history[:-2, 4], history[2:, 1]
             # d(pre-activation)/dc for the i, f and candidate rows; /dh for o
-            coef = np.empty((steps, 2, 4, h))
-            np.multiply(cand * i, 1.0 - i, out=coef[:, :, 0])
-            np.multiply(c_prev * f, 1.0 - f, out=coef[:, :, 1])
-            np.multiply(tanh_cs * o, 1.0 - o, out=coef[:, :, 2])
-            np.multiply(i, 1.0 - cand * cand, out=coef[:, :, 3])
+            coef = np.empty((steps, batch, 2, 4, h))
+            np.multiply(cand * i, 1.0 - i, out=coef[..., 0, :])
+            np.multiply(c_prev * f, 1.0 - f, out=coef[..., 1, :])
+            np.multiply(tanh_cs * o, 1.0 - o, out=coef[..., 2, :])
+            np.multiply(i, 1.0 - cand * cand, out=coef[..., 3, :])
             dc_dh = o * (1.0 - tanh_cs * tanh_cs)
             w_h_t = [cell.w.data[:, n:].T for cell in cells]
-            da = np.empty((2, steps, 4, h))
-            da_rows = da.reshape(2, steps, 4 * h)
-            dh_f, dh_b = dh_next = np.zeros((2, h))
-            dc, f_next = np.zeros((2, 2, h))
-            for t in range(steps - 1, -1, -1):
-                dh = g_steps[t] + dh_next
-                dc = dc * f_next + dh * dc_dh[t]
-                d = da[:, t]
-                np.multiply(dc[:, None], coef[t], out=d)
-                np.multiply(dh, coef[t, :, 2], out=d[:, 2])
-                np.matmul(w_h_t[0], da_rows[0, t], out=dh_f)
-                np.matmul(w_h_t[1], da_rows[1, t], out=dh_b)
-                f_next = f[t]
-            # per direction, the inputs in the order it read them
-            for k, (cell, inputs) in enumerate(zip(cells, (x, x[::-1]))):
-                cell.w.grad += da_rows[k].T @ np.concatenate([inputs, hs[:-1, k]], axis=1)
-                cell.b.grad += da_rows[k].sum(axis=0)
-            # bwd's input gradient first, as if each direction were its own record
-            x_grad = xs.grad[0]
-            x_grad += (da_rows[1] @ bwd.w.data[:, :n])[::-1]
-            x_grad += da_rows[0] @ fwd.w.data[:, :n]
+            da = np.empty((steps, batch, 2, 4, h))
+            dh_next, dc = np.zeros((2, batch, 2, h))
+            # from the last step back, one stretch per group: its sequences join at
+            # their last step, with zero dh_next and dc, and run with the longer ones
+            lengths = [L for _, L, _ in shapes]
+            for k, last, stop in zip(starts[1:], lengths, [*lengths[1:], 0]):
+                g_k, f_k, dc_dh_k, coef_k, coef_o = (
+                    g_steps[:, :k], f_next[:, :k], dc_dh[:, :k], coef[:, :k], coef[:, :k, :, 2]
+                )
+                dh_k, dc_k, dc_gates, da_k, da_o = (
+                    dh_next[:k], dc[:k], dc[:k, :, None], da[:, :k], da[:, :k, :, 2]
+                )
+                da_f, da_b = da_k.reshape(steps, k, 2, 4 * h, 1).transpose(2, 0, 1, 3, 4)
+                dh_f, dh_b = dh_next[:k, :, :, None].swapaxes(0, 1)
+                for t in range(last - 1, stop - 1, -1):
+                    dh = g_k[t] + dh_k
+                    dc_k *= f_k[t]
+                    dc_k += dh * dc_dh_k[t]
+                    np.multiply(dc_gates, coef_k[t], out=da_k[t])
+                    np.multiply(dh, coef_o[t], out=da_o[t])
+                    np.matmul(w_h_t[0], da_f[t], out=dh_f)
+                    np.matmul(w_h_t[1], da_b[t], out=dh_b)
+            # sequence by sequence, the last place first, on a contiguous copy of its rows
+            for r in sorted(range(batch), key=places.__getitem__, reverse=True):
+                x, j, L = rows[r]
+                da_r, inputs = da[:L, r].swapaxes(0, 1).reshape(2, L, 4 * h), x.data[j]
+                # per direction, the inputs in the order it read them
+                read = zip(cells, da_r, (inputs, inputs[::-1]), hs[:L, r].swapaxes(0, 1))
+                for cell, d, seen, h_prev in read:
+                    cell.w.grad += d.T @ np.concatenate([seen, h_prev], axis=1)
+                    cell.b.grad += d.sum(axis=0)
+                # bwd's input gradient first, as if each direction were its own record
+                x_grad = x.grad[j]
+                x_grad += (da_r[1] @ bwd.w.data[:, :n])[::-1]
+                x_grad += da_r[0] @ fwd.w.data[:, :n]
 
-        return [self._emit(states[0], backward)]
+        self._records.append((outs[0], backward))
+        return outs
 
     # ------------------------------------------------------------------
     # nonlinearities and reductions
@@ -552,10 +587,15 @@ def _bilstm_sweep(
     that prefix shrinks. The i, f and o slots are halved, tanh'd with the
     candidate and halved and shifted by 0.5 (sigmoid's operations), and one
     product of the adjacent (i, f) and (candidate, cell) slots gives f * c
-    and i * candidate. history is for one sequence and both directions: if
-    given, row t + 1 of history (L + 1, 6, 1, 2, hidden) receives the
-    buffer after step t, and each direction's mat-vec runs on its own
-    weights (stacking copies them).
+    and i * candidate.
+
+    history is for a recording tape, over both directions: if given, the
+    running sequences' rows of row t + 1 of history (L + 2, 6, B, 2, hidden)
+    receive the buffer after step t, and the other rows keep their zeros.
+    Each direction's step is then one broadcast np.matmul of the cell's own
+    strided recurrent view over the running sequences, which has the bits of
+    a 1-D mat-vec per sequence (stacking the two views would copy them);
+    a grad-free pass stacks them and steps both directions in one call.
     """
     n, h = fwd.input_size, fwd.hidden_size
     ends = list(accumulate(len(g) for g in groups))
@@ -575,8 +615,6 @@ def _bilstm_sweep(
     mv = np.empty((batch, dirs, 4 * h))
     if history is None:
         w_h = np.stack(w_h)
-    else:
-        (w_f, w_b), (mv_f, mv_b), h_f, h_b = w_h, mv[0], hs[:, 0, 0], hs[:, 0, 1]
     gates = np.zeros((6, batch, dirs, h))
     k = None
     for t in range(steps):
@@ -590,11 +628,14 @@ def _bilstm_sweep(
             mv_k, mv_gates = mv[:k, ..., None], mv[:k].reshape(k, dirs, 4, h)
             pre_k = pre[:k].reshape(k, steps, dirs, 4, h)
             hs_k, hs_in = hs[:, :k], hs[:, :k, ..., None]
+            if history is not None:
+                h_f, h_b, mv_f, mv_b = hs_in[:, :, 0], hs_in[:, :, 1], mv_k[:, 0], mv_k[:, 1]
+                history_k = history[:, :, :k]
         if history is None:
             np.matmul(w_h, hs_in[t], out=mv_k)
         else:
-            np.matmul(w_f, h_f[t], out=mv_f)
-            np.matmul(w_b, h_b[t], out=mv_b)
+            np.matmul(w_h[0], h_f[t], out=mv_f)
+            np.matmul(w_h[1], h_b[t], out=mv_b)
         np.add(mv_gates, pre_k[:, t], out=a_in_gate_order)
         ifo *= 0.5
         np.tanh(a, out=a)
@@ -605,7 +646,7 @@ def _bilstm_sweep(
         np.tanh(c, out=tanh_c)
         np.multiply(o, tanh_c, out=hs_k[t + 1])
         if history is not None:
-            history[t + 1] = gates
+            history_k[t + 1] = gates
 
 
 # a grad-free Tape.bilstm pass whose mat-vecs read at least this many recurrent

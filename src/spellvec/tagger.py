@@ -14,11 +14,13 @@ kept nowhere, so tagging never changes the model. The char2tag and both
 variants append a task-trained character BiLSTM output, whose character
 inventory is the training forms' characters.
 
-Training runs on a recording tape. Tagging runs the same forward on a
-grad-free tape, batched per corpus: each distinct form's word vector and
-character encoding once, then the sentences longest first, TAG_SLICE at a
-time, through packed passes of the sentence BiLSTM and the heads, with the
-bits of training's forward.
+Training runs on a recording tape, one sentence at a time: the char2tag
+BiLSTM encodes a sentence's tokens as one record, with the gradient bits of
+one record per word. Tagging runs the same forward on a grad-free tape,
+batched per corpus: each distinct form's word vector and character encoding
+once, then the sentences longest first, TAG_SLICE at a time, through packed
+passes of the sentence BiLSTM and the heads, with the bits of training's
+forward.
 """
 
 from __future__ import annotations
@@ -152,11 +154,31 @@ class Head:
 
 
 class CharToTag(CharBiLstm):
-    """Task-trained character BiLSTM appended to each word representation."""
+    """Task-trained character BiLSTM appended to each word representation.
+    Training encodes each sentence's words as one BiLSTM record."""
 
-    def forward_on_tape(self, tape: Tape, word: str) -> Tensor:
-        """The (1, 1, 2 * hidden) encoding of one word."""
-        return self.encode(tape, [[self.chars.encode(word)]])
+    def forward_on_tape(self, tape: Tape, words: list[str]) -> Tensor:
+        """The (1, T, 2 * hidden) encodings of a sentence's T words, in order:
+        one Tape.bilstm record over length_slices groups of every token,
+        repeats included. Every gradient has the bits of one encode per word
+        in sentence order, whose records replay the last word first: the
+        record takes its turns in that order, and one take of every
+        character, the last word's first, adds them into char_emb.grad in
+        that order."""
+        ids = [self.chars.encode(word) for word in words]
+        lengths = [len(i) for i in ids]
+        (groups,) = length_slices(lengths, len(ids))
+        # word i's characters are the take's rows start[i] to start[i] + lengths[i]
+        start = np.cumsum([0, *lengths[:0:-1]])[::-1]
+        chars = tape.take(self.char_emb, np.array([c for i in ids[::-1] for c in i]))
+        encodings = self._encodings(
+            tape,
+            [tape.take(chars, start[g, None] + np.arange(lengths[g[0]])) for g in groups],
+            groups,
+        )
+        # each word's row of the encodings, which come in group order
+        rows = np.argsort([i for g in groups for i in g])
+        return tape.take(encodings, (rows[None], 0))
 
 
 class TaggerModel:
@@ -235,8 +257,7 @@ class TaggerModel:
         else:
             reps = Tensor(self.word_vectors(forms)[None])
         if self.c2t is not None:
-            chars = [self.c2t.forward_on_tape(tape, form) for form in forms]
-            reps = tape.concat([reps, tape.concat(chars, axis=1)])
+            reps = tape.concat([reps, self.c2t.forward_on_tape(tape, forms)])
         return self.sentence_layers(tape, [reps], dropout, rng)[0]
 
     def sentence_layers(

@@ -657,16 +657,6 @@ class TestLstmKernel:
         with pytest.raises(DimensionError, match="directions differ"):
             Tape().bilstm(cell, LstmCellParams(3, 4), [Tensor(np.zeros((1, 4, 3)))])
 
-    def test_a_recording_tape_takes_one_sequence(self):
-        cell = LstmCellParams(3, 2, np.random.default_rng(1))
-        two = [[Tensor(np.ones((2, 4, 3)))], [Tensor(np.ones((1, 4, 3))), Tensor(np.ones((1, 2, 3)))]]
-        for groups in two:
-            with pytest.raises(DimensionError, match="recording tape takes one sequence"):
-                Tape().bilstm(cell, cell, groups)
-            assert [s.shape for s in Tape(grad=False).bilstm(cell, cell, groups)] == [
-                (g.shape[0], g.shape[1], 4) for g in groups
-            ]
-
     def test_groups_must_come_longest_first(self):
         cell = LstmCellParams(3, 2)
         with pytest.raises(DimensionError, match="longest first"):
@@ -733,6 +723,86 @@ class TestPackedBilstm:
         assert length_slices([2, 5, 2, 1, 5], 3) == [[[1, 4], [0]], [[2], [3]]]
         assert length_slices([3, 3], 5) == [[[0, 1]]]
         assert length_slices([], 4) == []
+
+
+def recorded_gradients(fwd, bwd, inputs, weights, order=None):
+    """One recording Tape.bilstm call per list of groups in inputs (with its
+    order, if given) and the backward pass of sum(weights * states): the
+    w and b gradients of both cells, and the last call's states. Each input
+    keeps its own gradient."""
+    for p in [fwd.w, fwd.b, bwd.w, bwd.b, *(x for groups in inputs for x in groups)]:
+        p.zero_grad()
+    tape, parts = Tape(), []
+    for i, groups in enumerate(inputs):
+        states = tape.bilstm(fwd, bwd, groups, order and order[i])
+        parts += [tape.sum(tape.mul_const(s, w)) for s, w in zip(states, weights[i])]
+    tape.backward(tape.add_n(parts))
+    return [p.grad.copy() for p in (fwd.w, fwd.b, bwd.w, bwd.b)], states
+
+
+class TestPackedRecord:
+    """A recording Tape.bilstm over packed groups gives every state and
+    gradient the bits of one record per sequence, made in the order it is
+    given."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        width=st.integers(1, 6),
+        hidden=st.integers(1, 40),
+        lengths=st.lists(st.integers(1, 7), min_size=1, max_size=12),
+        ordered=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(width=1, hidden=1, lengths=[1], ordered=True, seed=0)
+    @example(width=6, hidden=40, lengths=[3, 1, 7, 3, 1, 7, 5], ordered=True, seed=1)
+    def test_equals_one_record_per_sequence_bit_for_bit(self, width, hidden, lengths, ordered, seed):
+        rng = np.random.default_rng(seed)
+        fwd, bwd = LstmCellParams(width, hidden, rng), LstmCellParams(width, hidden, rng)
+        sequences = [rng.normal(size=(n, width)) for n in lengths]
+        weights = [rng.normal(size=(n, 2 * hidden)) for n in lengths]
+        (groups,) = length_slices(lengths, len(lengths))
+        if not ordered:  # batch order: per-sequence records made longest first
+            sequences = [sequences[i] for g in groups for i in g]
+            weights = [weights[i] for g in groups for i in g]
+            (groups,) = length_slices(sorted(lengths, reverse=True), len(lengths))
+        alone = [[Tensor(x[None])] for x in sequences]
+        expected, _ = recorded_gradients(fwd, bwd, alone, [[w[None]] for w in weights])
+        packed = [Tensor(np.stack([sequences[i] for i in g])) for g in groups]
+        got, states = recorded_gradients(
+            fwd, bwd, [packed], [[np.stack([weights[i] for i in g]) for g in groups]],
+            [groups] if ordered else None,
+        )
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+        for group, x, s in zip(groups, packed, states):
+            for row, i in enumerate(group):
+                assert np.array_equal(x.grad[row], alone[i][0].grad[0]), i
+                assert np.array_equal(s.data[row], recorded_states(fwd, bwd, sequences[i])), i
+
+    def test_gradient_check_over_mixed_lengths_including_one(self):
+        rng = np.random.default_rng(19)
+        fwd, bwd = LstmCellParams(3, 2, rng), LstmCellParams(3, 2, rng)
+        lengths = [2, 4, 1, 4, 1]
+        (groups,) = length_slices(lengths, len(lengths))
+        params = bilstm_params(fwd, bwd)
+        for k, g in enumerate(groups):
+            params[f"xs{k}"] = Tensor(rng.normal(size=(len(g), lengths[g[0]], 3)))
+        inputs = [params[f"xs{k}"] for k in range(len(groups))]
+
+        def forward():
+            t = Tape()
+            states = t.bilstm(fwd, bwd, inputs, groups)
+            return t, t.add_n([t.sum_squares(s) for s in states])
+
+        report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
+        assert report.passed, report
+
+    def test_an_order_that_does_not_name_the_groups_sequences_raises(self):
+        cell = LstmCellParams(3, 2)
+        groups = [Tensor(np.ones((2, 4, 3))), Tensor(np.ones((1, 2, 3)))]
+        for order in ([[0, 1]], [[0], [1, 2]]):
+            with pytest.raises(DimensionError, match="order"):
+                Tape().bilstm(cell, cell, groups, order)
 
 
 def grad_free_states(fwd, bwd, sequences, groups, floats):

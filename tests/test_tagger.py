@@ -407,11 +407,12 @@ class TestVariants:
 
         s = sentence(("a", "A", {}), ("aba", "A", {}))
         reps = [representation(t.form) for t in s.tokens]
+        forms = [t.form for t in s.tokens]
         tape = Tape()
-        for token, expected in zip(s.tokens, reps):
-            word = Tensor(model.word_vectors([token.form])[None])
-            got = tape.concat([word, c2t.forward_on_tape(tape, token.form)])
-            assert np.allclose(got.data[0, 0], expected, rtol=0.0, atol=1e-12), token.form
+        words = Tensor(model.word_vectors(forms)[None])
+        got = tape.concat([words, c2t.forward_on_tape(tape, forms)])
+        for form, row, expected in zip(forms, got.data[0], reps):
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-12), form
         # the same representations feed the sentence BiLSTM
         for fwd, bwd in ((model.l1f, model.l1b), (model.l2f, model.l2b)):
             reps = [np.concatenate(p) for p in zip(sweep(fwd, reps), sweep(bwd, reps[::-1])[::-1])]
@@ -434,12 +435,73 @@ class TestVariants:
                  for n in rng.integers(1, 16, 40)]
         forms += ["a", "aaaa", "XY"]
         encodings = model.c2t.encode_many(forms)
-        for form, encoding in zip(forms, encodings):
-            assert np.array_equal(encoding, model.c2t.forward_on_tape(Tape(), form).data[0, 0]), form
+        on_tape = model.c2t.forward_on_tape(Tape(), forms).data[0]
+        for form, encoding, row in zip(forms, encodings, on_tape, strict=True):
+            assert np.array_equal(encoding, row), form
         # tagging reads them as one constant matrix, with the bits of the tape path
         s = Sentence([Token(form, "A", {}) for form in forms])
         on_tape = model.states_on_tape(Tape(), s).data[0]
         assert np.array_equal(np.stack(sentence_forward(model, s)), on_tape)
+
+    @pytest.mark.parametrize("variant", ["char2tag", "both"])
+    def test_a_sentence_record_has_the_gradient_bits_of_one_record_per_word(self, variant):
+        rng = np.random.default_rng(11)
+        table = tiny_table(rng, ["ab", "ba", "c"], dim=3)
+        mimick = MimickModel(CharVocabulary("abcz"), dim=3, char_dim=2, hidden=3, rng=rng)
+        schema = AttributeSchema(["A", "B"], {"Case": ["Nom"]}, {"Case": 1.0})
+        forms = ["ab", "c", "abca", "ba", "ab", "acb", "cab"]
+        model = TaggerModel(schema, WordRepSpec(variant, table, mimick), hidden=3, char_dim=4,
+                            char_hidden=5, rng=rng, forms=forms)
+        c2t = model.c2t
+        # a repeated form, a one-letter form, an unseen character (z) and three lengths
+        s = Sentence([Token(f, "AB"[len(f) % 2], {"Case": "Nom"} if "b" in f else {})
+                      for f in ["ab", "c", "abza", "ab", "cab", "ba", "c"]])
+
+        def gradients():
+            params = model.parameters()
+            for p in params.values():
+                p.zero_grad()
+            tape = Tape()
+            loss = model.loss_on_tape(tape, s, "weighted", 0.5, np.random.default_rng(12))
+            tape.backward(loss)
+            return {name: p.grad.copy() for name, p in params.items()}
+
+        got = gradients()
+        with pytest.MonkeyPatch.context() as patch:
+            # each word its own encode record, concatenated in sentence order
+            patch.setattr(c2t, "forward_on_tape", lambda tape, words: tape.concat(
+                [c2t.encode(tape, [[c2t.chars.encode(w)]]) for w in words], axis=1
+            ))
+            expected = gradients()
+        assert list(got) == list(expected)
+        for name, grad in got.items():
+            assert np.array_equal(grad, expected[name]), name
+        assert np.any(got["c2t.char_emb"] != 0.0) and np.any(got["c2t.fwd.w_c"] != 0.0)
+
+    def test_a_training_step_starts_no_thread(self, two_thread_gate, monkeypatch):
+        rng = np.random.default_rng(13)
+        stems = make_stems(rng, 6)
+        train = suffix_sentences(rng, stems, 2, n_suffixes=3)
+        model = TaggerModel(
+            build_schema(train), WordRepSpec("char2tag", suffix_table(rng, stems, 3, dim=4)),
+            hidden=4, char_dim=3, char_hidden=128, rng=rng,
+            forms=[t.form for s in train for t in s.tokens],
+        )
+        optimizer = MomentumSgd(model.parameters(), lr=0.01, momentum=0.9)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(nn.threading, "Thread", no_thread)
+        for s in train:
+            tape = Tape()
+            loss = model.loss_on_tape(tape, s, dropout=0.5, rng=rng)
+            optimizer.zero_grad()
+            tape.backward(loss)
+            optimizer.step()
+        passes, _ = two_thread_gate
+        assert passes == []
+        assert np.all(np.isfinite(model.c2t.fwd.w.data))
 
     def test_predict_over_a_wide_corpus_equals_the_fused_predict(
         self, two_thread_gate, monkeypatch
