@@ -10,6 +10,7 @@ float64 exactly; a nan or infinite value is rejected when read.
 
 from __future__ import annotations
 
+import math
 import os
 from functools import cached_property
 from itertools import islice
@@ -167,36 +168,57 @@ def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, k: int) -> list[
     table order; zero-norm table vectors rank last; the first k of a full stable
     sort. A float32 screen of the unit rows keeps the rows that can place, and
     only those get the exact float64 similarity."""
+    # A query costs a fixed part (its checks and scaling, a dozen numpy calls,
+    # the exact pass over its few candidates) plus the screen and the
+    # partition, which grow with the row count.
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (table.dim,):
         raise DimensionError(f"query shape {query.shape}, expected ({table.dim},)")
-    if not np.isfinite(query).all():
+    # the largest magnitude: nan or inf if the query holds one, 0 if it is zero
+    top = np.abs(query).max()
+    if not math.isfinite(top):
         raise ValueError("query vector must be finite")
-    # the query and the rows scaled by powers of two: nothing overflows, and
-    # a similarity that needed no scaling keeps its bits
-    query = pow2_scaled(query)
-    qnorm = np.linalg.norm(query)
-    if qnorm == 0.0:
+    # the scaled query's largest magnitude lies in [0.5, 1), so its norm is 0
+    # exactly when top is
+    if top == 0.0:
         raise ValueError("query vector must be non-zero")
     if not 1 <= k <= len(table):
         raise ValueError(f"k must be in [1, {len(table)}], got {k}")
+    # the query (as pow2_scaled scales it) and the rows scaled by powers of
+    # two: nothing overflows, and a similarity that needed no scaling keeps
+    # its bits
+    query = np.ldexp(query, -math.frexp(top)[1])
+    # np.linalg.norm's bits for a vector
+    qnorm = math.sqrt(query.dot(query))
     rows, norms, unit32, zero_norm = table._screen
     # Both screen operands have norm <= 1, so a screened score is within E =
     # (d + 4) * 2**-24 of the exact one (two float32 roundings and the dot's,
     # in any order). The k best screened rows score >= screen_kth - E, so a row
     # that can place, ties included, screens >= screen_kth - 2E; the margin is 4E.
+    # The threshold is float32, so the screen is compared in float32 (a float64
+    # one makes numpy 2 promote the whole screen): rounding it moves it by at
+    # most about 2**-24 * |screen_kth|, some 6e-8, well inside the slack of 2E,
+    # some 8e-6 at d = 64. numpy < 2 compares in float32 even against a float64
+    # threshold, by its value-based casting.
     screened = unit32 @ (query / qnorm).astype(np.float32)
     screened[zero_norm] = -np.inf
-    screen_kth = np.float64(np.partition(screened, -k)[-k])
+    screen_kth = np.partition(screened, -k)[-k]
     # in table order, so the stable sort keeps ties in table order
-    candidates = np.flatnonzero(screened >= screen_kth - (4 * table.dim + 16) * 2.0**-24)
+    candidates = np.flatnonzero(
+        screened >= screen_kth - np.float32((4 * table.dim + 16) * 2.0**-24)
+    )
     if len(candidates) < len(rows):
         rows, norms = rows[candidates], norms[candidates]
-    # einsum, unlike BLAS, scores identical rows identically; a zero-norm row
-    # scores 0 / 0 and is ranked last
-    with np.errstate(invalid="ignore"):
-        sims = np.einsum("ij,j->i", rows, query) / (norms * qnorm)
-    sims[norms == 0.0] = -np.inf
+    # einsum, unlike BLAS, scores identical rows identically
+    sims = np.einsum("ij,j->i", rows, query)
+    if screen_kth > -np.inf:
+        sims /= norms * qnorm
+    else:
+        # the zero-norm rows screen -inf, so they are candidates only when the
+        # k-th screened score is -inf: each scores 0 / 0 and is ranked last
+        with np.errstate(invalid="ignore"):
+            sims /= norms * qnorm
+        sims[norms == 0.0] = -np.inf
     best = np.argsort(-sims, kind="stable")[:k]
     words = table.words()
     return [(words[i], s) for i, s in zip(candidates[best].tolist(), sims[best].tolist())]

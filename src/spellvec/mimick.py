@@ -306,6 +306,9 @@ def train_mimick(
             tape.backward(loss)
             optimizer.step()
             total += value
+        # the last step's record (its gate history, buffers and closures)
+        # would otherwise stay alive through dev scoring
+        del tape, out, loss
         dev_loss = (
             float(np.mean([
                 float(np.sum((out - table.vector(w)) ** 2))

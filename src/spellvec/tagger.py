@@ -553,6 +553,9 @@ def train_tagger(
             tape.backward(loss)
             optimizer.step()
             total += value
+        # the last step's record (its gate history, buffers and closures)
+        # would otherwise stay alive through dev scoring
+        del tape, loss
         if split.dev:
             pair = TaggedCorpusPair(split.dev, tag_corpus(model, split.dev))
             dev_acc = pos_accuracy(pair)

@@ -9,6 +9,7 @@ learnable and informative for tagging unseen stems.
 
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 
@@ -202,3 +203,19 @@ def two_thread_passes(patch, floats):
     patch.setattr(nn, "TWO_THREAD_FLOATS", floats)
     patch.setattr(nn, "_sweep_on_two_threads", counted)
     return passes
+
+
+def watched_tapes(patch, module):
+    """Replace module.Tape, through the MonkeyPatch patch, by a Tape that
+    keeps a weak reference to each recording tape made; returns the list of
+    those references, which are dead once a tape is released."""
+    tapes = []
+
+    class WatchedTape(nn.Tape):
+        def __init__(self, grad: bool = True):
+            super().__init__(grad)
+            if grad:
+                tapes.append(weakref.ref(self))
+
+    patch.setattr(module, "Tape", WatchedTape)
+    return tapes

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from synthetic import assert_gradients_released, naive_lstm
+from synthetic import assert_gradients_released, naive_lstm, watched_tapes
 from spellvec import embeddings
+from spellvec import mimick as mimick_module
 from spellvec.archive import ArchiveError
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import (
@@ -164,6 +165,21 @@ class TestTraining:
         _, first = train_mimick(table, cfg)
         _, second = train_mimick(table, cfg)
         assert first == second
+
+    def test_the_last_training_record_is_released_before_dev_scoring(self, monkeypatch):
+        table = char_count_table(np.random.default_rng(2), 30)
+        tapes, scored, original = watched_tapes(monkeypatch, mimick_module), [], MimickModel.forward_many
+
+        def scoring(model, words):
+            # every recording tape, the epoch's last one included, is dead
+            assert tapes and all(tape() is None for tape in tapes)
+            scored.append(len(tapes))
+            return original(model, words)
+
+        monkeypatch.setattr(MimickModel, "forward_many", scoring)
+        train_mimick(table, MimickTrainConfig(char_dim=4, hidden=4, epochs=2, dev_fraction=0.1, seed=7))
+        # one recording tape per training word: 27 of the 30, 3 held out
+        assert scored == [27, 54]
 
     @pytest.mark.parametrize("setting, message", [
         ({"epochs": 0}, r"epochs must be >= 1, got 0"),
@@ -442,6 +458,31 @@ class TestNearestNeighbors:
         table = EmbeddingTable(2, [("x", np.array([1.0, 0.0]))])
         with pytest.raises(ValueError):
             nearest_neighbors(table, np.zeros(2), k=1)
+
+    def test_a_query_of_subnormals_ranks_like_its_scaled_copy(self):
+        rng = np.random.default_rng(9)
+        table = EmbeddingTable(2, [(f"w{i}", rng.normal(size=2)) for i in range(20)])
+        tiny = nearest_neighbors(table, np.array([5e-324, 0.0]), k=20)
+        scaled = nearest_neighbors(table, np.array([1.0, 0.0]), k=20)
+        assert [w for w, _ in tiny] == [w for w, _ in scaled]
+        assert np.array([s for _, s in tiny]).tobytes() == np.array([s for _, s in scaled]).tobytes()
+
+    def test_a_query_of_negative_zeros_is_rejected(self):
+        table = EmbeddingTable(2, [("x", np.array([1.0, 0.0]))])
+        with pytest.raises(ValueError, match="^query vector must be non-zero$"):
+            nearest_neighbors(table, np.array([-0.0, -0.0]), k=1)
+
+    def test_k_beyond_the_non_zero_rows_ranks_every_zero_row_last(self):
+        # the k-th screened score is -inf: the one query whose candidates hold
+        # zero rows, each scoring 0 / 0 without a floating-point error
+        table = EmbeddingTable(2, [("z0", np.zeros(2)), ("x", np.array([1.0, 1.0])),
+                                   ("z1", np.zeros(2)), ("y", np.array([-1.0, 0.0]))])
+        with np.errstate(all="raise"):
+            ranked = nearest_neighbors(table, np.array([1.0, 0.0]), k=3)
+            assert ranked == [("x", pytest.approx(2 ** -0.5, rel=1e-15)), ("y", -1.0), ("z0", -np.inf)]
+            ranked = nearest_neighbors(table, np.array([1.0, 0.0]), k=4)
+            assert [word for word, _ in ranked] == ["x", "y", "z0", "z1"]
+            assert [sim for _, sim in ranked[2:]] == [-np.inf, -np.inf]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):

@@ -12,6 +12,7 @@ from synthetic import (
     suffix_sentences,
     suffix_table,
     traced_bytes,
+    watched_tapes,
 )
 from spellvec.archive import ArchiveError, load_archive, save_archive
 from spellvec import nn
@@ -637,6 +638,23 @@ class TestTraining:
         _, first = train_tagger(split, WordRepSpec("no-char", table), cfg)
         _, second = train_tagger(split, WordRepSpec("no-char", table), cfg)
         assert first == second
+
+    def test_the_last_training_record_is_released_before_dev_scoring(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        split, stems = small_split(rng, n_train=4, n_dev=2)
+        table = suffix_table(rng, stems, n_suffixes=3, dim=6)
+        tapes, scored = watched_tapes(monkeypatch, tagger_module), []
+
+        def scoring(model, sentences):
+            # every recording tape, the epoch's last one included, is dead
+            assert tapes and all(tape() is None for tape in tapes)
+            scored.append(len(tapes))
+            return tag_corpus(model, sentences)
+
+        monkeypatch.setattr(tagger_module, "tag_corpus", scoring)
+        train_tagger(split, WordRepSpec("no-char", table), TaggerTrainConfig(epochs=1, hidden=4, seed=9))
+        # one recording tape per training sentence, two epochs by low-resource doubling
+        assert scored == [4, 8]
 
     def test_epoch_doubling_rule(self):
         assert effective_epochs(40, 5000) == 80
