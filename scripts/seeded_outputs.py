@@ -107,7 +107,9 @@ def main_script(outdir: str) -> None:
     # tagging encodes the test split's 33 distinct forms in one grad-free pass of the
     # char2tag BiLSTM; at char hidden 128 its mat-vecs read 1.71M recurrent weight
     # floats a step, above nn.TWO_THREAD_FLOATS, so on two CPUs its forward direction
-    # steps on a second thread
+    # steps on a second thread, held off the CPU the caller is on as the pass starts
+    # (unplaced where that cannot be done; the caller's affinity is never changed);
+    # the bytes are the same on one thread, on two, and wherever either runs
     run("train-tagger-wide", [
         "train-tagger", "--train", "inputs/train.conllu", "--embeddings", emb,
         "--out", "tagger-wide.svm", "--variant", "char2tag", *TAGGER_FLAGS, "--char-hidden", "128",

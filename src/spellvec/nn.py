@@ -269,8 +269,12 @@ class Tape:
         weight floats a step in one direction (the sum of the lengths times
         4 * hidden**2 over the longest length), in a process that may run on
         two or more CPUs, steps fwd on a fresh worker thread and bwd on this
-        one, with the same mat-vecs: the states have the same bits either
-        way, and nothing sets it.
+        one, with the same mat-vecs. The worker holds itself to this
+        thread's allowed CPUs but the one this thread is on as the pass
+        starts, and runs unplaced where that cannot be done; this thread's
+        affinity is never changed (see _sweep_on_two_threads). The states
+        have the same bits either way and wherever either thread runs, and
+        nothing sets it.
 
         A recording tape makes one record of all the groups, on this thread
         (at training's widths a second one does not pay), which keeps every
@@ -663,15 +667,45 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _stat_cpu(stat: str) -> int:
+    """The CPU a /proc/<pid>/stat line names: field 39, counted after the
+    last ')', as the command name (field 2) may hold spaces and ')'."""
+    return int(stat[stat.rindex(")") + 1 :].split()[36])
+
+
+def _other_cpus() -> set[int]:
+    """The CPUs this thread may run on but the one it is on, or an empty set
+    where that CPU cannot be read (no /proc, or a platform without affinity)."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            cpu = _stat_cpu(f.read())
+        return os.sched_getaffinity(0) - {cpu}
+    except (OSError, ValueError, IndexError, AttributeError):
+        return set()
+
+
 def _sweep_on_two_threads(fwd: LstmCellParams, bwd: LstmCellParams, groups, pre, hs) -> None:
     """_bilstm_sweep's forward direction on a fresh worker thread and its
     backward direction on this one, each into its own slots of pre and hs.
     The worker runs under this thread's numpy error settings, and its
-    exception is raised here once it has been joined."""
-    settings, raised = np.geterr(), []
+    exception is raised here once it has been joined.
+
+    Linux tends to start a fresh thread on its creator's CPU, where the two
+    directions would take turns. So the worker first holds itself to this
+    thread's allowed CPUs but the one this thread is on as the pass starts;
+    this thread's own affinity is never changed. Where that CPU cannot be
+    read, no other CPU is allowed, or sched_setaffinity raises, the worker
+    runs where the OS puts it, silently. The states have the same bits
+    wherever either thread runs."""
+    settings, raised, others = np.geterr(), [], _other_cpus()
 
     def forward() -> None:
         try:
+            if others:
+                try:
+                    os.sched_setaffinity(0, others)
+                except OSError:
+                    pass  # the worker runs unplaced
             with np.errstate(**settings):
                 _bilstm_sweep(fwd, bwd, groups, pre, hs, slice(0, 1))
         except BaseException as err:  # raised again on the calling thread

@@ -1,7 +1,10 @@
+import io
 import math
+import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -934,14 +937,98 @@ class TestTwoThreadPass:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
+        def no_placement(*args, **kwargs):
+            raise AssertionError("a CPU was read or an affinity set")
+
         monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(nn.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(nn.threading, "Thread", no_thread)
+        monkeypatch.setattr(nn.os, "sched_setaffinity", no_placement, raising=False)
+        monkeypatch.setattr(nn, "open", no_placement, raising=False)  # /proc/thread-self/stat
         assert nn._cpus() == 1
         states, passes = grad_free_states(fwd, bwd, sequences, groups, 0)
         assert passes == 0
         for a, b in zip(fused, states):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("failing", [None, 0, 1], ids=["none", "forward", "backward"])
+    def test_the_worker_runs_off_the_callers_starting_cpu(self, failing, monkeypatch):
+        if nn._cpus() < 2:
+            pytest.skip("a process allowed one CPU starts no worker")
+        rng = np.random.default_rng(55)
+        fwd, bwd = LstmCellParams(3, 4, rng), LstmCellParams(3, 4, rng)
+        x = [Tensor(rng.normal(size=(5, 6, 3)))]
+        sweep, stat_cpu, caller, seen = nn._bilstm_sweep, nn._stat_cpu, threading.current_thread(), {}
+
+        def caller_cpu(stat):
+            seen["caller"] = stat_cpu(stat)
+            return seen["caller"]
+
+        def placed_sweep(fwd, bwd, groups, pre, hs, directions=slice(0, 2), history=None):
+            if threading.current_thread() is not caller:
+                seen["worker"] = os.sched_getaffinity(0)
+            if failing is not None and directions == slice(failing, failing + 1):
+                raise KeyError(f"direction {failing}")
+            sweep(fwd, bwd, groups, pre, hs, directions, history)
+
+        monkeypatch.setattr(nn, "_stat_cpu", caller_cpu)
+        monkeypatch.setattr(nn, "_bilstm_sweep", placed_sweep)
+        passes, allowed = two_thread_passes(monkeypatch, 0), os.sched_getaffinity(0)
+        if failing is None:
+            Tape(grad=False).bilstm(fwd, bwd, x)
+        else:
+            with pytest.raises(KeyError, match=f"direction {failing}"):
+                Tape(grad=False).bilstm(fwd, bwd, x)
+        assert len(passes) == 1
+        assert seen["worker"] == allowed - {seen["caller"]}
+        assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.parametrize("failure", ["affinity raises", "no cpu read", "no other cpu"])
+    def test_a_worker_that_cannot_be_placed_runs_unplaced(self, failure, monkeypatch):
+        rng = np.random.default_rng(56)
+        fwd, bwd = LstmCellParams(3, 4, rng), LstmCellParams(3, 4, rng)
+        sequences = [rng.normal(size=(n, 3)) for n in (6, 6, 2)]
+        (groups,) = length_slices([6, 6, 2], 3)
+        fused, _ = grad_free_states(fwd, bwd, sequences, groups, math.inf)
+        sweep, caller, calls, workers = nn._bilstm_sweep, threading.current_thread(), [], []
+
+        def set_affinity(pid, cpus):
+            calls.append(cpus)
+            raise OSError(22, "Invalid argument")
+
+        def no_read(*args, **kwargs):
+            raise FileNotFoundError("/proc/thread-self/stat")
+
+        def counted_sweep(fwd, bwd, groups, pre, hs, directions=slice(0, 2), history=None):
+            if threading.current_thread() is not caller:
+                workers.append(directions)
+            sweep(fwd, bwd, groups, pre, hs, directions, history)
+
+        # the caller is on CPU 0 of {0, 1}, or of {0} alone, whatever this machine has
+        allowed = {0} if failure == "no other cpu" else {0, 1}
+        stat = no_read if failure == "no cpu read" else lambda path: io.StringIO("")
+        monkeypatch.setattr(nn, "open", stat, raising=False)
+        monkeypatch.setattr(nn, "_stat_cpu", lambda line: 0)
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: allowed, raising=False)
+        monkeypatch.setattr(nn.os, "sched_setaffinity", set_affinity, raising=False)
+        monkeypatch.setattr(nn, "_cpus", lambda: 2)
+        monkeypatch.setattr(nn, "_bilstm_sweep", counted_sweep)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            states, passes = grad_free_states(fwd, bwd, sequences, groups, 0)
+        assert caught == []
+        assert passes == len(workers) == 1
+        assert calls == ([{1}] if failure == "affinity raises" else [])
+        for a, b in zip(fused, states):
+            assert np.array_equal(a, b)
+
+    def test_the_cpu_is_field_39_after_the_last_parenthesis(self):
+        # the command name, field 2, may hold spaces, parentheses and numbers
+        fields = ["S", *map(str, range(4, 39)), "7", *map(str, range(40, 53))]
+        assert nn._stat_cpu("4242 (x) 39 (y)) " + " ".join(fields) + "\n") == 7
+        if os.path.exists("/proc/thread-self/stat") and hasattr(os, "sched_getaffinity"):
+            with open("/proc/thread-self/stat") as f:
+                assert nn._stat_cpu(f.read()) in os.sched_getaffinity(0)
 
 
 class TestStackedGateStorage:
