@@ -182,9 +182,10 @@ class MimickModel(CharBiLstm):
         self.b_h = Tensor(np.zeros(hidden))
         self.b_t = Tensor(np.zeros(dim))
 
-    def parameters(self) -> dict[str, Tensor]:
-        params = super().parameters()
-        params.update({"t_h": self.t_h, "b_h": self.b_h, "o_t": self.o_t, "b_t": self.b_t})
+    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        params = super().parameters(prefix)
+        for name in ("t_h", "b_h", "o_t", "b_t"):
+            params[prefix + name] = getattr(self, name)
         return params
 
     def forward_on_tape(self, tape: Tape, groups: list[list[list[int]]]) -> Tensor:
@@ -215,18 +216,20 @@ class MimickModel(CharBiLstm):
         )
 
     @classmethod
-    def restore(cls, path: str, meta: dict, tensors: dict[str, np.ndarray]) -> "MimickModel":
-        """Rebuild a model from meta() and the tensors of parameters()."""
+    def restore(
+        cls, path: str, meta: dict, tensors: dict[str, np.ndarray], prefix: str = ""
+    ) -> "MimickModel":
+        """Rebuild a model from meta() and the archive tensors of parameters(prefix)."""
         with reading_meta(path):
             chars = CharVocabulary(meta["chars"])
             model = cls(chars, meta["dim"], meta["char_dim"], meta["hidden"])
-        restore_parameters(path, model.parameters(), tensors)
+        restore_parameters(path, model.parameters(prefix), tensors)
         model.source = path
         return model
 
     def save(self, path: str, extra_meta: dict | None = None) -> None:
         meta = {**self.meta(), **(extra_meta or {})}
-        save_archive(path, "mimick", meta, {k: p.data for k, p in self.parameters().items()})
+        save_archive(path, "mimick", meta, archive_tensors(self.parameters()))
 
     @classmethod
     def load(cls, path: str) -> "MimickModel":
@@ -234,16 +237,39 @@ class MimickModel(CharBiLstm):
         return cls.restore(path, manifest["meta"], tensors)
 
 
-def restore_parameters(path: str, params: dict[str, Tensor], tensors: dict[str, np.ndarray]) -> None:
+def archive_tensors(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Views of the parameters' data under their archive names, in archive
+    order: an LSTM cell's stacked weight and bias (prefix + "w" and prefix +
+    "b") as their gate row blocks prefix + w_i, b_i, w_f, b_f, w_o, b_o, w_c
+    and b_c; every other parameter under its own name."""
+    out = {}
     for name, param in params.items():
+        kind = name.rpartition(".")[2]
+        if kind == "w":
+            prefix, b = name[:-1], params[name[:-1] + "b"].data
+            gates = zip(LstmCellParams.GATES, np.split(param.data, 4), np.split(b, 4))
+            for gate, w_rows, b_rows in gates:
+                out[f"{prefix}w_{gate}"], out[f"{prefix}b_{gate}"] = w_rows, b_rows
+        elif kind != "b":
+            out[name] = param.data
+    return out
+
+
+def restore_parameters(path: str, params: dict[str, Tensor], tensors: dict[str, np.ndarray]) -> None:
+    """Write an archive's tensors into the views archive_tensors(params)
+    gives: each view needs its tensor, of its shape, and each tensor a view."""
+    views = archive_tensors(params)
+    for name, view in views.items():
         if name not in tensors:
             raise ArchiveError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != param.data.shape:
+        if tensors[name].shape != view.shape:
             raise ArchiveError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {param.data.shape}"
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {view.shape}"
             )
-        param.data[...] = tensors[name]
+        view[...] = tensors[name]
+    for name in tensors:
+        if name not in views:
+            raise ArchiveError(f"{path}: unexpected tensor {name!r}")
 
 
 def mimick_loss(model: MimickModel, word: str, target: np.ndarray) -> float:

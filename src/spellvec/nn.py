@@ -237,9 +237,10 @@ class Tape:
         return self._emit(out, backward)
 
     def take(self, a: Tensor, index) -> Tensor:
-        """The elements of a at a numpy integer or advanced index, in the index's
-        shape: an integer array gathers a matrix's rows (an embedding lookup).
-        An element named twice gets both gradients, added in index order."""
+        """The elements of a at a numpy integer, slice or advanced index, in the
+        index's shape: an integer array gathers a matrix's rows (an embedding
+        lookup). An element named twice gets both gradients, added in index
+        order."""
 
         def backward(g):
             np.add.at(a.grad, index, g)
@@ -459,15 +460,12 @@ def embedding_init(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
 
 
 class LstmCellParams:
-    """Input, forget, output and candidate gate weights over [input; hidden].
+    """Input, forget, output and candidate gate weights over [input; hidden],
+    stacked in that order into the cell's two parameters: one (4 * hidden,
+    input + hidden) weight `w` and one (4 * hidden,) bias `b`.
 
-    The gates are stacked, in that order, into one (4 * hidden, input +
-    hidden) weight `w` and one (4 * hidden,) bias `b`. The per-gate tensors
-    w_i ... b_c are the named parameters; their data and grad are views of
-    row blocks of w and b, so an update through either is seen by both.
-
-    With rng=None all parameters are zero; otherwise weights are Glorot
-    uniform, drawn gate by gate, and the forget-gate bias starts at 1.0.
+    With rng=None both are zero; otherwise the weights are Glorot uniform,
+    drawn gate by gate, and the forget-gate bias starts at 1.0.
     """
 
     GATES = ("i", "f", "o", "c")
@@ -480,64 +478,31 @@ class LstmCellParams:
         h = hidden_size
         self.w = Tensor(np.zeros((4 * h, input_size + h)))
         self.b = Tensor(np.zeros(4 * h))
-        for k, gate in enumerate(self.GATES):
-            rows = slice(k * h, (k + 1) * h)
-            if rng is not None:
-                self.w.data[rows] = glorot_uniform(rng, h, input_size + h)
-                if gate == "f":
-                    self.b.data[rows] = 1.0
-            setattr(self, f"w_{gate}", _RowBlock(self.w, rows))
-            setattr(self, f"b_{gate}", _RowBlock(self.b, rows))
+        if rng is not None:
+            for rows in np.split(self.w.data, 4):
+                rows[...] = glorot_uniform(rng, h, input_size + h)
+            self.b.data[h : 2 * h] = 1.0
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out = {}
-        for gate in self.GATES:
-            out[f"{prefix}w_{gate}"] = getattr(self, f"w_{gate}")
-            out[f"{prefix}b_{gate}"] = getattr(self, f"b_{gate}")
-        return out
-
-
-class _RowBlock(Tensor):
-    """Rows of a parent tensor: data and grad are views of the parent's
-    current buffers, so they follow the parent wherever flatten moves it."""
-
-    __slots__ = ("parent", "rows")
-
-    def __init__(self, parent: Tensor, rows: slice):
-        self.parent, self.rows = parent, rows
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.parent.data[self.rows]
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self.parent.grad[self.rows]
-
-    @grad.setter
-    def grad(self, value) -> None:
-        # `view.grad += g` adds in place, then assigns the sum back here
-        self.parent.grad[self.rows] = value
+        return {f"{prefix}w": self.w, f"{prefix}b": self.b}
 
 
 def flatten(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray, list[Tensor]]:
-    """Move the tensors that hold the parameters' memory (a row block's
-    parent, else the parameter itself), each once, into one flat data buffer
-    and one flat zeroed gradient buffer, in the parameters' order, keeping
-    their values; returns the two buffers and the moved tensors. Row blocks
-    view their parents' new memory, so every parameter is then a view of the
-    two buffers."""
-    owners = list({id(t): t for t in (getattr(p, "parent", p) for p in params.values())}.values())
-    total = sum(t.data.size for t in owners)
+    """Move the parameters, each tensor once however many names it has, into
+    one flat data buffer and one flat zeroed gradient buffer, in the
+    parameters' order, keeping their values; returns the two buffers and the
+    moved tensors, each then a view of the two buffers."""
+    moved = list({id(p): p for p in params.values()}.values())
+    total = sum(t.data.size for t in moved)
     data, grad = np.empty(total), np.zeros(total)
     start = 0
-    for t in owners:
+    for t in moved:
         end = start + t.data.size
         block = data[start:end].reshape(t.data.shape)
         block[...] = t.data
         t.data, t.grad = block, grad[start:end].reshape(block.shape)
         start = end
-    return data, grad, owners
+    return data, grad, moved
 
 
 def lstm_step(
@@ -553,11 +518,10 @@ def lstm_step(
             raise DimensionError(
                 f"lstm_step: {name} shape {v.data.shape} != ({cell.hidden_size},)"
             )
-    z = tape.concat([x, h_prev])
-    i = tape.sigmoid(tape.affine(cell.w_i, z, cell.b_i))
-    f = tape.sigmoid(tape.affine(cell.w_f, z, cell.b_f))
-    o = tape.sigmoid(tape.affine(cell.w_o, z, cell.b_o))
-    cand = tape.tanh(tape.affine(cell.w_c, z, cell.b_c))
+    a = tape.affine(cell.w, tape.concat([x, h_prev]), cell.b)
+    size = cell.hidden_size
+    i, f, o, cand = (tape.take(a, slice(k * size, (k + 1) * size)) for k in range(4))
+    i, f, o, cand = tape.sigmoid(i), tape.sigmoid(f), tape.sigmoid(o), tape.tanh(cand)
     c = tape.add(tape.mul(f, c_prev), tape.mul(i, cand))
     h = tape.mul(o, tape.tanh(c))
     return h, c
@@ -739,9 +703,7 @@ class MomentumSgd:
     zero_grad is one fill, and step runs over the store in blocks of
     STEP_BLOCK floats, with the elementwise arithmetic of a per-tensor step.
 
-    Each owner tensor is moved once, so memory that several parameters name
-    (a gate view and its w, or one tensor under two names) is stepped once.
-    A gate view (w_i ... b_c) is stepped together with its whole parent.
+    Each tensor is moved once, so a tensor named twice is stepped once.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float):
@@ -751,7 +713,7 @@ class MomentumSgd:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
-        self._data, self._grad, self._owners = flatten(params)
+        self._data, self._grad, self._moved = flatten(params)
         self._velocity = np.zeros(self._data.size)
         self._scratch = np.empty(min(STEP_BLOCK, self._data.size))
 
@@ -771,12 +733,12 @@ class MomentumSgd:
 
     def release(self) -> None:
         """Drop every moved tensor's gradient, allocated anew as its own zeros
-        when next used (a gate view reads its parent's), and the flat gradient,
+        when next used, and the flat gradient,
         velocity and scratch buffers; step and zero_grad then raise, and a new
         MomentumSgd moves the parameters anew."""
-        for t in self._owners:
+        for t in self._moved:
             t.grad = None
-        self._grad = self._velocity = self._scratch = self._owners = None
+        self._grad = self._velocity = self._scratch = self._moved = None
 
     def _require_store(self) -> None:
         if self._grad is None:

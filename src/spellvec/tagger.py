@@ -44,7 +44,7 @@ from .conllu import (
 from .embeddings import MIMICK_DIRECT, UNK_LOWERCASE, EmbeddingTable, lookup_many
 from .evaluate import TaggedCorpusPair, micro_f1, pos_accuracy
 from .fileio import InputError
-from .mimick import CharBiLstm, CharVocabulary, MimickModel, restore_parameters
+from .mimick import CharBiLstm, CharVocabulary, MimickModel, archive_tensors, restore_parameters
 from .nn import (
     DimensionError,
     LstmCellParams,
@@ -399,8 +399,8 @@ class TaggerModel:
         if rep.table.unk is not None:
             tensors["base_unk"] = rep.table.unk
         if rep.mimick is not None:
-            tensors.update({f"mimick.{k}": p.data for k, p in rep.mimick.parameters().items()})
-        tensors.update({k: p.data for k, p in self.network_parameters().items()})
+            tensors.update(archive_tensors(rep.mimick.parameters("mimick.")))
+        tensors.update(archive_tensors(self.network_parameters()))
         save_archive(path, "tagger", meta, tensors)
 
     @classmethod
@@ -409,18 +409,16 @@ class TaggerModel:
         meta = manifest["meta"]
         if "base" not in tensors:
             raise ArchiveError(f"{path}: missing tensor 'base'")
+        # every tensor but these is a parameter's, which restore_parameters reads
+        base, unk = tensors.pop("base"), tensors.pop("base_unk", None)
         with reading_meta(path):
-            table = EmbeddingTable.over(
-                meta["base_words"], tensors["base"], unk=tensors.get("base_unk")
-            )
+            table = EmbeddingTable.over(meta["base_words"], base, unk=unk)
             if table.dim != meta["dim"]:
                 raise ValueError(f"tensor 'base' is {table.dim} wide, meta 'dim' is {meta['dim']}")
             mimick = None
             if meta["mimick"] is not None:
-                sub = {
-                    k[len("mimick.") :]: a for k, a in tensors.items() if k.startswith("mimick.")
-                }
-                mimick = MimickModel.restore(path, meta["mimick"], sub)
+                sub = {k: tensors.pop(k) for k in list(tensors) if k.startswith("mimick.")}
+                mimick = MimickModel.restore(path, meta["mimick"], sub, "mimick.")
             schema = AttributeSchema(
                 pos=list(meta["schema"]["pos"]),
                 attrs={a: list(v) for a, v in meta["schema"]["attrs"].items()},

@@ -144,25 +144,27 @@ def naive_lstm(cell, x, h, c):
     against."""
     z = np.concatenate([x, h])
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    i = sig(cell.w_i.data @ z + cell.b_i.data)
-    f = sig(cell.w_f.data @ z + cell.b_f.data)
-    o = sig(cell.w_o.data @ z + cell.b_o.data)
-    g = np.tanh(cell.w_c.data @ z + cell.b_c.data)
+    # each gate's row block of the stacked weight and bias, i, f, o, c
+    w_i, w_f, w_o, w_c = np.split(cell.w.data, 4)
+    b_i, b_f, b_o, b_c = np.split(cell.b.data, 4)
+    i = sig(w_i @ z + b_i)
+    f = sig(w_f @ z + b_f)
+    o = sig(w_o @ z + b_o)
+    g = np.tanh(w_c @ z + b_c)
     c = f * c + i * g
     return o * np.tanh(c), c
 
 
 def assert_gradients_released(params):
     """What training or loading leaves: every gradient is zero, and each
-    tensor that holds parameter memory (a gate view's parent, else the
-    parameter) keeps a writable gradient whose memory is its own, not a view
-    of a larger buffer such as an optimizer's flat gradient store, and shared
-    with no other tensor's data or gradient."""
+    parameter tensor keeps a writable gradient whose memory is its own, not a
+    view of a larger buffer such as an optimizer's flat gradient store, and
+    shared with no other tensor's data or gradient."""
     for name, p in params.items():
         assert not np.any(p.grad), name
-    owners = {id(t): t for t in (getattr(p, "parent", p) for p in params.values())}
-    arrays = [a for t in owners.values() for a in (t.data, t.grad)]
-    for t in owners.values():
+    tensors = {id(p): p for p in params.values()}
+    arrays = [a for t in tensors.values() for a in (t.data, t.grad)]
+    for t in tensors.values():
         memory = t.grad
         while isinstance(memory, np.ndarray) and memory.base is not None:
             memory = memory.base

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spellvec.archive import MAGIC, ArchiveError, load_archive, save_archive
+from spellvec.conllu import AttributeSchema
+from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import CharVocabulary, MimickModel
+from spellvec.tagger import TaggerModel, WordRepSpec
 
 
 @pytest.fixture
@@ -220,6 +223,67 @@ def test_mimick_meta_without_a_key_names_file_and_key(tmp_path):
     write_raw_archive(path, manifest, payload)
     with pytest.raises(ArchiveError, match=re.escape(f"{path}: meta has no key 'chars'")):
         MimickModel.load(str(path))
+
+
+def manifest_tensors(path):
+    manifest, _ = load_archive(str(path))
+    assert manifest["format_version"] == 1
+    return [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]
+
+
+def gate_blocks(prefix, rows, cols):
+    """An LSTM cell's archive tensors: one weight and one bias row block per
+    gate, in the order i, f, o, c."""
+    return [
+        (f"{prefix}w_i", (rows, cols)), (f"{prefix}b_i", (rows,)),
+        (f"{prefix}w_f", (rows, cols)), (f"{prefix}b_f", (rows,)),
+        (f"{prefix}w_o", (rows, cols)), (f"{prefix}b_o", (rows,)),
+        (f"{prefix}w_c", (rows, cols)), (f"{prefix}b_c", (rows,)),
+    ]
+
+
+class TestManifest:
+    """The tensor names, order and shapes that format version 1 writes: an
+    LSTM cell as its eight gate row blocks."""
+
+    def test_a_mimick_archive(self, tmp_path):
+        path = tmp_path / "m.svm"
+        MimickModel(CharVocabulary("ab"), dim=3, char_dim=2, hidden=1,
+                    rng=np.random.default_rng(3)).save(str(path))
+        assert manifest_tensors(path) == [
+            ("char_emb", (3, 2)),
+            ("fwd.w_i", (1, 3)), ("fwd.b_i", (1,)), ("fwd.w_f", (1, 3)), ("fwd.b_f", (1,)),
+            ("fwd.w_o", (1, 3)), ("fwd.b_o", (1,)), ("fwd.w_c", (1, 3)), ("fwd.b_c", (1,)),
+            ("bwd.w_i", (1, 3)), ("bwd.b_i", (1,)), ("bwd.w_f", (1, 3)), ("bwd.b_f", (1,)),
+            ("bwd.w_o", (1, 3)), ("bwd.b_o", (1,)), ("bwd.w_c", (1, 3)), ("bwd.b_c", (1,)),
+            ("t_h", (1, 2)), ("b_h", (1,)), ("o_t", (3, 1)), ("b_t", (3,)),
+        ]
+
+    def test_a_both_tagger_archive(self, tmp_path):
+        rng = np.random.default_rng(3)
+        mimick = MimickModel(CharVocabulary("ab"), dim=3, char_dim=2, hidden=1, rng=rng)
+        table = EmbeddingTable(3, [("ab", rng.normal(size=3)), ("ba", rng.normal(size=3))],
+                               unk=np.zeros(3))
+        schema = AttributeSchema(["A", "B"], {"Case": ["Nom"]}, {"Case": 1.0})
+        path = tmp_path / "t.svm"
+        TaggerModel(schema, WordRepSpec("both", table, mimick), hidden=2, char_dim=3,
+                    char_hidden=2, rng=rng, forms=["ab", "ba", "abb"]).save(str(path))
+        # a sentence layer reads the vector (3) and char2tag's two states (2 + 2)
+        assert manifest_tensors(path) == [
+            ("rows", (3, 3)), ("base", (2, 3)), ("base_unk", (3,)),
+            ("mimick.char_emb", (3, 2)),
+            *gate_blocks("mimick.fwd.", 1, 3), *gate_blocks("mimick.bwd.", 1, 3),
+            ("mimick.t_h", (1, 2)), ("mimick.b_h", (1,)),
+            ("mimick.o_t", (3, 1)), ("mimick.b_t", (3,)),
+            ("c2t.char_emb", (3, 3)),
+            *gate_blocks("c2t.fwd.", 2, 5), *gate_blocks("c2t.bwd.", 2, 5),
+            *gate_blocks("l1f.", 2, 9), *gate_blocks("l1b.", 2, 9),
+            *gate_blocks("l2f.", 2, 6), *gate_blocks("l2b.", 2, 6),
+            ("head.POS.w_h", (2, 4)), ("head.POS.b_h", (2,)),
+            ("head.POS.o_w", (2, 2)), ("head.POS.b_w", (2,)),
+            ("head.attr.Case.w_h", (2, 4)), ("head.attr.Case.b_h", (2,)),
+            ("head.attr.Case.o_w", (2, 2)), ("head.attr.Case.b_w", (2,)),
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from synthetic import assert_gradients_released, naive_lstm, watched_tapes
 from spellvec import embeddings
 from spellvec import mimick as mimick_module
-from spellvec.archive import ArchiveError
+from spellvec.archive import ArchiveError, load_archive, save_archive
 from spellvec.embeddings import EmbeddingTable
 from spellvec.mimick import (
     INFER_SLICE,
@@ -18,6 +18,7 @@ from spellvec.mimick import (
     MimickModel,
     MimickTrainConfig,
     NonFiniteOutputError,
+    archive_tensors,
     infer_oov,
     mimick_loss,
     nearest_neighbors,
@@ -261,12 +262,30 @@ class TestTraining:
 
     def test_restoring_a_tensor_of_another_shape_names_the_file_and_tensor(self):
         model = small_model()
-        tensors = {name: p.data.copy() for name, p in model.parameters().items()}
+        tensors = {name: a.copy() for name, a in archive_tensors(model.parameters()).items()}
         tensors["o_t"] = np.zeros((4, 5))
         with pytest.raises(ArchiveError, match=(
             r"^m\.svm: tensor 'o_t' has shape \(4, 5\), expected \(5, 4\)$"
         )):
             restore_parameters("m.svm", small_model(seed=1).parameters(), tensors)
+
+    @pytest.mark.parametrize("added, removed, message", [
+        ("zzz", None, "unexpected tensor 'zzz'"),
+        (None, "fwd.w_i", "missing tensor 'fwd.w_i'"),
+    ], ids=["unexpected", "missing"])
+    def test_an_archive_whose_tensors_are_not_the_parameters_names_the_file_and_tensor(
+        self, tmp_path, added, removed, message
+    ):
+        path = str(tmp_path / "m.svm")
+        small_model().save(path)
+        manifest, tensors = load_archive(path)
+        if added:
+            tensors[added] = np.zeros(2)
+        if removed:
+            del tensors[removed]
+        save_archive(path, "mimick", manifest["meta"], tensors)
+        with pytest.raises(ArchiveError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            MimickModel.load(path)
 
     def test_archive_round_trip_bit_exact(self, tmp_path):
         model = small_model(seed=13)

@@ -74,7 +74,7 @@ class TestLstmStep:
     def test_forget_gate_carry_hand_evaluation(self):
         # zero weights, forget bias +10: c = sigmoid(10) * c_prev, h = 0.5 * tanh(c)
         cell = LstmCellParams(2, 2)
-        cell.b_f.data[:] = 10.0
+        cell.b.data[2:4] = 10.0  # the forget gate's rows
         v = np.array([0.4, -1.2])
         t = Tape()
         h, c = lstm_step(t, cell, Tensor([0.0, 0.0]), Tensor(np.zeros(2)), Tensor(v))
@@ -279,23 +279,22 @@ class TestMomentumSgd:
         assert not np.any(cell.w.grad) and not np.any(cell.b.grad) and not np.any(p.grad)
 
     def test_memory_named_by_several_parameters_is_stepped_exactly_once(self):
-        # a gate view plus its w, one tensor under two names, a cell plus one
-        # of its views again: each owner's memory moves by one step
+        # one tensor under two names, a cell plus its weight again: each
+        # tensor's memory moves by one step
         rng = np.random.default_rng(16)
         cell, p = LstmCellParams(2, 3, rng), Tensor([1.0, 2.0])
-        for params, owners in (
-            ({"w": cell.w, "w_i": cell.w_i}, [cell.w]),
+        for params, tensors in (
             ({"a": p, "b": p}, [p]),
-            ({**cell.parameters("c."), "w_f": cell.w_f}, [cell.w, cell.b]),
+            ({**cell.parameters("c."), "w": cell.w}, [cell.w, cell.b]),
         ):
             opt = MomentumSgd(params, lr=0.5, momentum=0.9)
-            start = [t.data.copy() for t in owners]
-            for t in owners:
+            start = [t.data.copy() for t in tensors]
+            for t in tensors:
                 t.grad[...] = 1.0
             opt.step()
-            for t, before in zip(owners, start):
+            for t, before in zip(tensors, start):
                 assert np.array_equal(t.data, before - 0.5)
-            assert opt._data.size == sum(t.data.size for t in owners)
+            assert opt._data.size == sum(t.data.size for t in tensors)
 
     def test_flat_store_steps_as_one_buffer_with_per_tensor_bits(self):
         # more than two blocks of floats, in tensors that straddle block edges
@@ -319,20 +318,6 @@ class TestMomentumSgd:
         for k, p in params.items():
             assert p.data.tobytes() == expected[k].tobytes(), k
 
-    def test_a_gate_view_is_stepped_with_its_whole_parent(self):
-        cell = LstmCellParams(2, 3, np.random.default_rng(13))
-        start = cell.w.data.copy()
-        opt = MomentumSgd({"w_f": cell.w_f, "w_c": cell.w_c}, lr=0.5, momentum=0.0)
-        cell.w.grad[...] = 1.0
-        opt.step()
-        assert np.array_equal(cell.w.data, start - 0.5)
-        # every gate view, passed or not, sees the stepped parent
-        for k, gate in enumerate(LstmCellParams.GATES):
-            view = getattr(cell, f"w_{gate}")
-            assert np.array_equal(view.data, start[3 * k : 3 * k + 3] - 0.5), gate
-        opt.zero_grad()
-        assert not np.any(cell.w.grad) and not np.any(cell.w_i.grad)
-
     def test_release_gives_every_moved_tensor_a_zero_gradient_of_its_own(self):
         rng = np.random.default_rng(18)
         cell, p = LstmCellParams(8, 8, rng), Tensor(rng.normal(size=3))
@@ -347,9 +332,6 @@ class TestMomentumSgd:
         assert_gradients_released(params)
         for k, t in params.items():
             assert np.array_equal(t.data, stepped[k]), k
-        # a gate view reads its parent's new gradient
-        cell.w.grad[8:16] = 2.0
-        assert np.all(cell.w_f.grad == 2.0) and not np.any(cell.w_i.grad)
 
     def test_a_new_optimizer_over_released_parameters_steps_as_a_fresh_one(self):
         released, fresh = (LstmCellParams(8, 8, np.random.default_rng(19)) for _ in range(2))
@@ -431,8 +413,8 @@ class TestLazyGradients:
 
     def test_a_backward_into_fresh_gradients_has_the_bits_of_one_into_zeroed_ones(self):
         # three first writes through a view: Tape.bilstm's input gradient
-        # (xs.grad[0]), Tape.take's np.add.at into the embedding, and the
-        # gate views' parents under lstm_step's affines
+        # (xs.grad[0]), Tape.take's np.add.at into the embedding, and into
+        # lstm_step's affine output under its four gate slices (Tape.take)
         def run(zeroed):
             rng = np.random.default_rng(23)
             emb = Tensor(rng.normal(size=(6, 3)))
@@ -447,7 +429,7 @@ class TestLazyGradients:
             (states,) = tape.bilstm(fwd, bwd, [xs])
             h, c = lstm_step(tape, cell, tape.take(states, (0, -1)), h0, c0)
             tape.backward(tape.add(tape.sum_squares(h), tape.sum(tape.tanh(c))))
-            return [t.grad for t in leaves] + [cell.w_f.grad, cell.b_c.grad]
+            return [t.grad for t in leaves]
 
         fresh, zeroed = run(False), run(True)
         assert all(np.any(g) for g in fresh)
@@ -474,15 +456,15 @@ class TestFlatten:
         before = {k: p.data.copy() for k, p in params.items()}
         emb.grad[...] = 1.0
         nn.flatten(params)
-        one_store(params)
+        store = one_store(params)
         assert cell.w.data.base is emb.data.base
         for k, p in params.items():
             assert np.array_equal(p.data, before[k]), k
             assert not np.any(p.grad), k
-        # the gate views kept by the cell write into the store
-        assert cell.parameters()["w_f"] is params["w_f"]
-        cell.w_f.data[...] = 7.0
-        assert np.all(cell.w.data[2:4] == 7.0)
+        # the tensors the cell keeps write into the store, w first
+        assert cell.parameters()["w"] is params["w"]
+        cell.w.data[2:4] = 7.0
+        assert np.all(store[10:20] == 7.0)
 
     def test_models_train_from_one_store(self):
         from spellvec.mimick import CharVocabulary, MimickModel
@@ -544,6 +526,14 @@ def test_every_exported_name_resolves():
     assert [name for name in nn.__all__ if not hasattr(nn, name)] == []
 
 
+def gate_grads(cell):
+    """Copies of a cell's gradient rows by gate: w_i, b_i, w_f, ..., b_c."""
+    blocks = zip(LstmCellParams.GATES, np.split(cell.w.grad, 4), np.split(cell.b.grad, 4))
+    return {
+        f"{kind}_{gate}": rows.copy() for gate, *pair in blocks for kind, rows in zip("wb", pair)
+    }
+
+
 def lstm_step_chain(cell, x, reverse, weights):
     """Reference for one direction of Tape.bilstm: the rows of x run through
     lstm_step one at a time; returns the states in input order, the per-row
@@ -561,8 +551,7 @@ def lstm_step_chain(cell, x, reverse, weights):
         states[t] = h
     loss = tape.add_n([tape.sum(tape.mul_const(s, w)) for s, w in zip(states, weights)])
     tape.backward(loss)
-    grads = {k: p.grad.copy() for k, p in cell.parameters().items()}
-    return np.stack([s.data for s in states]), np.stack([r.grad for r in rows]), grads
+    return np.stack([s.data for s in states]), np.stack([r.grad for r in rows]), gate_grads(cell)
 
 
 def bilstm_kernel(fwd, bwd, x, weights):
@@ -574,8 +563,7 @@ def bilstm_kernel(fwd, bwd, x, weights):
     tape = Tape()
     (states,) = tape.bilstm(fwd, bwd, [xs])
     tape.backward(tape.sum(tape.mul_const(states, weights[None])))
-    grads = [{k: p.grad.copy() for k, p in cell.parameters().items()} for cell in (fwd, bwd)]
-    return states.data[0].copy(), xs.grad[0].copy(), grads
+    return states.data[0].copy(), xs.grad[0].copy(), [gate_grads(fwd), gate_grads(bwd)]
 
 
 def recorded_states(fwd, bwd, x):
@@ -601,7 +589,7 @@ class TestLstmKernel:
         rng = np.random.default_rng(10 * steps + reverse)
         cells = [LstmCellParams(3, 5, rng), LstmCellParams(3, 5, rng)]
         for cell in cells:
-            cell.b_o.data[...] = rng.normal(size=5)
+            cell.b.data[10:15] = rng.normal(size=5)  # the output gate's rows
         x = rng.normal(size=(steps, 3))
         weights = rng.normal(size=(steps, 5))
         half = slice(5, 10) if reverse else slice(0, 5)
@@ -1033,30 +1021,37 @@ class TestTwoThreadPass:
 
 class TestStackedGateStorage:
     def test_parameters_keep_names_shapes_and_draw_order(self):
+        from spellvec.mimick import archive_tensors
+
         cell = LstmCellParams(3, 2, np.random.default_rng(4))
         params = cell.parameters("l1f.")
+        assert params == {"l1f.w": cell.w, "l1f.b": cell.b}
+        assert cell.w.shape == (8, 5) and cell.b.shape == (8,)
+        # an archive names each gate's rows, drawn gate by gate
+        blocks = archive_tensors(params)
         names = [f"l1f.{kind}_{gate}" for gate in "ifoc" for kind in "wb"]
-        assert list(params) == names
+        assert list(blocks) == names
         reference = np.random.default_rng(4)
         for gate in "ifoc":
-            assert params[f"l1f.w_{gate}"].shape == (2, 5)
-            assert params[f"l1f.b_{gate}"].shape == (2,)
-            assert np.array_equal(params[f"l1f.w_{gate}"].data, nn.glorot_uniform(reference, 2, 5))
+            assert blocks[f"l1f.w_{gate}"].shape == (2, 5)
+            assert blocks[f"l1f.b_{gate}"].shape == (2,)
+            assert np.array_equal(blocks[f"l1f.w_{gate}"], nn.glorot_uniform(reference, 2, 5))
             expected_bias = np.ones(2) if gate == "f" else np.zeros(2)
-            assert np.array_equal(params[f"l1f.b_{gate}"].data, expected_bias)
-        assert np.array_equal(cell.w.data, np.concatenate([params[n].data for n in names[0::2]]))
+            assert np.array_equal(blocks[f"l1f.b_{gate}"], expected_bias)
+            assert np.shares_memory(blocks[f"l1f.w_{gate}"], cell.w.data)
+        assert np.array_equal(cell.w.data, np.concatenate([blocks[n] for n in names[0::2]]))
+        assert np.array_equal(cell.b.data, np.concatenate([blocks[n] for n in names[1::2]]))
 
     def test_in_place_gate_edit_is_seen_by_kernel(self):
         rng = np.random.default_rng(5)
         cell, other = LstmCellParams(3, 4), LstmCellParams(3, 4)
         x = rng.normal(size=(3, 3))
         before = recorded_states(cell, other, x)
-        cell.w_f.data[...] = rng.normal(size=(4, 7))
-        cell.w_c.data[...] = rng.normal(size=(4, 7))
-        cell.b_i.data[1] = 2.0
+        cell.w.data[4:8] = rng.normal(size=(4, 7))  # the forget gate's rows
+        cell.w.data[12:16] = rng.normal(size=(4, 7))  # the candidate's
+        cell.b.data[1] = 2.0  # the input gate's
         after = recorded_states(cell, other, x)
         assert not np.array_equal(before, after)
-        assert np.array_equal(cell.w.data[4:8], cell.w_f.data)
         expected, _, _ = lstm_step_chain(cell, x, False, np.ones((3, 4)))
         assert np.allclose(after[:, :4], expected, rtol=0.0, atol=1e-12)
 
@@ -1069,7 +1064,6 @@ class TestStackedGateStorage:
         opt.zero_grad()
         tape = Tape()
         tape.backward(tape.sum_squares(tape.bilstm(cell, other, [x])[0]))
-        assert np.array_equal(cell.w_o.grad, cell.w.grad[6:9])
         grad = cell.w.grad.copy()
         opt.step()
         assert np.allclose(cell.w.data, start - 0.1 * grad, rtol=0.0, atol=1e-15)
@@ -1077,11 +1071,12 @@ class TestStackedGateStorage:
         assert np.allclose(recorded_states(cell, other, x.data[0])[:, :3], expected, rtol=0.0, atol=1e-12)
 
     def test_restore_parameters_is_seen_by_kernel(self):
-        from spellvec.mimick import restore_parameters
+        from spellvec.mimick import archive_tensors, restore_parameters
 
         rng = np.random.default_rng(7)
         cell = LstmCellParams(2, 3)
-        tensors = {k: rng.normal(size=p.shape) for k, p in cell.parameters().items()}
+        blocks = archive_tensors(cell.parameters())
+        tensors = {k: rng.normal(size=a.shape) for k, a in blocks.items()}
         restore_parameters("cell.svm", cell.parameters(), tensors)
         assert np.array_equal(
             cell.w.data, np.concatenate([tensors[f"w_{g}"] for g in LstmCellParams.GATES])

@@ -477,7 +477,8 @@ class TestVariants:
         assert list(got) == list(expected)
         for name, grad in got.items():
             assert np.array_equal(grad, expected[name]), name
-        assert np.any(got["c2t.char_emb"] != 0.0) and np.any(got["c2t.fwd.w_c"] != 0.0)
+        # the candidate gate's rows of the forward weight, 15 to 20 at char hidden 5
+        assert np.any(got["c2t.char_emb"] != 0.0) and np.any(got["c2t.fwd.w"][15:] != 0.0)
 
     def test_a_training_step_starts_no_thread(self, two_thread_gate, monkeypatch):
         rng = np.random.default_rng(13)
@@ -809,6 +810,46 @@ class TestTraining:
         with pytest.raises(ArchiveError, match=f"^{re.escape(message)}$"):
             TaggerModel.load(path)
 
+    @pytest.mark.parametrize("prefix", ["c2t.", "mimick."])
+    def test_a_no_char_archive_holding_another_variant_s_tensors_names_the_first(
+        self, tmp_path, prefix
+    ):
+        rng = np.random.default_rng(6)
+        table = tiny_table(rng, ["aa", "ab"])
+        mimick = MimickModel(CharVocabulary("ab"), dim=3, char_dim=2, hidden=2, rng=rng)
+        path, both = str(tmp_path / "no-char.svm"), str(tmp_path / "both.svm")
+        for variant, where in (("no-char", path), ("both", both)):
+            rep = WordRepSpec(variant, table, mimick if variant == "both" else None)
+            TaggerModel(AttributeSchema(["A"], {}, {}), rep, hidden=2, char_dim=2, char_hidden=2,
+                        rng=rng, forms=["aa", "ab"]).save(where)
+        manifest, tensors = load_archive(path)
+        assert manifest["meta"]["mimick"] is None
+        tensors.update({k: a for k, a in load_archive(both)[1].items() if k.startswith(prefix)})
+        save_archive(path, "tagger", manifest["meta"], tensors)
+        message = f"{path}: unexpected tensor '{prefix}char_emb'"
+        with pytest.raises(ArchiveError, match=f"^{re.escape(message)}$"):
+            TaggerModel.load(path)
+
+    @pytest.mark.parametrize("added, removed, message", [
+        ("mimick.zzz", None, "unexpected tensor 'mimick.zzz'"),
+        (None, "mimick.fwd.w_i", "missing tensor 'mimick.fwd.w_i'"),
+    ], ids=["unexpected", "missing"])
+    def test_an_embedded_spelling_model_tensor_is_named_as_the_archive_names_it(
+        self, tmp_path, added, removed, message
+    ):
+        rng = np.random.default_rng(4)
+        rep = WordRepSpec("mimick", tiny_table(rng, ["aa"]), MimickModel(CharVocabulary("a"), 3))
+        path = str(tmp_path / "tagger.svm")
+        TaggerModel(AttributeSchema(["A"], {}, {}), rep, hidden=3, rng=rng).save(path)
+        manifest, tensors = load_archive(path)
+        if added:
+            tensors[added] = np.zeros(2)
+        if removed:
+            del tensors[removed]
+        save_archive(path, "tagger", manifest["meta"], tensors)
+        with pytest.raises(ArchiveError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            TaggerModel.load(path)
+
     def test_archive_round_trip_with_mimick_and_char_lstm(self, tmp_path):
         rng = np.random.default_rng(4)
         split, stems = small_split(rng, n_train=4, n_dev=1, n_suffixes=3)
@@ -840,11 +881,8 @@ class TestTrainedModelMemory:
     def test_every_gradient_is_zero_and_its_own_memory(self):
         model, _ = self.trained()
         params = model.parameters()
-        assert "rows" in params and "c2t.fwd.w_i" in params
+        assert "rows" in params and "c2t.fwd.w" in params
         assert_gradients_released(params)
-        # a gate view reads its parent's new gradient
-        cell = model.c2t.fwd
-        assert np.shares_memory(cell.w_f.grad, cell.w.grad)
 
     def test_a_new_optimizer_over_a_trained_tagger_steps_it(self):
         model, split = self.trained()
@@ -856,7 +894,7 @@ class TestTrainedModelMemory:
         tape.backward(model.loss_on_tape(tape, split.train[0], "sum"))
         optimizer.step()
         assert np.any(model.embeddings.grad)
-        for name in ("rows", "c2t.fwd.w_i", "head.POS.w_h"):
+        for name in ("rows", "c2t.fwd.w", "head.POS.w_h"):
             assert not np.array_equal(params[name].data, before[name]), name
 
     def test_loading_a_tagger_adds_its_data_bytes_not_twice_that(self, tmp_path):
@@ -864,8 +902,8 @@ class TestTrainedModelMemory:
         tiny_model(hidden=64, forms=("aa", "bb")).save(path)
         model, grown = traced_bytes(lambda: TaggerModel.load(path))
         params = model.parameters()
-        owners = {id(t): t for t in (getattr(p, "parent", p) for p in params.values())}
-        data = sum(t.data.nbytes for t in owners.values()) + model.rep.table.matrix().nbytes
+        tensors = {id(p): p for p in params.values()}
+        data = sum(t.data.nbytes for t in tensors.values()) + model.rep.table.matrix().nbytes
         assert data <= grown < 1.25 * data, (grown, data)
         assert_gradients_released(params)
 
