@@ -19,7 +19,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .fileio import InputError, text_lines
+from .fileio import LineError, text_lines
 from .nn import DimensionError
 
 UNK_TOKEN = "<UNK>"
@@ -38,10 +38,8 @@ READ_CHUNK = 1024
 _LOADTXT_ONLY = ("\r", "\n", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-class EmbeddingParseError(InputError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class EmbeddingParseError(LineError):
+    """A line of the embedding text format that does not parse."""
 
 
 class OovLookupError(KeyError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conllu import Sentence
 from .embeddings import TABLE_ONLY, EmbeddingTable, lookup_many, pow2_scaled
-from .fileio import InputError, text_lines
+from .fileio import InputError, LineError, text_lines
 
 
 class AlignmentError(InputError):
@@ -142,25 +142,26 @@ def micro_f1(pair: TaggedCorpusPair) -> MicroF1Report:
 
 
 def read_similarity_dataset(source: IO[str] | str) -> list[tuple[str, str, float]]:
-    """Tab-separated "word1 word2 score" lines; pairs must be unique."""
-    lines = text_lines(source)
+    """Tab-separated "word1 word2 score" lines, no word empty; pairs must be unique."""
     dataset = []
     seen = set()
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(text_lines(source), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise ValueError(f"line {line_no}: expected 3 tab-separated fields")
+            raise LineError(line_no, "expected 3 tab-separated fields")
+        if not (fields[0] and fields[1]):
+            raise LineError(line_no, "empty word")
         try:
             score = float(fields[2])
         except ValueError:
-            raise ValueError(f"line {line_no}: unparseable score {fields[2]!r}") from None
+            raise LineError(line_no, f"unparseable score {fields[2]!r}") from None
         if not math.isfinite(score):
-            raise ValueError(f"line {line_no}: non-finite score")
+            raise LineError(line_no, "non-finite score")
         key = (fields[0], fields[1])
         if key in seen:
-            raise ValueError(f"line {line_no}: duplicate pair {key!r}")
+            raise LineError(line_no, f"duplicate pair {key!r}")
         seen.add(key)
         dataset.append((fields[0], fields[1], score))
     return dataset

@@ -1,5 +1,5 @@
 """Atomic file writes (outputs appear fully written or not at all), the
-text-line reading shared by the parsers, and the error an unusable input raises."""
+text-line reading shared by the parsers, and the errors an unusable input raises."""
 
 import io
 import os
@@ -11,6 +11,14 @@ class InputError(ValueError):
     """An input the program cannot use: a parse error, or an input that parses
     but cannot serve as a whole (a table of one word, a corpus of no tokens).
     The command line names the file it came from."""
+
+
+class LineError(InputError):
+    """A parse error, whose message names the line of its input (from 1)."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
 
 
 def text_lines(source: IO[str] | str) -> Iterator[str]:

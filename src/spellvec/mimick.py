@@ -100,10 +100,7 @@ class CharBiLstm:
         self.chars = chars
         self.char_dim = char_dim
         self.hidden = hidden
-        if rng is None:
-            self.char_emb = Tensor(np.zeros((chars.size, char_dim)))
-        else:
-            self.char_emb = Tensor(embedding_init(rng, chars.size, char_dim))
+        self.char_emb = Tensor(embedding_init(rng, chars.size, char_dim))
         self.fwd = LstmCellParams(char_dim, hidden, rng)
         self.bwd = LstmCellParams(char_dim, hidden, rng)
         self.source: str | None = None  # the archive it was loaded from, which its errors name
@@ -173,12 +170,8 @@ class MimickModel(CharBiLstm):
     ):
         super().__init__(chars, char_dim, hidden, rng)
         self.dim = dim
-        if rng is None:
-            self.t_h = Tensor(np.zeros((hidden, 2 * hidden)))
-            self.o_t = Tensor(np.zeros((dim, hidden)))
-        else:
-            self.t_h = Tensor(glorot_uniform(rng, hidden, 2 * hidden))
-            self.o_t = Tensor(glorot_uniform(rng, dim, hidden))
+        self.t_h = Tensor(glorot_uniform(rng, hidden, 2 * hidden))
+        self.o_t = Tensor(glorot_uniform(rng, dim, hidden))
         self.b_h = Tensor(np.zeros(hidden))
         self.b_t = Tensor(np.zeros(dim))
 
@@ -324,7 +317,7 @@ def train_mimick(
                 ]
             tape = Tape()
             out = model.forward_on_tape(tape, [[indices]])
-            loss = tape.sum_squares(tape.sub(out, table.vector(word)[None, None]))
+            loss = tape.sum_squares(out, table.vector(word)[None, None])
             value = float(loss.data)
             if not math.isfinite(value):
                 raise ValueError(f"epoch {epoch}: loss {value} on word {word!r}; training diverged")

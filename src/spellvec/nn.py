@@ -132,30 +132,6 @@ class Tape:
     # ------------------------------------------------------------------
     # elementwise arithmetic
 
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        _require_same_shape("add", a, b)
-
-        def backward(g):
-            a.grad += g
-            b.grad += g
-
-        return self._emit(a.data + b.data, backward)
-
-    def sub(self, a: Tensor, b) -> Tensor:
-        """a - b for b a tensor of a's shape, or a constant array of a's shape
-        (a training target), which takes no gradient."""
-        constant = not isinstance(b, Tensor)
-        if constant:
-            b = Tensor(b)
-        _require_same_shape("sub", a, b)
-
-        def backward(g):
-            a.grad += g
-            if not constant:
-                b.grad -= g
-
-        return self._emit(a.data - b.data, backward)
-
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         _require_same_shape("mul", a, b)
 
@@ -434,24 +410,37 @@ class Tape:
 
         return self._emit(a.data.sum(), backward)
 
-    def sum_squares(self, a: Tensor) -> Tensor:
-        def backward(g):
-            a.grad += 2.0 * a.data * g
+    def sum_squares(self, a: Tensor, target=None) -> Tensor:
+        """The sum of (a - target)**2, for target None (zero) or a constant
+        array of a's shape (a training target), which takes no gradient."""
+        if target is not None:
+            _require_same_shape("sum_squares", a, Tensor(target))
+        d = a.data if target is None else a.data - target
 
-        return self._emit(np.sum(a.data * a.data), backward)
+        def backward(g):
+            a.grad += 2.0 * d * g
+
+        return self._emit(np.sum(d * d), backward)
 
 
 # ----------------------------------------------------------------------
-# initializers
+# initializers: with rng=None, zeros of the shape (a model to be restored)
 
 
-def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
+def glorot_uniform(
+    rng: np.random.Generator | None, fan_out: int, fan_in: int, blocks: int = 1
+) -> np.ndarray:
+    """blocks (fan_out, fan_in) draws stacked by rows, with the bits of one call per block."""
+    if rng is None:
+        return np.zeros((blocks * fan_out, fan_in))
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    return rng.uniform(-limit, limit, size=(blocks * fan_out, fan_in))
 
 
-def embedding_init(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+def embedding_init(rng: np.random.Generator | None, count: int, dim: int) -> np.ndarray:
     """Rows uniform in [-0.5/dim, 0.5/dim]."""
+    if rng is None:
+        return np.zeros((count, dim))
     return rng.uniform(-0.5 / dim, 0.5 / dim, size=(count, dim))
 
 
@@ -464,8 +453,8 @@ class LstmCellParams:
     stacked in that order into the cell's two parameters: one (4 * hidden,
     input + hidden) weight `w` and one (4 * hidden,) bias `b`.
 
-    With rng=None both are zero; otherwise the weights are Glorot uniform,
-    drawn gate by gate, and the forget-gate bias starts at 1.0.
+    With rng=None both are zero; otherwise each gate's weights are Glorot
+    uniform, in gate order, and the forget-gate bias starts at 1.0.
     """
 
     GATES = ("i", "f", "o", "c")
@@ -476,11 +465,9 @@ class LstmCellParams:
         self.input_size = input_size
         self.hidden_size = hidden_size
         h = hidden_size
-        self.w = Tensor(np.zeros((4 * h, input_size + h)))
+        self.w = Tensor(glorot_uniform(rng, h, input_size + h, blocks=4))
         self.b = Tensor(np.zeros(4 * h))
         if rng is not None:
-            for rows in np.split(self.w.data, 4):
-                rows[...] = glorot_uniform(rng, h, input_size + h)
             self.b.data[h : 2 * h] = 1.0
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
@@ -522,7 +509,7 @@ def lstm_step(
     size = cell.hidden_size
     i, f, o, cand = (tape.take(a, slice(k * size, (k + 1) * size)) for k in range(4))
     i, f, o, cand = tape.sigmoid(i), tape.sigmoid(f), tape.sigmoid(o), tape.tanh(cand)
-    c = tape.add(tape.mul(f, c_prev), tape.mul(i, cand))
+    c = tape.add_n([tape.mul(f, c_prev), tape.mul(i, cand)])
     h = tape.mul(o, tape.tanh(c))
     return h, c
 

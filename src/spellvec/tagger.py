@@ -132,12 +132,8 @@ class Head:
     (..., T, values)."""
 
     def __init__(self, in_width: int, n_values: int, rng: np.random.Generator | None):
-        if rng is None:
-            self.w_h = Tensor(np.zeros((n_values, in_width)))
-            self.o_w = Tensor(np.zeros((n_values, n_values)))
-        else:
-            self.w_h = Tensor(glorot_uniform(rng, n_values, in_width))
-            self.o_w = Tensor(glorot_uniform(rng, n_values, n_values))
+        self.w_h = Tensor(glorot_uniform(rng, n_values, in_width))
+        self.o_w = Tensor(glorot_uniform(rng, n_values, n_values))
         self.b_h = Tensor(np.zeros(n_values))
         self.b_w = Tensor(np.zeros(n_values))
 

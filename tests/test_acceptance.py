@@ -42,7 +42,7 @@ from spellvec.mimick import (
     nearest_neighbors,
     train_mimick,
 )
-from spellvec.nn import Tape, Tensor, gradient_check
+from spellvec.nn import Tape, gradient_check
 from spellvec.tagger import (
     MIMICK_VARIANTS,
     VARIANTS,
@@ -73,13 +73,13 @@ def test_1_gradient_fidelity():
         rng = np.random.default_rng(100 + seed)
         model = MimickModel(CharVocabulary("abcdefg"), dim=5, char_dim=3, hidden=4, rng=rng)
         word = "".join(rng.choice(list("abcdefg"), size=rng.integers(1, 7)))
-        target = Tensor(rng.normal(size=(1, 1, 5)))
+        target = rng.normal(size=(1, 1, 5))
         indices = model.chars.encode(word)
 
         def forward():
             tape = Tape()
             out = model.forward_on_tape(tape, [[indices]])
-            return tape, tape.sum_squares(tape.sub(out, target))
+            return tape, tape.sum_squares(out, target)
 
         result = gradient_check(forward, model.parameters(), eps=eps, tol=tol)
         assert result.passed, f"mimick seed {seed}: {result}"

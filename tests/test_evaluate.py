@@ -19,6 +19,7 @@ from spellvec.evaluate import (
     render_report,
     spearman,
 )
+from spellvec.fileio import LineError
 
 
 def sent(*tokens):
@@ -342,6 +343,13 @@ class TestSpearman:
     def test_reader_names_the_line_of_a_bad_score(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             read_similarity_dataset(text)
+
+    @pytest.mark.parametrize("text, line", [("\tcat\t0.5\n", 1), ("a\tb\t1\ncat\t\t0.5\n", 2)],
+                             ids=["first", "second"])
+    def test_reader_refuses_an_empty_word_naming_its_line(self, text, line):
+        with pytest.raises(LineError, match=f"^line {line}: empty word$") as caught:
+            read_similarity_dataset(text)
+        assert caught.value.line == line
 
     def test_reader_validates(self):
         assert read_similarity_dataset("a\tb\t1.5\n") == [("a", "b", 1.5)]

@@ -3,7 +3,10 @@ import stat
 
 import pytest
 
-from spellvec.fileio import atomic_write_bytes, text_lines
+from spellvec.conllu import ConlluParseError, parse_conllu
+from spellvec.embeddings import EmbeddingParseError, read_embeddings
+from spellvec.evaluate import read_similarity_dataset
+from spellvec.fileio import InputError, LineError, atomic_write_bytes, text_lines
 
 
 def test_atomic_write_syncs_the_file_before_the_rename_and_the_directory_after(
@@ -59,3 +62,16 @@ def test_a_string_splits_into_lines_like_a_text_file(tmp_path):
         from_file = list(text_lines(handle))
     assert list(text_lines(text)) == from_file == ["a\x85b\u2028c\x0bd\x0c\x1ce", "f", "g", "", "h"]
     assert list(text_lines("")) == [] and list(text_lines("x\n")) == ["x"]
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    (read_embeddings, "1 2\ncat 1\n", 2, "expected 1 word and 2 values, got 2 fields"),
+    (parse_conllu, "1\tcat\n", 1, "expected 10 columns, got 2"),
+    (read_similarity_dataset, "a\tb\t1\na\tb\n", 2, "expected 3 tab-separated fields"),
+], ids=["table", "conllu", "similarity"])
+def test_every_parser_raises_the_one_line_numbered_input_error(parse, text, line, message):
+    assert issubclass(EmbeddingParseError, LineError) and issubclass(ConlluParseError, LineError)
+    with pytest.raises(LineError) as caught:
+        parse(text)
+    assert isinstance(caught.value, InputError)
+    assert str(caught.value) == f"line {line}: {message}" and caught.value.line == line

@@ -131,13 +131,11 @@ class TestBackward:
         p = Tensor([1.0, 1.0])
         t = Tape()
         s = t.sum(p)
-        t.backward(t.add(s, s))
+        t.backward(t.add_n([s, s]))
         assert np.array_equal(p.grad, [2.0, 2.0])
 
 
 OP_CASES = {
-    "add": lambda t, ps: t.sum_squares(t.add(ps[0], ps[1])),
-    "sub": lambda t, ps: t.sum_squares(t.sub(ps[0], ps[1])),
     "mul": lambda t, ps: t.sum_squares(t.mul(ps[0], ps[1])),
     "scale": lambda t, ps: t.sum_squares(t.mul_const(ps[0], -1.7)),
     "mul_const": lambda t, ps: t.sum_squares(t.mul_const(ps[0], np.array([0.0, 2.0, 0.5, 2.0]))),
@@ -148,6 +146,7 @@ OP_CASES = {
     "log_softmax": lambda t, ps: t.sum_squares(t.log_softmax(ps[0])),
     "sum": lambda t, ps: t.sum(ps[0]),
     "sum_squares": lambda t, ps: t.sum_squares(ps[0]),
+    "sum_squares_target": lambda t, ps: t.sum_squares(ps[0], np.array([0.3, -1.2, 0.0, 2.5])),
     "affine2": lambda t, ps: t.sum_squares(t.affine(ps[2], ps[0], ps[3])),
     "lstm": None,  # handled separately below
 }
@@ -187,7 +186,7 @@ def test_lstm_step_gradient_100_instances():
         def forward():
             t = Tape()
             h, c = lstm_step(t, cell, params["x"], params["h0"], params["c0"])
-            return t, t.add(t.sum_squares(h), t.sum_squares(c))
+            return t, t.add_n([t.sum_squares(h), t.sum_squares(c)])
 
         report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
         assert report.passed, report
@@ -428,7 +427,7 @@ class TestLazyGradients:
             xs = tape.take(emb, np.array([[2, 0, 2, 5]]))  # row 2 twice
             (states,) = tape.bilstm(fwd, bwd, [xs])
             h, c = lstm_step(tape, cell, tape.take(states, (0, -1)), h0, c0)
-            tape.backward(tape.add(tape.sum_squares(h), tape.sum(tape.tanh(c))))
+            tape.backward(tape.add_n([tape.sum_squares(h), tape.sum(tape.tanh(c))]))
             return [t.grad for t in leaves]
 
         fresh, zeroed = run(False), run(True)
@@ -1154,8 +1153,10 @@ def test_any_rank_op_gradients_match_finite_differences(op):
 
 
 SHAPE_ERROR_CASES = {
-    "add": (lambda t: t.add(Tensor(np.zeros(2)), Tensor(np.zeros(3))), r"add: shapes \(2,\) and \(3,\) differ"),
     "add_n": (lambda t: t.add_n([]), "add_n: empty input"),
+    "add_n_shapes": (lambda t: t.add_n([Tensor(np.zeros(2)), Tensor(np.zeros(3))]), r"add_n: shapes \(2,\) and \(3,\) differ"),
+    "sum_squares_target": (lambda t: t.sum_squares(Tensor(np.zeros((1, 1, 4))), np.zeros(4)),
+                           r"sum_squares: shapes \(1, 1, 4\) and \(4,\) differ$"),
     "concat": (lambda t: t.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))]), "concat: "),
     "log_softmax": (lambda t: t.log_softmax(Tensor(np.zeros((2, 0)))), "log_softmax: no values"),
     "lstm_cell": (lambda t: LstmCellParams(0, 2), "lstm: input_size and hidden_size must be positive"),
@@ -1193,16 +1194,15 @@ class TestGatherAndConstantProduct:
         with pytest.raises(DimensionError, match=r"\(2, 3\) and \(3,\) differ"):
             tape.mul_const(a, np.ones(3))
 
-    def test_sub_takes_a_constant_of_the_operands_shape_which_takes_no_gradient(self):
+    def test_sum_squares_takes_a_constant_target_of_the_operands_shape_which_takes_no_gradient(self):
         rng = np.random.default_rng(35)
         a, target = Tensor(rng.normal(size=(1, 1, 4))), rng.normal(size=(1, 1, 4))
         tape = Tape()
-        diff = tape.sub(a, target)
-        assert np.array_equal(diff.data, tape.sub(a, Tensor(target)).data)
-        tape.backward(tape.sum_squares(diff))
+        loss = tape.sum_squares(a, target)
+        assert loss.data == np.sum((a.data - target) * (a.data - target))
+        assert len(tape) == 1
+        tape.backward(loss)
         assert np.array_equal(a.grad, 2.0 * (a.data - target))
-        with pytest.raises(DimensionError, match=r"^sub: shapes \(1, 1, 4\) and \(4,\) differ$"):
-            tape.sub(a, np.ones(4))
 
 
 class TestGradFreeTape:

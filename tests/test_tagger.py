@@ -29,10 +29,13 @@ from spellvec.embeddings import MIMICK_DIRECT, UNK_LOWERCASE, EmbeddingTable
 from spellvec.mimick import CharVocabulary, MimickModel
 from spellvec.nn import (
     DimensionError,
+    LstmCellParams,
     MomentumSgd,
     Tape,
     Tensor,
     dropout_mask,
+    embedding_init,
+    glorot_uniform,
     gradient_check,
     length_slices,
 )
@@ -564,6 +567,25 @@ class TestVariants:
         monkeypatch.setattr(tagger_module, "lookup_many", spy)
         rep.vectors(["Aa"])
         assert policies == [policy]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_model_built_without_a_generator_is_zeros_to_be_restored(self, variant):
+        # the initializers' rule: no generator, zeros of the shape
+        for init in (glorot_uniform, embedding_init):
+            zeros = init(None, 3, 5)
+            assert zeros.dtype == np.float64 and np.array_equal(zeros, np.zeros((3, 5)))
+        rng = np.random.default_rng(13)
+        table = tiny_table(rng, ["ab", "ba"], dim=3)
+        assert all(p.data.any() for p in LstmCellParams(2, 3, rng).parameters().values())
+        mimick = MimickModel(CharVocabulary("abc"), dim=3, char_dim=2, hidden=3)
+        schema = AttributeSchema(["A", "B"], {"Case": ["Nom", "Acc"]}, {"Case": 1.0})
+        model = TaggerModel(schema, WordRepSpec(variant, table, mimick), hidden=3, char_dim=2,
+                            char_hidden=4, forms=["ab", "cab", "ba", "ca"])
+        assert model.embeddings.shape == (4, 3)
+        assert (model.c2t is not None) == (variant in ("char2tag", "both"))
+        for params in (LstmCellParams(2, 3).parameters(), mimick.parameters(), model.parameters()):
+            for name, p in params.items():
+                assert p.data.size and not p.data.any(), name
 
 
 class TestTag:
