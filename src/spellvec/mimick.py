@@ -1,8 +1,9 @@
 """Character BiLSTM plus MLP mapping a word's spelling to an embedding.
 
 The model is trained at the type level to reproduce the vectors of a
-pre-trained table by minimizing squared Euclidean distance, then used to
-assign vectors to words the table does not cover. Cosine nearest neighbours
+pre-trained table by minimizing squared Euclidean distance, the one objective
+(Tape.sum_squares) that training, mimick_loss and the dev loss share; it then
+assigns vectors to words the table does not cover. Cosine nearest neighbours
 (embeddings.nearest_neighbors, also named here) inspect the inferred vectors.
 """
 
@@ -270,7 +271,7 @@ def mimick_loss(model: MimickModel, word: str, target: np.ndarray) -> float:
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (model.dim,):
         raise DimensionError(f"target shape {target.shape}, expected ({model.dim},)")
-    return float(np.sum((model.forward(word) - target) ** 2))
+    return float(Tape(grad=False).sum_squares(Tensor(model.forward(word)), target).data)
 
 
 @dataclass
@@ -328,14 +329,12 @@ def train_mimick(
         # the last step's record (its gate history, buffers and closures)
         # would otherwise stay alive through dev scoring
         del tape, out, loss
-        dev_loss = (
-            float(np.mean([
-                float(np.sum((out - table.vector(w)) ** 2))
+        dev_loss, scoring = float("nan"), Tape(grad=False)
+        if dev_words:
+            dev_loss = float(np.mean([
+                float(scoring.sum_squares(Tensor(out), table.vector(w)).data)
                 for w, out in zip(dev_words, model.forward_many(dev_words))
             ]))
-            if dev_words
-            else float("nan")
-        )
         trace.append(EpochLoss(epoch, total / len(train_words), dev_loss))
     optimizer.release()
     return model, trace

@@ -129,6 +129,16 @@ class TestLoss:
         report = gradient_check(forward, model.parameters(), eps=1e-5, tol=1e-4)
         assert report.passed, report
 
+    @pytest.mark.parametrize("word", ["a", "bad", "gabfedc", "zax"])
+    def test_a_training_record_scores_what_mimick_loss_does_bit_for_bit(self, word):
+        # the record train_mimick makes at unk_char_rate 0.0: no character dropped
+        model = small_model(seed=9)
+        target = np.random.default_rng(len(word)).normal(size=5)
+        tape = Tape()
+        out = model.forward_on_tape(tape, [[model.chars.encode(word)]])
+        loss = tape.sum_squares(out, target[None, None])
+        assert float(loss.data) == mimick_loss(model, word, target)
+
 
 def char_count_table(rng, n_words, dim=8, alphabet="abcdef", scale=0.4):
     """Embeddings that are a fixed random linear function of character counts."""
@@ -179,6 +189,25 @@ class TestTraining:
         train_mimick(table, MimickTrainConfig(char_dim=4, hidden=4, epochs=2, dev_fraction=0.1, seed=7))
         # one recording tape per training word: 27 of the 30, 3 held out
         assert scored == [27, 54]
+
+    def test_the_dev_loss_is_the_mean_of_mimick_loss_over_the_dev_words(self, monkeypatch):
+        table = char_count_table(np.random.default_rng(4), 40)
+        scored, original = [], MimickModel.forward_many
+
+        def scoring(model, words):
+            scored.append(list(words))
+            return original(model, words)
+
+        monkeypatch.setattr(MimickModel, "forward_many", scoring)
+        cfg = MimickTrainConfig(char_dim=4, hidden=5, epochs=1, dev_fraction=0.1, seed=7)
+        model, trace = train_mimick(table, cfg)
+        monkeypatch.undo()
+        [dev_words] = scored
+        assert len(dev_words) == 4  # round(0.1 * 40)
+        # at seed 7 the mean moves if a dev word's squared distance is summed
+        # another way (math.fsum, exactly rounded): this pins the bits, not just the value
+        losses = [mimick_loss(model, w, table.vector(w)) for w in dev_words]
+        assert trace[0].dev_loss == np.mean(losses)
 
     @pytest.mark.parametrize("setting, message", [
         ({"epochs": 0}, r"epochs must be >= 1, got 0"),

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -148,15 +149,16 @@ OP_CASES = {
     "sum_squares": lambda t, ps: t.sum_squares(ps[0]),
     "sum_squares_target": lambda t, ps: t.sum_squares(ps[0], np.array([0.3, -1.2, 0.0, 2.5])),
     "affine2": lambda t, ps: t.sum_squares(t.affine(ps[2], ps[0], ps[3])),
-    "lstm": None,  # handled separately below
 }
 
 
-@pytest.mark.parametrize("op", [k for k in OP_CASES if OP_CASES[k]])
+@pytest.mark.parametrize("op", OP_CASES)
 def test_gradients_match_finite_differences_100_instances(op):
-    """Every differentiable op, 100 random instances each."""
+    """Every differentiable op, 100 random instances each: the same 100 every
+    run, since the seed is a stable hash of the op's name (hash() of a str is
+    salted per process)."""
     build = OP_CASES[op]
-    rng = np.random.default_rng(hash(op) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
     for _ in range(100):
         params = {
             "a": Tensor(rng.normal(size=4)),
