@@ -254,21 +254,29 @@ class Tape:
         nothing sets it.
 
         A recording tape makes one record of all the groups, on this thread
-        (at training's widths a second one does not pay), which keeps every
-        step's gates for the running sequences (history, a batch axis wide;
-        see _bilstm_sweep). Its backward pass is hand-written
-        backpropagation through time over the running sequences and both
-        directions at once: elementwise arithmetic, which rounds each
-        element alone, and one mat-vec per sequence, direction and step, as
-        a broadcast np.matmul with the bits of 1-D ones. Then each sequence
-        in turn, on a contiguous copy of its rows, adds what a batch would
-        round differently: per direction its weight-gradient GEMM over
-        [inputs | previous states] and its bias sum, then its input-gradient
-        GEMMs, bwd's first. order, the groups' sequences' places in the
-        caller's order (length_slices' index groups; batch order if
-        omitted), sets the turns: the last place first, as one record per
-        sequence made in that order would replay. So every gradient has the
-        bits of such records.
+        (at training's widths a second one does not pay). It is ragged: a
+        stretch is a run of steps in which the same k sequences (the first
+        k of the batch) are running, and the record keeps one block per
+        stretch of every step's gates over those k only (history; see
+        _bilstm_sweep), so a padded step is neither stored nor computed.
+        One sequence is one stretch. The backward pass is hand-written
+        backpropagation through time, stretch by stretch from the last, over
+        a stretch's sequences and both directions at once: elementwise
+        arithmetic, which rounds each element alone, and one mat-vec per
+        sequence, direction and step, as a broadcast np.matmul with the bits
+        of 1-D ones. A stretch's gate coefficients are made as it is
+        reached, and its pre-activation gradients kept as one block of its
+        own; its first step reads the cell state before it from the wider
+        stretch before, and a sequence that ends in it joins at its last
+        step with zero gradients. Then each sequence in turn, on its own
+        rows, joined from the stretches it runs in where it spans several,
+        adds what a batch would round differently: per direction its
+        weight-gradient GEMM over [inputs | previous states] and its bias
+        sum, then its input-gradient GEMMs, bwd's first. order, the groups'
+        sequences' places in the caller's order (length_slices' index
+        groups; batch order if omitted), sets the turns: the last place
+        first, as one record per sequence made in that order would replay.
+        So every gradient has the bits of such records.
         """
         n, h = fwd.input_size, fwd.hidden_size
         if (bwd.input_size, bwd.hidden_size) != (n, h):
@@ -291,9 +299,9 @@ class Tape:
         # the pass's buffers come from the calling thread, whichever thread steps a direction
         hs, pre = np.zeros((steps + 1, batch, 2, h)), np.empty((batch, steps, 2, 4 * h))
         if self.grad:
-            # after each step: sigmoid(i, f, o), tanh(candidate), the cell state and its
-            # tanh; row L + 1 stays zero, the forget gate after the last step
-            history = np.zeros((steps + 2, 6, batch, 2, h))
+            # per stretch, after each step: sigmoid(i, f, o), tanh(candidate), the cell
+            # state and its tanh of the running sequences
+            history = []
             _bilstm_sweep(fwd, bwd, arrays, pre, hs, history=history)
         # a wide pass: its mat-vecs read at least TWO_THREAD_FLOATS recurrent weight
         # floats a step in one direction, on average
@@ -316,50 +324,63 @@ class Tape:
         # per batch row: its group's input tensor, its row there and its length
         rows = [(x, j, L) for x, (b, L, _) in zip(groups, shapes) for j in range(b)]
         places = [p for g in order for p in g] if order is not None else range(batch)
+        # the stretches from the first step: (sequences running, first step, end)
+        lengths = [L for _, L, _ in shapes]
+        stretches = [
+            (k, stop, last)
+            for k, last, stop in zip(starts[1:], lengths, [*lengths[1:], 0])
+            if stop < last
+        ][::-1]
 
         def backward(_):
-            # per step and sequence, the gradient of each direction's state of that step
-            g_steps = np.zeros((steps, batch, 2, h))
-            for out, (_, L, _), a, b in zip(outs, shapes, starts, starts[1:]):
-                g = out.grad.swapaxes(0, 1)
-                g_steps[:L, a:b, 0] = g[:, :, :h]
-                g_steps[:L, a:b, 1] = g[::-1, :, h:]
-            i, f, o, cand, _, tanh_cs = history[1:-1].swapaxes(0, 1)
-            c_prev, f_next = history[:-2, 4], history[2:, 1]
-            # d(pre-activation)/dc for the i, f and candidate rows; /dh for o
-            coef = np.empty((steps, batch, 2, 4, h))
-            np.multiply(cand * i, 1.0 - i, out=coef[..., 0, :])
-            np.multiply(c_prev * f, 1.0 - f, out=coef[..., 1, :])
-            np.multiply(tanh_cs * o, 1.0 - o, out=coef[..., 2, :])
-            np.multiply(i, 1.0 - cand * cand, out=coef[..., 3, :])
-            dc_dh = o * (1.0 - tanh_cs * tanh_cs)
+            grads = [out.grad.swapaxes(0, 1) for out in outs]
             w_h_t = [cell.w.data[:, n:].T for cell in cells]
-            da = np.empty((steps, batch, 2, 4, h))
-            dh_next, dc = np.zeros((2, batch, 2, h))
-            # from the last step back, one stretch per group: its sequences join at
+            # what flows back into a step's state and cell; the zero cell before step 0
+            dh_next, dc, c_start = np.zeros((3, batch, 2, h))
+            das = [None] * len(stretches)
+            # from the last stretch back: a stretch's sequences that end in it join at
             # their last step, with zero dh_next and dc, and run with the longer ones
-            lengths = [L for _, L, _ in shapes]
-            for k, last, stop in zip(starts[1:], lengths, [*lengths[1:], 0]):
-                g_k, f_k, dc_dh_k, coef_k, coef_o = (
-                    g_steps[:, :k], f_next[:, :k], dc_dh[:, :k], coef[:, :k], coef[:, :k, :, 2]
+            for s, (k, t0, t1) in reversed(list(enumerate(stretches))):
+                span = t1 - t0
+                # per step and sequence, the gradient of each direction's state of that step
+                g = np.empty((span, k, 2, h))
+                for grad, L, a, b in zip(grads, lengths, starts, starts[1:]):
+                    if a == k:
+                        break
+                    g[:, a:b, 0] = grad[t0:t1, :, :h]
+                    g[:, a:b, 1] = grad[L - t1 : L - t0][::-1, :, h:]
+                i, f, o, cand, c, tanh_cs = history[s].swapaxes(0, 1)
+                # d(pre-activation)/dc for the i, f and candidate rows; /dh for o. The
+                # cell before the stretch's first step is the last of the wider stretch
+                coef = np.empty((span, k, 2, 4, h))
+                before = history[s - 1][-1:, 4, :k] if s else c_start[None, :k]
+                np.multiply(cand * i, 1.0 - i, out=coef[..., 0, :])
+                np.multiply(np.concatenate([before, c[:-1]]) * f, 1.0 - f, out=coef[..., 1, :])
+                np.multiply(tanh_cs * o, 1.0 - o, out=coef[..., 2, :])
+                np.multiply(i, 1.0 - cand * cand, out=coef[..., 3, :])
+                dc_dh = o * (1.0 - tanh_cs * tanh_cs)
+                das[s] = da = np.empty((span, k, 2, 4, h))
+                dh_k, dc_k, dc_gates, coef_o, da_o = (
+                    dh_next[:k], dc[:k], dc[:k, :, None], coef[:, :, :, 2], da[:, :, :, 2]
                 )
-                dh_k, dc_k, dc_gates, da_k, da_o = (
-                    dh_next[:k], dc[:k], dc[:k, :, None], da[:, :k], da[:, :k, :, 2]
-                )
-                da_f, da_b = da_k.reshape(steps, k, 2, 4 * h, 1).transpose(2, 0, 1, 3, 4)
+                da_f, da_b = da.reshape(span, k, 2, 4 * h, 1).transpose(2, 0, 1, 3, 4)
                 dh_f, dh_b = dh_next[:k, :, :, None].swapaxes(0, 1)
-                for t in range(last - 1, stop - 1, -1):
-                    dh = g_k[t] + dh_k
-                    dc_k *= f_k[t]
-                    dc_k += dh * dc_dh_k[t]
-                    np.multiply(dc_gates, coef_k[t], out=da_k[t])
+                for t in range(span - 1, -1, -1):
+                    dh = g[t] + dh_k
+                    dc_k += dh * dc_dh[t]
+                    np.multiply(dc_gates, coef[t], out=da[t])
                     np.multiply(dh, coef_o[t], out=da_o[t])
                     np.matmul(w_h_t[0], da_f[t], out=dh_f)
                     np.matmul(w_h_t[1], da_b[t], out=dh_b)
-            # sequence by sequence, the last place first, on a contiguous copy of its rows
+                    # the cell gradient that flows into step t - 1
+                    dc_k *= f[t]
+            del g, coef, coef_o, dc_dh  # freed before the sequences' GEMMs
+            # sequence by sequence, the last place first, on its own rows
             for r in sorted(range(batch), key=places.__getitem__, reverse=True):
                 x, j, L = rows[r]
-                da_r, inputs = da[:L, r].swapaxes(0, 1).reshape(2, L, 4 * h), x.data[j]
+                pieces = [da[:, r] for (k, _, _), da in zip(stretches, das) if r < k]
+                by_step = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+                da_r, inputs = by_step.swapaxes(0, 1).reshape(2, L, 4 * h), x.data[j]
                 # per direction, the inputs in the order it read them
                 read = zip(cells, da_r, (inputs, inputs[::-1]), hs[:L, r].swapaxes(0, 1))
                 for cell, d, seen, h_prev in read:
@@ -544,9 +565,11 @@ def _bilstm_sweep(
     product of the adjacent (i, f) and (candidate, cell) slots gives f * c
     and i * candidate.
 
-    history is for a recording tape, over both directions: if given, the
-    running sequences' rows of row t + 1 of history (L + 2, 6, B, 2, hidden)
-    receive the buffer after step t, and the other rows keep their zeros.
+    history is for a recording tape, over both directions: if given, a list
+    that receives one block (steps, 6, k, 2, hidden) per stretch, the steps
+    in which the first k sequences are running, in step order, allocated
+    when the gate buffer is rebuilt for them; row u of a block receives the
+    buffer after the stretch's step u, so no padded step is stored.
     Each direction's step is then one broadcast np.matmul of the cell's own
     strided recurrent view over the running sequences, which has the bits of
     a 1-D mat-vec per sequence (stacking the two views would copy them);
@@ -585,7 +608,8 @@ def _bilstm_sweep(
             hs_k, hs_in = hs[:, :k], hs[:, :k, ..., None]
             if history is not None:
                 h_f, h_b, mv_f, mv_b = hs_in[:, :, 0], hs_in[:, :, 1], mv_k[:, 0], mv_k[:, 1]
-                history_k = history[:, :, :k]
+                first, block = t, np.empty((running.count(k), 6, k, dirs, h))
+                history.append(block)
         if history is None:
             np.matmul(w_h, hs_in[t], out=mv_k)
         else:
@@ -601,7 +625,7 @@ def _bilstm_sweep(
         np.tanh(c, out=tanh_c)
         np.multiply(o, tanh_c, out=hs_k[t + 1])
         if history is not None:
-            history_k[t + 1] = gates
+            block[t - first] = gates
 
 
 # a grad-free Tape.bilstm pass whose mat-vecs read at least this many recurrent

@@ -192,6 +192,20 @@ def traced_bytes(build):
             tracemalloc.stop()
 
 
+def traced_peak(build):
+    """What build() returns, and the most bytes of heap memory (numpy's and
+    Python's) held at once while it ran, above what was held as it started,
+    as tracemalloc counts them."""
+
+    def peak():
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1] - before
+
+    return traced_bytes(peak)[0]
+
+
 def two_thread_passes(patch, floats):
     """Set Tape.bilstm's two-thread gate, nn.TWO_THREAD_FLOATS, to floats
     through the MonkeyPatch patch; returns a list that gets one entry per

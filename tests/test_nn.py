@@ -12,7 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from synthetic import assert_gradients_released, naive_lstm, traced_bytes, two_thread_passes
+from synthetic import (
+    assert_gradients_released,
+    naive_lstm,
+    traced_bytes,
+    traced_peak,
+    two_thread_passes,
+)
 from spellvec import nn
 from spellvec.nn import (
     DimensionError,
@@ -732,6 +738,30 @@ def recorded_gradients(fwd, bwd, inputs, weights, order=None):
     return [p.grad.copy() for p in (fwd.w, fwd.b, bwd.w, bwd.b)], states
 
 
+# 13 words of 3 to 15 letters, some lengths repeated: ten stretches
+CHAR2TAG_LENGTHS = [4, 15, 9, 3, 12, 9, 7, 15, 5, 11, 3, 13, 6]
+# the traced peak of a recording record over CHAR2TAG_LENGTHS at input 20 and
+# hidden 128 whose per-step buffers were padded to the longest word (Python
+# 3.11, numpy 2.4)
+PADDED_PEAK = 8_319_672
+
+
+def record_peak(fwd, bwd, inputs, order=None):
+    """The traced peak of a recording Tape.bilstm record's forward and
+    backward passes over inputs, into gradients that already exist, with
+    sum_squares of its states as the loss."""
+    for p in [fwd.w, fwd.b, bwd.w, bwd.b, *inputs]:
+        p.zero_grad()
+
+    def run():
+        tape = Tape()
+        states = tape.bilstm(fwd, bwd, inputs, order)
+        tape.backward(tape.add_n([tape.sum_squares(s) for s in states]))
+
+    run()  # numpy's and Python's caches warm
+    return traced_peak(run)[1]
+
+
 class TestPackedRecord:
     """A recording Tape.bilstm over packed groups gives every state and
     gradient the bits of one record per sequence, made in the order it is
@@ -747,6 +777,10 @@ class TestPackedRecord:
     )
     @example(width=1, hidden=1, lengths=[1], ordered=True, seed=0)
     @example(width=6, hidden=40, lengths=[3, 1, 7, 3, 1, 7, 5], ordered=True, seed=1)
+    # char2tag training's geometry: a sentence of 13 words of 3 to 15 letters in ten
+    # stretches, at char2tag's width and hidden size
+    @example(width=20, hidden=128, lengths=CHAR2TAG_LENGTHS, ordered=True, seed=2)
+    @example(width=20, hidden=128, lengths=CHAR2TAG_LENGTHS, ordered=False, seed=3)
     def test_equals_one_record_per_sequence_bit_for_bit(self, width, hidden, lengths, ordered, seed):
         rng = np.random.default_rng(seed)
         fwd, bwd = LstmCellParams(width, hidden, rng), LstmCellParams(width, hidden, rng)
@@ -774,7 +808,7 @@ class TestPackedRecord:
     def test_gradient_check_over_mixed_lengths_including_one(self):
         rng = np.random.default_rng(19)
         fwd, bwd = LstmCellParams(3, 2, rng), LstmCellParams(3, 2, rng)
-        lengths = [2, 4, 1, 4, 1]
+        lengths = [2, 4, 1, 4, 1, 3, 5]  # five stretches
         (groups,) = length_slices(lengths, len(lengths))
         params = bilstm_params(fwd, bwd)
         for k, g in enumerate(groups):
@@ -788,6 +822,36 @@ class TestPackedRecord:
 
         report = gradient_check(forward, params, eps=1e-5, tol=1e-4)
         assert report.passed, report
+
+    def test_a_one_sequence_record_peaks_within_a_bound_from_its_shapes(self):
+        # Mimick's geometry: one 9-letter word, input 20, hidden 50
+        n, h, length = 20, 50, 9
+        rng = np.random.default_rng(24)
+        fwd, bwd = LstmCellParams(n, h, rng), LstmCellParams(n, h, rng)
+        peak = record_peak(fwd, bwd, [Tensor(rng.normal(size=(1, length, n)))])
+        # one weight-gradient product, (4h, n + h) floats, and 24 (length, 2h)-float
+        # slabs: a record that kept two padded rows of gates peaked at 23.0 slabs
+        # above the product here (277,760 bytes), so the slack is one slab
+        slab = length * 2 * h * 8
+        assert peak <= 4 * h * (n + h) * 8 + 24 * slab, peak
+
+    def test_a_packed_record_holds_no_padded_step(self):
+        # char2tag training's geometry: 13 words, 83 of 195 word-steps padding
+        lengths, n, h = CHAR2TAG_LENGTHS, 20, 128
+        rng = np.random.default_rng(25)
+        fwd, bwd = LstmCellParams(n, h, rng), LstmCellParams(n, h, rng)
+        (groups,) = length_slices(lengths, len(lengths))
+        inputs = [Tensor(rng.normal(size=(len(g), lengths[g[0]], n))) for g in groups]
+        peak = record_peak(fwd, bwd, inputs, groups)
+        # a record that padded every per-step buffer to the longest word peaked at
+        # PADDED_PEAK bytes here; its backward held 16 (B, 2h)-float buffers a step
+        # (six gate slots, four coefficients, four pre-activation gradients, the
+        # state gradient and dc/dh), and at least 80 % of what their padded rows
+        # held must go
+        padded_steps = len(lengths) * max(lengths) - sum(lengths)
+        padding = padded_steps * 16 * 2 * h * 8
+        assert padded_steps == 83
+        assert peak <= PADDED_PEAK - 0.8 * padding, peak
 
     def test_an_order_that_does_not_name_the_groups_sequences_raises(self):
         cell = LstmCellParams(3, 2)
@@ -1308,13 +1372,13 @@ class TestSigmoid:
         a = np.stack([x, -x, x, np.zeros_like(x)])
         cell = LstmCellParams(1, len(x))
         cell.b.data[...] = a.ravel()
-        history = np.zeros((2, 6, 1, 2, len(x)))
-        pre, hs = np.empty((1, 1, 2, 4 * len(x))), np.zeros((2, 1, 2, len(x)))
+        history, pre, hs = [], np.empty((1, 1, 2, 4 * len(x))), np.zeros((2, 1, 2, len(x)))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             nn._bilstm_sweep(cell, cell, [np.zeros((1, 1, 1))], pre, hs, history=history)
+        ((gates,),) = history  # one stretch of one step
         expected = Tape().sigmoid(Tensor(a[:3])).data
         for direction in (0, 1):
-            assert np.array_equal(history[1, :3, 0, direction], expected)
+            assert np.array_equal(gates[:3, 0, direction], expected)
 
     def test_exact_at_zero_and_beyond_38(self):
         assert np.array_equal(sigmoid(np.array([0.0, -0.0])), [0.5, 0.5])
